@@ -14,23 +14,20 @@ from .cones import (BraidShiftPredicate, ConeOracle, ConvexPredicate,
                     DubrovinaDubrovinCone, FlipCone, KleinTararinCone,
                     KleinYPredicate, LatticeCone, LatticeSublatticePredicate,
                     LexExtensionCone, ReplaceCone, WholePredicate, compare,
-                    cone_from_json, cone_sign, conjugate_cone, flip_on_convex,
-                    klein_tararin_cones, lex_extension, predicate_from_json,
-                    replace_on_convex)
+                    cone_from_json, klein_tararin_cones, predicate_from_json)
 from .errors import (BudgetExceededError, CertificateError,
                      ContextMismatchError, CrossCheckError, OrderconeError,
                      PerturbationError, UsageError)
 from .groups import Ball, GroupContext, GroupElement, ball, invert, is_identity, multiply
 from .lattices import (DensityReport, LexConeSpec, PerturbationResult,
-                       SaturationResult, ball_search_density,
-                       classify_density, extend_by_quotient,
-                       least_positive_in_ball, lex_sign, perturb_dense,
+                       SaturationResult, classify_density, extend_by_quotient,
+                       least_positive_in_ball, perturb_dense,
                        restrict_to_sublattice, saturate)
 from .lospace import (CensusQuery, DistanceResult, OrderPropertyReport,
                       SignVector, SoulEstimate, accumulation_scan, census,
-                      check_cone_axioms, convexity_check, dd_isolation_witnesses,
+                      convexity_check, dd_isolation_witnesses,
                       discreteness_check, distance, interval_closure,
                       order_property_scan, sign_vector, soul_estimate)
-from .quadratic import QuadScalar, quad, quad_sign
+from .quadratic import QuadScalar, quad
 
 __version__ = "0.1.0"

@@ -56,14 +56,15 @@ class Budget:
     def with_overrides(self, overrides: dict) -> "Budget":
         """Return a copy with the given field overrides applied."""
         fields = dict(overrides)
-        if "braid_ball" in fields:
-            merged = dict(self.braid_ball)
-            merged.update({int(k): int(v) for k, v in fields["braid_ball"].items()})
-            fields["braid_ball"] = merged
         try:
+            if "braid_ball" in fields:
+                merged = dict(self.braid_ball)
+                merged.update({int(k): int(v)
+                               for k, v in fields["braid_ball"].items()})
+                fields["braid_ball"] = merged
             return replace(self, **fields)
-        except TypeError as exc:
-            raise UsageError(f"unknown budget field in {sorted(fields)}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise UsageError(f"bad budget overrides {overrides!r}: {exc}") from exc
 
 
 def current_budget(overrides: "Budget | dict | None" = None) -> Budget:

@@ -26,7 +26,6 @@ class ConvexityCertificate:
     cone_json: dict
     predicate_json: dict
     radius: int
-    passed: bool = True
 
     def replay(self) -> bool:
         from .lospace import convexity_check
@@ -53,12 +52,10 @@ class ConvexityCounterexample:
     h: object
 
     def replay(self) -> bool:
-        from .cones import (compare, element_from_json, predicate_from_json)
+        from .cones import compare, predicate_from_json
         cone = _cone(self.cone_json)
         predicate = predicate_from_json(self.predicate_json)
-        f = element_from_json(cone.context, self.f)
-        g = element_from_json(cone.context, self.g)
-        h = element_from_json(cone.context, self.h)
+        f, g, h = (cone.context.element(x) for x in (self.f, self.g, self.h))
         return (predicate.contains(f) and predicate.contains(h)
                 and not predicate.contains(g)
                 and compare(cone, f, g) == "<" and compare(cone, g, h) == "<")
@@ -108,11 +105,11 @@ class AccumulationWitness:
     resolution: int
 
     def replay(self) -> bool:
-        from .cones import conjugate_cone, element_from_json
+        from .cones import ConjugateCone
         from .lospace import distance
         cone = _cone(self.cone_json)
-        h = element_from_json(cone.context, self.conjugator)
-        result = distance(cone, conjugate_cone(cone, h), self.resolution)
+        h = cone.context.element(self.conjugator)
+        result = distance(cone, ConjugateCone(cone, h), self.resolution)
         return (result.exact and result.agree_radius == self.agree_radius
                 and self.agree_radius >= self.target_radius)
 
@@ -134,10 +131,9 @@ class DensityWitness:
     smaller_positive: object
 
     def replay(self) -> bool:
-        from .cones import element_from_json
         cone = _cone(self.cone_json)
-        eps = element_from_json(cone.context, self.eps)
-        smaller = element_from_json(cone.context, self.smaller_positive)
+        eps = cone.context.element(self.eps)
+        smaller = cone.context.element(self.smaller_positive)
         return (cone.sign(smaller) == 1 and smaller != eps
                 and cone.sign(smaller.inverse() * eps) == 1)
 
@@ -153,13 +149,11 @@ class DiscretenessPass:
     cone_json: dict
     eps: object
     radius: int
-    passed: bool = True
 
     def replay(self) -> bool:
-        from .cones import element_from_json
         from .lospace import discreteness_check
         cone = _cone(self.cone_json)
-        eps = element_from_json(cone.context, self.eps)
+        eps = cone.context.element(self.eps)
         return isinstance(discreteness_check(cone, eps, self.radius),
                           DiscretenessPass)
 
@@ -181,10 +175,9 @@ class IntervalClosureReport:
     all_stabilize: bool
 
     def replay(self) -> bool:
-        from .cones import element_from_json
         from .lospace import interval_closure
         cone = _cone(self.cone_json)
-        g = element_from_json(cone.context, self.element)
+        g = cone.context.element(self.element)
         fresh = interval_closure(cone, g, self.radius, self.k_max)
         return (fresh.members == self.members
                 and fresh.all_stabilize == self.all_stabilize)
@@ -196,17 +189,6 @@ class IntervalClosureReport:
                 "members": [{"element": e, "stabilizes": s}
                             for e, s in self.members],
                 "all_stabilize": self.all_stabilize}
-
-
-_KINDS = {
-    "convexity_pass": ConvexityCertificate,
-    "convexity_counterexample": ConvexityCounterexample,
-    "semigroup_witness": SemigroupWitness,
-    "accumulation_witness": AccumulationWitness,
-    "density_witness": DensityWitness,
-    "discreteness_pass": DiscretenessPass,
-    "interval_closure": IntervalClosureReport,
-}
 
 
 def certificate_from_json(data: dict):

@@ -22,14 +22,12 @@ from . import lospace
 from .budgets import current_budget
 from .certificates import ConvexityCertificate
 from .cones import (ConeOracle, DehornoyCone, DubrovinaDubrovinCone,
-                    KleinTararinCone, LatticeCone, cone_from_json,
-                    predicate_from_json, sign_text)
+                    LatticeCone, compare, cone_from_json, predicate_from_json,
+                    sign_text)
 from .errors import BudgetExceededError, OrderconeError, UsageError
 from .groups import BRAID, GroupContext, ball
 from .lattices import (LexConeSpec, classify_density, perturb_dense)
 from .lospace import CensusQuery, census, distance
-
-_TEXT_SIGN = {"+": 1, "-": -1}
 
 
 def parse_group(text: str) -> GroupContext:
@@ -60,9 +58,10 @@ def parse_cone(text: str) -> ConeOracle:
     if kind == "dd":
         return DubrovinaDubrovinCone(int(arg))
     if kind == "klein":
-        if len(arg) != 2 or any(c not in _TEXT_SIGN for c in arg):
+        if len(arg) != 2:
             raise UsageError("klein cone wants two signs, e.g. klein:+-")
-        return KleinTararinCone(_TEXT_SIGN[arg[0]], _TEXT_SIGN[arg[1]])
+        return cone_from_json({"type": "klein_tararin",
+                               "sx": arg[0], "sy": arg[1]})
     if kind == "lattice":
         return LatticeCone(LexConeSpec.from_json(json.loads(arg)))
     raise UsageError(f"unknown cone descriptor {text!r}")
@@ -108,7 +107,10 @@ def report_emit(result, fmt: str) -> bytes:
 
 
 def _budget_overrides(args) -> dict:
-    return json.loads(args.budget) if getattr(args, "budget", None) else {}
+    overrides = json.loads(args.budget) if getattr(args, "budget", None) else {}
+    if not isinstance(overrides, dict):
+        raise UsageError("--budget must hold a JSON object")
+    return overrides
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -244,22 +246,19 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "sign":
         cone = parse_cone(args.cone)
         element = parse_element(cone.context, args.word)
-        return {"sign": sign_text(cone.sign(element)), "seed": args.seed}, 0
+        return {"sign": sign_text(cone.sign(element))}, 0
 
     if args.command == "compare":
-        from .cones import compare as compare_op
         cone = parse_cone(args.cone)
         left = parse_element(cone.context, args.left)
         right = parse_element(cone.context, args.right)
-        return {"relation": compare_op(cone, left, right),
-                "seed": args.seed}, 0
+        return {"relation": compare(cone, left, right)}, 0
 
     if args.command == "ball":
         context = parse_group(args.group)
         b = ball(context, args.radius, budget)
         return {"count": len(b),
-                "elements": [e.text() for e in b.elements],
-                "seed": args.seed}, 0
+                "elements": [e.text() for e in b.elements]}, 0
 
     if args.command == "census":
         context = parse_group(args.group)
@@ -267,23 +266,18 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             lo, hi = (int(x) for x in args.radii.split("..", 1))
             rows = [[r, len(census(CensusQuery(context, r), budget))]
                     for r in range(lo, hi + 1)]
-            return {"columns": ["radius", "count"], "rows": rows,
-                    "seed": args.seed}, 0
+            return {"columns": ["radius", "count"], "rows": rows}, 0
         if args.radius is None:
             raise UsageError("census needs --radius or --radii")
         pins = tuple(parse_element(context, p) for p in args.pin)
         vectors = census(CensusQuery(context, args.radius, pins), budget)
         return {"count": len(vectors),
-                "vectors": [v.to_json() for v in vectors],
-                "seed": args.seed}, 0
+                "vectors": [v.to_json() for v in vectors]}, 0
 
     if args.command == "distance":
         cone_a = parse_cone(args.cone_a)
         cone_b = parse_cone(args.cone_b)
-        result = distance(cone_a, cone_b, args.resolution, budget)
-        report = result.to_json()
-        report["seed"] = args.seed
-        return report, 0
+        return distance(cone_a, cone_b, args.resolution, budget).to_json(), 0
 
     if args.command == "orbit-scan":
         cone = parse_cone(args.cone)
@@ -292,25 +286,22 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
                                             args.target_radius,
                                             args.resolution, budget)
         if witness is None:
-            return {"found": False, "seed": args.seed}, 0
+            return {"found": False}, 0
         report = witness.to_json()
-        report.update({"found": True, "replays": witness.replay(),
-                       "seed": args.seed})
+        report.update({"found": True, "replays": witness.replay()})
         return report, 0
 
     if args.command == "dd-witness":
         witnesses = lospace.dd_isolation_witnesses(args.n, args.radius,
                                                    args.max_len, budget)
         return {"count": len(witnesses),
-                "witnesses": [w.to_json() for w in witnesses],
-                "seed": args.seed}, 0
+                "witnesses": [w.to_json() for w in witnesses]}, 0
 
     if args.command == "convexity":
         cone = parse_cone(args.cone)
         predicate = predicate_from_json(json.loads(args.predicate))
         result = lospace.convexity_check(cone, predicate, args.radius, budget)
         report = result.to_json()
-        report["seed"] = args.seed
         if isinstance(result, ConvexityCertificate):
             return report, 0
         report["replays"] = result.replay()
@@ -318,35 +309,29 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "classify":
         spec = parse_spec(args.spec)
-        report = classify_density(spec, budget).to_json()
-        report["seed"] = args.seed
-        return report, 0
+        return classify_density(spec, budget).to_json(), 0
 
     if args.command == "perturb":
         spec = parse_spec(args.spec)
         required = [[int(c) for c in r.split(",")] for r in args.require]
-        result = perturb_dense(spec, required, budget)
-        report = result.to_json()
-        report["seed"] = args.seed
-        return report, 0
+        return perturb_dense(spec, required, budget).to_json(), 0
 
     if args.command == "soul":
         cone = parse_cone(args.cone)
-        chain = [predicate_from_json(d) for d in json.loads(args.chain)]
-        estimate = lospace.soul_estimate(cone, chain, args.radius,
-                                         args.n_max, budget)
-        report = estimate.to_json()
-        report["seed"] = args.seed
-        return report, 0
+        chain = json.loads(args.chain)
+        if not isinstance(chain, list):
+            raise UsageError("--chain must hold a JSON list of predicates")
+        estimate = lospace.soul_estimate(
+            cone, [predicate_from_json(d) for d in chain], args.radius,
+            args.n_max, budget)
+        return estimate.to_json(), 0
 
     if args.command == "props":
         cone = parse_cone(args.cone)
         scan = lospace.order_property_scan(cone, args.radius, args.n_max,
                                            budget)
-        report = scan.to_json()
-        report["seed"] = args.seed
         violated = scan.conradian_violations or scan.biorder_violations
-        return report, 1 if violated else 0
+        return scan.to_json(), 1 if violated else 0
 
     raise UsageError(f"unknown command {args.command!r}")
 
@@ -360,6 +345,7 @@ def main(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
         args = _apply_config(args)
         report, code = _run(args)
+        report["seed"] = args.seed
         emit(report, args.format, args.out)
         return code
     except BudgetExceededError as exc:

@@ -16,17 +16,14 @@ replays identically (flip and replace re-certify convexity on load).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import intlinalg
 from .braids import BraidWord, main_sign
+from .certificates import ConvexityCertificate
 from .errors import CertificateError, ContextMismatchError, UsageError
 from .groups import (BRAID, FREE_ABELIAN, KLEIN_BOTTLE, GroupContext,
                      GroupElement)
 from .lattices import LexConeSpec, _completed_transforms
-
-if TYPE_CHECKING:
-    from .certificates import ConvexityCertificate
 
 _SIGN_TEXT = {1: "+", 0: "0", -1: "-"}
 _TEXT_SIGN = {v: k for k, v in _SIGN_TEXT.items()}
@@ -42,10 +39,6 @@ def element_to_json(g: GroupElement):
     return list(g.payload)
 
 
-def element_from_json(context: GroupContext, data) -> GroupElement:
-    return context.element(data)
-
-
 def context_to_json(ctx: GroupContext) -> dict:
     if ctx.family == FREE_ABELIAN:
         return {"family": ctx.family, "k": ctx.k}
@@ -54,12 +47,34 @@ def context_to_json(ctx: GroupContext) -> dict:
     return {"family": ctx.family}
 
 
+def _field(data, key: str):
+    """One field of a JSON descriptor, or UsageError if the payload is
+    not an object or lacks the field."""
+    if not isinstance(data, dict) or key not in data:
+        raise UsageError(f"descriptor {data!r} has no {key!r} field")
+    return data[key]
+
+
+def _int_field(data, key: str) -> int:
+    try:
+        return int(_field(data, key))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"descriptor field {key!r} must be an integer") from exc
+
+
+def _sign_field(data, key: str) -> int:
+    text = _field(data, key)
+    if text not in ("+", "-"):
+        raise UsageError(f"descriptor field {key!r} must be '+' or '-'")
+    return _TEXT_SIGN[text]
+
+
 def context_from_json(data: dict) -> GroupContext:
-    family = data.get("family")
+    family = _field(data, "family")
     if family == FREE_ABELIAN:
-        return GroupContext.free_abelian(int(data["k"]))
+        return GroupContext.free_abelian(_int_field(data, "k"))
     if family == BRAID:
-        return GroupContext.braid(int(data["n"]))
+        return GroupContext.braid(_int_field(data, "n"))
     if family == KLEIN_BOTTLE:
         return GroupContext.klein_bottle()
     raise UsageError(f"unknown group family {family!r}")
@@ -285,19 +300,22 @@ class WholePredicate(ConvexPredicate):
 
 
 def predicate_from_json(data: dict) -> ConvexPredicate:
-    kind = data.get("type")
+    kind = _field(data, "type")
     if kind == "braid_shift":
-        return BraidShiftPredicate(int(data["n"]), int(data["r"]))
+        return BraidShiftPredicate(_int_field(data, "n"), _int_field(data, "r"))
     if kind == "klein_y":
         return KleinYPredicate()
     if kind == "lattice_sublattice":
-        basis = tuple(tuple(int(c) for c in b) for b in data["basis"])
+        try:
+            basis = tuple(tuple(int(c) for c in b) for b in _field(data, "basis"))
+        except (TypeError, ValueError) as exc:
+            raise UsageError("basis must be a list of integer rows") from exc
         k = len(basis[0]) if basis else int(data.get("k", 0))
         return LatticeSublatticePredicate(k, basis)
     if kind == "cyclic_braid":
-        return CyclicBraidPredicate(int(data["n"]), data["word"])
+        return CyclicBraidPredicate(_int_field(data, "n"), _field(data, "word"))
     if kind == "whole":
-        return WholePredicate(context_from_json(data["group"]))
+        return WholePredicate(context_from_json(_field(data, "group")))
     raise UsageError(f"unknown predicate type {kind!r}")
 
 
@@ -473,7 +491,7 @@ class FlipCone(ConeOracle):
 
     base: ConeOracle
     predicate: ConvexPredicate
-    certificate: "ConvexityCertificate"
+    certificate: ConvexityCertificate
 
     def __post_init__(self) -> None:
         _check_certificate(self.certificate, self.base, self.predicate)
@@ -503,7 +521,7 @@ class ReplaceCone(ConeOracle):
     base: ConeOracle
     predicate: ConvexPredicate
     inner: ConeOracle
-    certificate: "ConvexityCertificate"
+    certificate: ConvexityCertificate
 
     def __post_init__(self) -> None:
         _check_certificate(self.certificate, self.base, self.predicate)
@@ -614,11 +632,6 @@ def _check_certificate(certificate, base: ConeOracle,
 # Operations
 
 
-def cone_sign(cone: ConeOracle, g: GroupElement) -> int:
-    """Sign of g under the cone: -1, 0 (identity only), or +1."""
-    return cone.sign(g)
-
-
 def compare(cone: ConeOracle, g: GroupElement, h: GroupElement) -> str:
     """'<', '=', or '>' for g against h: g < h iff g^-1 h is positive."""
     if g.context != h.context:
@@ -627,68 +640,39 @@ def compare(cone: ConeOracle, g: GroupElement, h: GroupElement) -> str:
     return {1: "<", 0: "=", -1: ">"}[s]
 
 
-def conjugate_cone(cone: ConeOracle, g: GroupElement) -> ConeOracle:
-    """The cone moved by the conjugation action of g."""
-    return ConjugateCone(cone, g)
-
-
-def flip_on_convex(cone: ConeOracle, predicate: ConvexPredicate,
-                   certificate) -> ConeOracle:
-    """Negate the cone exactly on a certified convex subgroup."""
-    return FlipCone(cone, predicate, certificate)
-
-
-def replace_on_convex(cone: ConeOracle, predicate: ConvexPredicate,
-                      inner: ConeOracle, certificate) -> ConeOracle:
-    """Swap in a different order on a certified convex subgroup."""
-    return ReplaceCone(cone, predicate, inner, certificate)
-
-
-def lex_extension(convex: ConvexPredicate, inner: ConeOracle,
-                  quotient: ConeOracle) -> ConeOracle:
-    """Build the order that compares cosets of the convex subgroup first."""
-    return LexExtensionCone(convex, inner, quotient)
-
-
 def klein_tararin_cones() -> list[KleinTararinCone]:
     """All four orders of the Klein-bottle group."""
     return [KleinTararinCone(sx, sy) for sx in (1, -1) for sy in (1, -1)]
 
 
 def cone_from_json(data: dict) -> ConeOracle:
-    kind = data.get("type")
+    kind = _field(data, "type")
     if kind == "dehornoy":
-        return DehornoyCone(int(data["n"]))
+        return DehornoyCone(_int_field(data, "n"))
     if kind == "dd":
-        return DubrovinaDubrovinCone(int(data["n"]))
+        return DubrovinaDubrovinCone(_int_field(data, "n"))
     if kind == "klein_tararin":
-        return KleinTararinCone(_TEXT_SIGN[data["sx"]], _TEXT_SIGN[data["sy"]])
+        return KleinTararinCone(_sign_field(data, "sx"), _sign_field(data, "sy"))
     if kind == "lattice":
-        return LatticeCone(LexConeSpec.from_json(data["spec"]))
+        return LatticeCone(LexConeSpec.from_json(_field(data, "spec")))
     if kind == "conjugate":
-        base = cone_from_json(data["base"])
-        return ConjugateCone(base, element_from_json(base.context, data["g"]))
-    if kind == "flip_on_convex":
+        base = cone_from_json(_field(data, "base"))
+        return ConjugateCone(base, base.context.element(_field(data, "g")))
+    if kind in ("flip_on_convex", "replace_on_convex"):
         from .lospace import convexity_check
-        base = cone_from_json(data["base"])
-        predicate = predicate_from_json(data["predicate"])
-        result = convexity_check(base, predicate, int(data["radius"]))
-        if not getattr(result, "passed", False):
+        base = cone_from_json(_field(data, "base"))
+        predicate = predicate_from_json(_field(data, "predicate"))
+        inner = (cone_from_json(_field(data, "inner"))
+                 if kind == "replace_on_convex" else None)
+        result = convexity_check(base, predicate, _int_field(data, "radius"))
+        if not isinstance(result, ConvexityCertificate):
             raise CertificateError(
-                "stored flip no longer certifies as convex on replay")
-        return FlipCone(base, predicate, result)
-    if kind == "replace_on_convex":
-        from .lospace import convexity_check
-        base = cone_from_json(data["base"])
-        predicate = predicate_from_json(data["predicate"])
-        inner = cone_from_json(data["inner"])
-        result = convexity_check(base, predicate, int(data["radius"]))
-        if not getattr(result, "passed", False):
-            raise CertificateError(
-                "stored replacement no longer certifies as convex on replay")
+                f"stored {kind} no longer certifies as convex on replay")
+        if inner is None:
+            return FlipCone(base, predicate, result)
         return ReplaceCone(base, predicate, inner, result)
     if kind == "lex_extension":
-        return LexExtensionCone(predicate_from_json(data["convex"]),
-                                cone_from_json(data["inner"]),
-                                cone_from_json(data["quotient"]))
+        return LexExtensionCone(predicate_from_json(_field(data, "convex")),
+                                cone_from_json(_field(data, "inner")),
+                                cone_from_json(_field(data, "quotient")))
     raise UsageError(f"unknown cone type {kind!r}")

@@ -64,14 +64,6 @@ class GroupContext:
     def klein_bottle(cls) -> "GroupContext":
         return cls(KLEIN_BOTTLE)
 
-    @property
-    def generator_names(self) -> tuple[str, ...]:
-        if self.family == FREE_ABELIAN:
-            return tuple(f"e{i}" for i in range(1, self.k + 1))
-        if self.family == BRAID:
-            return tuple(f"s{i}" for i in range(1, self.n))
-        return ("x", "y")
-
     def identity(self) -> "GroupElement":
         if self.family == FREE_ABELIAN:
             return GroupElement(self, (0,) * self.k)

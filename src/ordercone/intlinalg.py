@@ -11,8 +11,6 @@ most half a dozen.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
 
 IntMatrix = list[list[int]]
 
@@ -21,30 +19,9 @@ def identity_matrix(size: int) -> IntMatrix:
     return [[1 if r == c else 0 for c in range(size)] for r in range(size)]
 
 
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def matvec_left(v: list[int], m: IntMatrix) -> list[int]:
     """Row vector times matrix."""
     return [sum(v[i] * m[i][c] for i in range(len(v))) for c in range(len(m[0]))]
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free expansion (small sizes only)."""
-    size = len(m)
-    if size == 0:
-        return 1
-    if size == 1:
-        return m[0][0]
-    total = 0
-    for c in range(size):
-        if m[0][c] == 0:
-            continue
-        minor = [row[:c] + row[c + 1:] for row in m[1:]]
-        total += (-1) ** c * m[0][c] * determinant(minor)
-    return total
 
 
 def hermite_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -83,12 +60,6 @@ def hermite_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
         pivot_row += 1
     return h, u
-
-
-def row_basis(m: IntMatrix) -> IntMatrix:
-    """Nonzero rows of the Hermite form: a Z-basis of the row lattice."""
-    h, _ = hermite_with_transform(m)
-    return [row for row in h if any(row)]
 
 
 def kernel_basis(m: IntMatrix, width: int) -> IntMatrix:
@@ -180,44 +151,6 @@ def smith_with_transforms(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix
 def elementary_divisors(m: IntMatrix) -> list[int]:
     _, d, _ = smith_with_transforms(m)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-
-
-def maximal_minor_gcd(m: IntMatrix) -> int:
-    """gcd of all maximal minors; equals the product of the elementary
-    divisors, so a full-rank lattice basis is saturated iff this is 1."""
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    r = min(rows, cols)
-    if r == 0:
-        return 0
-    out = 0
-    for row_ix in combinations(range(rows), r):
-        for col_ix in combinations(range(cols), r):
-            sub = [[m[i][j] for j in col_ix] for i in row_ix]
-            out = gcd(out, determinant(sub))
-    return abs(out)
-
-
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix, again integral."""
-    size = len(m)
-    det = determinant(m)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {det})")
-    aug = [[Fraction(m[r][c]) for c in range(size)] +
-           [Fraction(1 if c == r else 0) for c in range(size)]
-           for r in range(size)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        factor = aug[col][col]
-        aug[col] = [x / factor for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
-    inverse = [[aug[r][size + c] for c in range(size)] for r in range(size)]
-    assert all(x.denominator == 1 for row in inverse for x in row)
-    return [[int(x) for x in row] for row in inverse]
 
 
 def solve_in_row_span(basis: IntMatrix, target: list[int]) -> list[int] | None:

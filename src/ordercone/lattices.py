@@ -28,7 +28,7 @@ from math import gcd
 from . import intlinalg
 from .budgets import Budget, current_budget
 from .errors import CrossCheckError, PerturbationError, UsageError
-from .quadratic import QuadScalar, quad, quad_sign
+from .quadratic import QuadScalar, quad, sqrt2_sign
 
 Vector = tuple[int, ...]
 Normal = tuple[QuadScalar, ...]
@@ -121,15 +121,8 @@ class LexConeSpec:
         for a_row, b_row in self._int_normals:
             a = sum(x * c for x, c in zip(a_row, v))
             b = sum(x * c for x, c in zip(b_row, v))
-            if a == 0 and b == 0:
-                continue
-            sa = 1 if a > 0 else (-1 if a < 0 else 0)
-            sb = 1 if b > 0 else (-1 if b < 0 else 0)
-            if sa == sb or sb == 0:
-                return sa
-            if sa == 0:
-                return sb
-            return sa if a * a > 2 * b * b else sb
+            if a or b:
+                return sqrt2_sign(a, b)
         return 0
 
     def to_json(self) -> dict:
@@ -145,11 +138,6 @@ class LexConeSpec:
             return cls(int(data["k"]), normals)
         except (KeyError, TypeError) as exc:
             raise UsageError(f"bad lex spec payload: {exc}") from exc
-
-
-def lex_sign(spec: LexConeSpec, v) -> int:
-    """Sign of v under the spec: -1, 0 (only for v = 0), or +1."""
-    return spec.sign(v)
 
 
 def compare_vectors(spec: LexConeSpec, u, v) -> int:
@@ -204,9 +192,7 @@ def _classify(k: int, normals: tuple[Normal, ...]) -> Vector | None:
     rank = len(kernel)
     if rank == 0:
         if k == 1:
-            unit = (1,)
-            s = quad_sign(first[0])
-            return unit if s > 0 else (-1,)
+            return (1,) if first[0].sign() > 0 else (-1,)
         # The first normal embeds a rank >= 2 lattice into the reals;
         # such a subgroup is never discrete.
         return None
@@ -253,16 +239,6 @@ def least_positive_in_ball(spec: LexConeSpec, radius: int) -> Vector | None:
     return best
 
 
-def _positive_below(spec: LexConeSpec, bound: Vector,
-                    lo: int, hi: int) -> Vector | None:
-    """First positive vector strictly below ``bound`` with norm in (lo, hi]."""
-    for norm in range(lo + 1, hi + 1):
-        for v in iter_lattice_shell(spec.k, norm):
-            if spec.sign(v) == 1 and compare_vectors(spec, v, bound) == 1:
-                return v
-    return None
-
-
 def classify_density(spec: LexConeSpec,
                      budget: Budget | dict | None = None) -> DensityReport:
     """Exact dense/discrete verdict with the least positive element.
@@ -286,34 +262,6 @@ def classify_density(spec: LexConeSpec,
         raise CrossCheckError(
             f"ball search found {window_min} below the exact least {least}")
     return DensityReport("discrete", least, "exact-recursive")
-
-
-def ball_search_density(spec: LexConeSpec, radius: int,
-                        refutation_radius: int | None = None) -> DensityReport:
-    """Desk-scale density oracle, independent of the exact recursion.
-
-    Takes the order-minimum m of the positives in the radius window,
-    then tries to refute its minimality by exhibiting a positive vector
-    strictly below m in balls of doubling radius.  A found witness is
-    a genuine decreasing chain, so the dense verdict is sound; a miss up
-    to the refutation cap is read as discrete with least m, which is
-    exactly as strong as a finite window can be.  Meaningful for specs
-    with small coefficients relative to the cap; used as the cross-check
-    route, never as the exact answer.
-    """
-    minimum = least_positive_in_ball(spec, radius)
-    if minimum is None:
-        raise UsageError("window contained no positive vectors")
-    if refutation_radius is None:
-        refutation_radius = 16 * radius if spec.k <= 2 else 8 * radius
-    scanned = 0
-    width = radius
-    while scanned < refutation_radius:
-        width = min(max(2 * width, radius), refutation_radius)
-        if _positive_below(spec, minimum, scanned, width) is not None:
-            return DensityReport("dense", None, "ball-search")
-        scanned = width
-    return DensityReport("discrete", minimum, "ball-search")
 
 
 @dataclass(frozen=True)

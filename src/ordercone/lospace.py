@@ -31,8 +31,8 @@ from .certificates import (AccumulationWitness, ConvexityCertificate,
                            ConvexityCounterexample, DensityWitness,
                            DiscretenessPass, IntervalClosureReport,
                            SemigroupWitness)
-from .cones import (ConeOracle, ConvexPredicate, DubrovinaDubrovinCone,
-                    conjugate_cone, element_to_json, sign_text)
+from .cones import (ConeOracle, ConjugateCone, ConvexPredicate,
+                    DubrovinaDubrovinCone, element_to_json, sign_text)
 from .errors import (BudgetExceededError, ContextMismatchError, UsageError)
 from .groups import BRAID, Ball, GroupContext, GroupElement, ball
 
@@ -334,7 +334,7 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
     probe = ball(cone.context, resolution, budget)
     base_signs = [cone.sign(g) for g in probe]
     for h in conjugators:
-        conjugate = conjugate_cone(cone, h)
+        conjugate = ConjugateCone(cone, h)
         first_diff: int | None = None
         for g, s, length in zip(probe.elements, base_signs, probe.lengths):
             if conjugate.sign(g) != s:
@@ -430,7 +430,7 @@ def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
     base_vector = sign_vector(cone, radius, budget)
     flags = []
     for h in members:
-        conj_vector = sign_vector(conjugate_cone(cone, h), radius, budget)
+        conj_vector = sign_vector(ConjugateCone(cone, h), radius, budget)
         flags.append((element_to_json(h), conj_vector == base_vector))
     return IntervalClosureReport(cone.to_json(), element_to_json(g), radius,
                                  k_max, tuple(flags),
@@ -503,7 +503,7 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
     base_vector = sign_vector(cone, radius, budget)
     stabilizers = []
     for g in elements:
-        if sign_vector(conjugate_cone(cone, g), radius, budget) == base_vector:
+        if sign_vector(ConjugateCone(cone, g), radius, budget) == base_vector:
             stabilizers.append(element_to_json(g))
 
     return OrderPropertyReport(radius, n_max, tuple(conradian),
@@ -574,8 +574,3 @@ def soul_estimate(cone: ConeOracle, chain: list[ConvexPredicate], radius: int,
     return SoulEstimate(radius, n_max, tuple(levels), best_conradian,
                         best_biorder)
 
-
-def check_cone_axioms(cone: ConeOracle, radius: int,
-                      budget: Budget | dict | None = None) -> None:
-    """Raise unless the cone passes the axiom suite on the ball."""
-    sign_vector(cone, radius, budget, validate=True)

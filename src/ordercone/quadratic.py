@@ -28,6 +28,19 @@ def _fraction(value) -> Fraction:
     raise UsageError(f"cannot coerce {value!r} to a rational")
 
 
+def sqrt2_sign(a, b) -> int:
+    """Exact sign of a + b*sqrt(2) for rational or integer a, b."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # Opposite signs: a + b*sqrt2 > 0 iff a^2 > 2 b^2 when a > 0,
+    # and iff a^2 < 2 b^2 when b > 0.
+    return sa if a * a > 2 * b * b else sb
+
+
 @dataclass(frozen=True)
 class QuadScalar:
     """The exact number a + b*sqrt(2)."""
@@ -40,24 +53,10 @@ class QuadScalar:
         object.__setattr__(self, "b", _fraction(self.b))
 
     def sign(self) -> int:
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sa == sb or sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        # Opposite signs: a + b*sqrt2 > 0 iff a^2 > 2 b^2 when a > 0,
-        # and iff a^2 < 2 b^2 when b > 0.
-        gap = self.a * self.a - 2 * self.b * self.b
-        if gap == 0:
-            raise ArithmeticError("sqrt 2 cannot satisfy a^2 = 2 b^2 nontrivially")
-        return sa if gap > 0 else sb
+        return sqrt2_sign(self.a, self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __add__(self, other: "QuadScalar") -> "QuadScalar":
         return QuadScalar(self.a + other.a, self.b + other.b)
@@ -80,9 +79,6 @@ class QuadScalar:
         factor = _fraction(factor)
         return QuadScalar(self.a * factor, self.b * factor)
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 2 ** 0.5
-
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b)}
 
@@ -98,16 +94,6 @@ class QuadScalar:
         return f"{self.a}+{self.b}r2" if self.b > 0 else f"{self.a}{self.b}r2"
 
 
-ZERO = QuadScalar(Fraction(0), Fraction(0))
-ONE = QuadScalar(Fraction(1), Fraction(0))
-SQRT2 = QuadScalar(Fraction(0), Fraction(1))
-
-
 def quad(a=0, b=0) -> QuadScalar:
     """Convenience constructor: quad(a, b) = a + b*sqrt(2)."""
     return QuadScalar(_fraction(a), _fraction(b))
-
-
-def quad_sign(x: QuadScalar) -> int:
-    """Exact sign of a + b*sqrt(2): one of -1, 0, +1."""
-    return x.sign()

@@ -4,6 +4,10 @@ The exact Burau matrix over Z[t, 1/t] is a faithful representation of
 the 3-strand braid group, so it decides equality there without touching
 the reduction machinery under test.  Laurent polynomials are dicts
 degree -> coefficient with zero coefficients dropped.
+
+The lattice ball-search density oracle decides dense/discrete by
+enumerating lattice shells, independently of the exact recursion in
+``classify_density``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ import random
 
 import pytest
 
-from ordercone import BraidWord, GroupContext
+from ordercone import BraidWord, GroupContext, UsageError
+from ordercone.lattices import (DensityReport, LexConeSpec, Vector,
+                                compare_vectors, iter_lattice_shell,
+                                least_positive_in_ball)
 
 Laurent = dict[int, int]
 
@@ -82,6 +89,44 @@ def braids_equal_oracle(u: BraidWord, v: BraidWord) -> bool:
     """Independent equality decision, valid for 3-strand braids only."""
     assert u.n == v.n == 3, "the Burau oracle is only faithful for B_3"
     return burau_exact(u) == burau_exact(v)
+
+
+def _positive_below(spec: LexConeSpec, bound: Vector,
+                    lo: int, hi: int) -> Vector | None:
+    """First positive vector strictly below ``bound`` with norm in (lo, hi]."""
+    for norm in range(lo + 1, hi + 1):
+        for v in iter_lattice_shell(spec.k, norm):
+            if spec.sign(v) == 1 and compare_vectors(spec, v, bound) == 1:
+                return v
+    return None
+
+
+def ball_search_density(spec: LexConeSpec, radius: int,
+                        refutation_radius: int | None = None) -> DensityReport:
+    """Desk-scale density oracle, independent of the exact recursion.
+
+    Takes the order-minimum m of the positives in the radius window,
+    then tries to refute its minimality by exhibiting a positive vector
+    strictly below m in balls of doubling radius.  A found witness is
+    a genuine decreasing chain, so the dense verdict is sound; a miss up
+    to the refutation cap is read as discrete with least m, which is
+    exactly as strong as a finite window can be.  Meaningful for specs
+    with small coefficients relative to the cap; used as the cross-check
+    route, never as the exact answer.
+    """
+    minimum = least_positive_in_ball(spec, radius)
+    if minimum is None:
+        raise UsageError("window contained no positive vectors")
+    if refutation_radius is None:
+        refutation_radius = 16 * radius if spec.k <= 2 else 8 * radius
+    scanned = 0
+    width = radius
+    while scanned < refutation_radius:
+        width = min(max(2 * width, radius), refutation_radius)
+        if _positive_below(spec, minimum, scanned, width) is not None:
+            return DensityReport("dense", None, "ball-search")
+        scanned = width
+    return DensityReport("discrete", minimum, "ball-search")
 
 
 def random_word(rng: random.Random, n: int, max_len: int,

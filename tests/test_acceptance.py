@@ -10,20 +10,21 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from ordercone import (BraidShiftPredicate, CensusQuery, CyclicBraidPredicate,
-                       DehornoyCone, DubrovinaDubrovinCone, GroupContext,
+from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
+                       CyclicBraidPredicate, DehornoyCone,
+                       DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, LatticeCone, LexConeSpec, UsageError,
                        accumulation_scan, ball, census, classify_density,
-                       convexity_check, conjugate_cone, dd_isolation_witnesses,
-                       discreteness_check, distance, flip_on_convex,
+                       convexity_check, dd_isolation_witnesses,
+                       discreteness_check, distance,
                        klein_tararin_cones, order_property_scan, perturb_dense,
                        quad, sign_vector)
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DiscretenessPass)
 from ordercone.errors import PerturbationError
-from ordercone.lattices import least_positive_in_ball, ball_search_density
+from ordercone.lattices import least_positive_in_ball
 
-from conftest import random_positive_word, random_word
+from conftest import ball_search_density, random_positive_word, random_word
 
 
 @contextmanager
@@ -260,10 +261,10 @@ def _cone_pools(rng):
     dehornoy = DehornoyCone(3)
     braid_pool = [dehornoy, DubrovinaDubrovinCone(3)]
     for text in ("s1", "s2 S1", "s1 s2", "S2 s1 S2"):
-        braid_pool.append(conjugate_cone(dehornoy, b3.element(text)))
+        braid_pool.append(ConjugateCone(dehornoy, b3.element(text)))
     shift = BraidShiftPredicate(3, 1)
     cert = convexity_check(dehornoy, shift, 3)
-    braid_pool.append(flip_on_convex(dehornoy, shift, cert))
+    braid_pool.append(FlipCone(dehornoy, shift, cert))
     return [klein_pool, lattice_pool, braid_pool]
 
 

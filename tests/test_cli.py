@@ -89,6 +89,68 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("sign", "--cone", '{"type": "dehornoy"}', "--word", "s1"),
+    ("sign", "--cone", '{"type": "klein_tararin", "sx": "x", "sy": "+"}',
+     "--word", "1,0"),
+    ("sign", "--cone", '{"type": "conjugate", "base": {"type": "dehornoy", '
+     '"n": 3}}', "--word", "s1"),
+    ("convexity", "--cone", "dehornoy:3", "--predicate", "[1]",
+     "--radius", "1"),
+    ("soul", "--cone", "dehornoy:3", "--chain", '{"a": 1}', "--radius", "1"),
+    ("convexity", "--cone", "dehornoy:3", "--predicate",
+     '{"type": "whole", "group": {"family": "braid"}}', "--radius", "1"),
+    ("ball", "--group", "z", "--radius", "1", "--budget", "[1]"),
+    ("ball", "--group", "z", "--radius", "1", "--budget",
+     '{"braid_ball": 5}'),
+    ("convexity", "--cone", "dehornoy:3", "--predicate",
+     '{"type": "lattice_sublattice", "basis": 5}', "--radius", "1"),
+], ids=["cone-no-n", "klein-bad-sign", "conjugate-no-g", "predicate-list",
+        "chain-object", "whole-no-n", "budget-list", "budget-ball-number",
+        "basis-number"])
+def test_malformed_descriptor_is_usage_error(capsys, argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: ")
+
+
+_LATTICE_SPEC = json.dumps({"k": 2, "normals": [
+    [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}],
+    [{"a": "1", "b": "0"}, {"a": "0", "b": "0"}]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ("sign", "--cone", "dehornoy:3", "--word", "s1"),
+    ("compare", "--cone", "klein:++", "--left", "0,-1", "--right", "1,0"),
+    ("ball", "--group", "klein", "--radius", "1"),
+    ("census", "--group", "klein", "--radius", "1"),
+    ("census", "--group", "z", "--radii", "1..2"),
+    ("distance", "--cone-a", "klein:++", "--cone-b", "klein:+-",
+     "--resolution", "2"),
+    ("orbit-scan", "--cone", "klein:++", "--conjugator-radius", "1",
+     "--target-radius", "1", "--resolution", "2"),
+    ("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "3",
+     "--target-radius", "1", "--resolution", "3"),
+    ("dd-witness", "--n", "3", "--radius", "1", "--max-len", "4"),
+    ("convexity", "--cone", "klein:++", "--predicate", '{"type": "klein_y"}',
+     "--radius", "2"),
+    ("convexity", "--cone", "dehornoy:3", "--predicate",
+     '{"type": "cyclic_braid", "n": 3, "word": "s1"}', "--radius", "2"),
+    ("classify", "--spec", _LATTICE_SPEC),
+    ("perturb", "--spec", _LATTICE_SPEC, "--require", "0,1"),
+    ("soul", "--cone", "klein:++", "--chain", '[{"type": "klein_y"}]',
+     "--radius", "2"),
+    ("props", "--cone", "klein:++", "--radius", "2"),
+], ids=["sign", "compare", "ball", "census", "census-table", "distance",
+        "orbit-scan-none", "orbit-scan-found", "dd-witness", "convexity-pass",
+        "convexity-fail", "classify", "perturb", "soul", "props"])
+def test_every_report_records_the_seed(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--seed", "7")
+    assert code in (0, 1)
+    assert json.loads(out)["seed"] == 7
+
+
 def test_classify_and_perturb(capsys):
     spec = json.dumps({"k": 2, "normals": [
         [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}],
@@ -188,10 +250,12 @@ def test_report_emit_rejects_unknown_format():
 
 
 def test_console_entry_point():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-m", "ordercone.cli", "sign", "--cone",
          "dehornoy:3", "--word", "s1 S2"],
-        capture_output=True, text=True, check=False,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        capture_output=True, text=True, check=False, cwd=root,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"sign": "+", "seed": 0}

@@ -2,8 +2,50 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from ordercone import intlinalg as la
+from ordercone.intlinalg import IntMatrix
+
+# Reference helpers: independent oracles for the decompositions below.
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = list(zip(*b)) if b else []
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free expansion (small sizes only)."""
+    size = len(m)
+    if size == 0:
+        return 1
+    if size == 1:
+        return m[0][0]
+    total = 0
+    for c in range(size):
+        if m[0][c] == 0:
+            continue
+        minor = [row[:c] + row[c + 1:] for row in m[1:]]
+        total += (-1) ** c * m[0][c] * determinant(minor)
+    return total
+
+
+def maximal_minor_gcd(m: IntMatrix) -> int:
+    """gcd of all maximal minors; equals the product of the elementary
+    divisors, so a full-rank lattice basis is saturated iff this is 1."""
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    r = min(rows, cols)
+    if r == 0:
+        return 0
+    out = 0
+    for row_ix in combinations(range(rows), r):
+        for col_ix in combinations(range(cols), r):
+            sub = [[m[i][j] for j in col_ix] for i in row_ix]
+            out = gcd(out, determinant(sub))
+    return abs(out)
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -17,8 +59,8 @@ def test_hermite_transform_identity():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = random_matrix(rng, rows, cols)
         h, u = la.hermite_with_transform(m)
-        assert la.matmul(u, m) == h
-        assert la.determinant(u) in (1, -1)
+        assert matmul(u, m) == h
+        assert determinant(u) in (1, -1)
 
 
 def test_smith_decomposition():
@@ -27,9 +69,9 @@ def test_smith_decomposition():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = random_matrix(rng, rows, cols)
         u, d, v = la.smith_with_transforms(m)
-        assert la.matmul(la.matmul(u, m), v) == d
-        assert la.determinant(u) in (1, -1)
-        assert la.determinant(v) in (1, -1)
+        assert matmul(matmul(u, m), v) == d
+        assert determinant(u) in (1, -1)
+        assert determinant(v) in (1, -1)
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(rows):
             for j in range(cols):
@@ -85,7 +127,7 @@ def test_saturation_properties():
         # Elementary divisors of a saturated basis are all 1.
         if basis:
             assert la.elementary_divisors(basis) == [1] * len(basis)
-            assert la.maximal_minor_gcd(basis) == 1
+            assert maximal_minor_gcd(basis) == 1
 
 
 def _in_rational_span(gens, target):
@@ -122,13 +164,3 @@ def test_solve_in_row_span():
     assert la.solve_in_row_span([[2, 0]], [1, 0]) is None
     assert la.solve_in_row_span([], [0, 0]) == []
 
-
-def test_invert_unimodular():
-    rng = random.Random(5)
-    for _ in range(30):
-        size = rng.randint(1, 4)
-        m = random_matrix(rng, size, size)
-        if la.determinant(m) not in (1, -1):
-            continue
-        inv = la.invert_unimodular(m)
-        assert la.matmul(m, inv) == la.identity_matrix(size)

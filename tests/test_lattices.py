@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from ordercone import (GroupContext, LatticeCone, LexConeSpec,
-                       PerturbationError, UsageError, ball,
-                       ball_search_density, classify_density, convexity_check,
-                       extend_by_quotient, least_positive_in_ball, lex_sign,
-                       perturb_dense, quad, restrict_to_sublattice, saturate,
-                       sign_vector)
+                       PerturbationError, UsageError, ball, classify_density,
+                       convexity_check, extend_by_quotient,
+                       least_positive_in_ball, perturb_dense, quad,
+                       restrict_to_sublattice, saturate, sign_vector)
 from ordercone.certificates import ConvexityCertificate
 from ordercone.cones import LatticeSublatticePredicate
 from ordercone.lattices import compare_vectors
+
+from conftest import ball_search_density
 
 
 def spec_of(k, *normals):
@@ -26,12 +27,12 @@ IRR2 = spec_of(2, ((1, 0), (0, 1)))        # single normal (1, sqrt2)
 
 
 def test_lex_sign_examples():
-    assert lex_sign(STD2, (5, 0)) == 1
-    assert lex_sign(IRR2, (1, -1)) == -1       # 1 - sqrt2 < 0
-    assert lex_sign(IRR2, (-3, 2)) == -1       # -3 + 2 sqrt2 < 0 since 8 < 9
-    assert lex_sign(STD2, (0, 0)) == 0
+    assert STD2.sign((5, 0)) == 1
+    assert IRR2.sign((1, -1)) == -1       # 1 - sqrt2 < 0
+    assert IRR2.sign((-3, 2)) == -1       # -3 + 2 sqrt2 < 0 since 8 < 9
+    assert STD2.sign((0, 0)) == 0
     with pytest.raises(UsageError):
-        lex_sign(STD2, (1, 2, 3))
+        STD2.sign((1, 2, 3))
 
 
 def test_spec_validation():
@@ -131,10 +132,10 @@ def test_perturb_example():
     assert result.spec.sign((3, 1)) == 1
     assert classify_density(result.spec).verdict == "dense"
     # The documented difference point flips sign between input and output.
-    assert lex_sign(STD2, (-6, 1)) == 1
+    assert STD2.sign((-6, 1)) == 1
     assert result.spec.sign((-6, 1)) == -1
     # The returned witness replays.
-    assert lex_sign(STD2, result.witness) != result.spec.sign(result.witness)
+    assert STD2.sign(result.witness) != result.spec.sign(result.witness)
 
 
 def test_perturb_empty_requirements():

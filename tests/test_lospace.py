@@ -5,13 +5,14 @@ from itertools import product
 
 import pytest
 
-from ordercone import (BraidShiftPredicate, CensusQuery, CyclicBraidPredicate,
-                       DehornoyCone, DubrovinaDubrovinCone, GroupContext,
+from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
+                       CyclicBraidPredicate, DehornoyCone,
+                       DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LexConeSpec, UsageError, WholePredicate,
                        accumulation_scan, ball, census, certificate_from_json,
-                       convexity_check, conjugate_cone, dd_isolation_witnesses,
-                       discreteness_check, distance, flip_on_convex,
+                       convexity_check, dd_isolation_witnesses,
+                       discreteness_check, distance,
                        interval_closure, klein_tararin_cones,
                        order_property_scan, quad, sign_vector, soul_estimate)
 from ordercone.certificates import (ConvexityCertificate,
@@ -55,7 +56,7 @@ def test_distance_examples(b3):
     assert str(same.distance) == "1/16"
 
     shift = BraidShiftPredicate(3, 1)
-    flip = flip_on_convex(pd, shift, certified(pd, shift, 3))
+    flip = FlipCone(pd, shift, certified(pd, shift, 3))
     flipped = distance(pd, flip, 4)
     assert flipped.agree_radius == 0 and flipped.exact
 
@@ -332,7 +333,7 @@ def test_cylinder_monotonicity(b3):
         for g in elems:
             if pd.sign(g) != 1 or pd.sign(h.inverse() * g) != 1:
                 continue
-            assert conjugate_cone(pd, h).sign(g) == 1
+            assert ConjugateCone(pd, h).sign(g) == 1
 
 
 # -- soul estimate ------------------------------------------------------------

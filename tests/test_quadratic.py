@@ -5,23 +5,23 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordercone import QuadScalar, quad, quad_sign
+from ordercone import QuadScalar, quad
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
 
 def test_zero_sign():
-    assert quad_sign(quad(0, 0)) == 0
+    assert quad(0, 0).sign() == 0
 
 
 def test_one_minus_sqrt2_is_negative():
     # 1^2 < 2 * 1^2
-    assert quad_sign(quad(1, -1)) == -1
+    assert quad(1, -1).sign() == -1
 
 
 def test_three_minus_two_sqrt2_is_positive():
     # 9 > 8
-    assert quad_sign(quad(3, -2)) == 1
+    assert quad(3, -2).sign() == 1
 
 
 def test_string_rationals():
@@ -33,7 +33,7 @@ def test_string_rationals():
 @given(rationals, rationals)
 def test_sign_matches_floating_estimate(a, b):
     value = float(a) + float(b) * 2 ** 0.5
-    s = quad_sign(quad(a, b))
+    s = quad(a, b).sign()
     if abs(value) > 1e-6:
         assert s == (1 if value > 0 else -1)
     else:
@@ -48,7 +48,7 @@ def test_arithmetic_consistency(a1, b1, a2, b2):
     prod = x * y
     assert prod.a == a1 * a2 + 2 * b1 * b2
     assert prod.b == a1 * b2 + b1 * a2
-    assert quad_sign(-x) == -quad_sign(x)
+    assert (-x).sign() == -x.sign()
 
 
 @given(rationals, rationals)
