@@ -21,14 +21,16 @@ trivial in the group.  That turns reduction into a word-problem
 decision: ``u = v`` exactly when ``u v^{-1}`` reduces to the empty word.
 Reduction results are memoized keyed by the free-reduced letter
 sequence.  A permutation + modular-Burau fingerprint provides a cheap
-sound inequality filter and a hash for semantic deduplication.
+sound inequality filter and a hash for semantic deduplication.  The
+Burau part is the unreduced Burau matrix modulo the prime 2^61 - 1 at
+t = 3, built one letter at a time; a generator rewrites only two
+columns, so a word of length L costs O(L n) rather than O(L n^3).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .budgets import current_budget
 from .errors import BudgetExceededError, ContextMismatchError, UsageError
@@ -44,6 +46,8 @@ _reduce_cache: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 _P = (1 << 61) - 1
 _T = 3
 _TINV = pow(_T, _P - 2, _P)
+_ONE_MINUS_T = (1 - _T) % _P
+_ONE_MINUS_TINV = (1 - _TINV) % _P
 
 
 def clear_caches() -> None:
@@ -256,39 +260,25 @@ def permutation(word: BraidWord) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@lru_cache(maxsize=None)
-def _burau_generator(n: int, letter: int) -> tuple[tuple[int, ...], ...]:
-    """Unreduced Burau matrix of one generator, mod _P at t = _T."""
-    i = abs(letter) - 1
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    if letter > 0:
-        rows[i][i] = (1 - _T) % _P
-        rows[i][i + 1] = _T % _P
-        rows[i + 1][i] = 1
-        rows[i + 1][i + 1] = 0
-    else:
-        rows[i][i] = 0
-        rows[i][i + 1] = 1
-        rows[i + 1][i] = _TINV
-        rows[i + 1][i + 1] = (1 - _TINV) % _P
-    return tuple(tuple(r) for r in rows)
-
-
-def _matmul(a: tuple[tuple[int, ...], ...],
-            b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    size = len(a)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(row[t] * col[t] for t in range(size)) % _P for col in cols)
-        for row in a)
-
-
 def burau_fingerprint(word: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """Unreduced Burau matrix of the word, mod _P at t = _T, as row tuples.
+
+    Right-multiplying by ``s_i^{+-1}`` only rewrites columns ``i`` and
+    ``i + 1``, so the product is kept column by column at O(n) per letter.
+    """
     n = word.n
-    matrix = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+    cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]
     for letter in word.letters:
-        matrix = _matmul(matrix, _burau_generator(n, letter))
-    return matrix
+        i = abs(letter) - 1
+        left, right = cols[i], cols[i + 1]
+        if letter > 0:
+            cols[i] = [(a * _ONE_MINUS_T + b) % _P for a, b in zip(left, right)]
+            cols[i + 1] = [a * _T % _P for a in left]
+        else:
+            cols[i] = [b * _TINV % _P for b in right]
+            cols[i + 1] = [(a + b * _ONE_MINUS_TINV) % _P
+                           for a, b in zip(left, right)]
+    return tuple(zip(*cols))
 
 
 def fingerprint(word: BraidWord):

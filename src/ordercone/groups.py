@@ -32,6 +32,14 @@ BRAID = "braid"
 KLEIN_BOTTLE = "klein_bottle"
 
 
+def _int_tuple(value) -> tuple[int, ...]:
+    """A list or tuple payload of integers as a tuple, else UsageError."""
+    if isinstance(value, (list, tuple)) and all(isinstance(c, int)
+                                                for c in value):
+        return tuple(value)
+    raise UsageError(f"element payload {value!r} is not a list of integers")
+
+
 @dataclass(frozen=True)
 class GroupContext:
     """One of the supported group families together with its parameters."""
@@ -73,18 +81,19 @@ class GroupContext:
 
     def element(self, value) -> "GroupElement":
         """Coerce a payload into an element: coordinate tuple, Klein pair,
-        BraidWord, or braid word text."""
+        BraidWord, braid word text, or braid letter tuple.  Any other
+        payload is a UsageError."""
         if self.family == BRAID:
             if isinstance(value, BraidWord):
                 word = value
             elif isinstance(value, str):
                 word = BraidWord.from_text(self.n, value)
             else:
-                word = BraidWord(self.n, tuple(value))
+                word = BraidWord(self.n, _int_tuple(value))
             if word.n != self.n:
                 raise ContextMismatchError("incompatible groups")
             return GroupElement(self, braids.free_reduce(word))
-        coords = tuple(int(c) for c in value)
+        coords = _int_tuple(value)
         expected = self.k if self.family == FREE_ABELIAN else 2
         if len(coords) != expected:
             raise UsageError(f"expected {expected} coordinates, got {len(coords)}")
@@ -219,7 +228,8 @@ class Ball:
     """The nontrivial elements of word length at most ``radius``.
 
     Closed under inversion, free of duplicates, ordered by word length
-    and then by BFS discovery order.
+    and then by BFS discovery order.  ``product_triples`` relies on the
+    identity being absent: an identity product finds no index entry.
     """
 
     def __init__(self, context: GroupContext, radius: int,
@@ -255,10 +265,7 @@ class Ball:
             triples = []
             for i, g in enumerate(self.elements):
                 for j, h in enumerate(self.elements):
-                    prod = g * h
-                    if is_identity(prod):
-                        continue
-                    k = self.index.get(prod)
+                    k = self.index.get(g * h)
                     if k is not None:
                         triples.append((i, j, k))
             self._triples = triples

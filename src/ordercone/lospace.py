@@ -500,10 +500,11 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
             if cone.sign(g * h * g_inverse) == -1:
                 biorder.append((element_to_json(g), element_to_json(h)))
 
-    base_vector = sign_vector(cone, radius, budget)
+    base_signs = sign_vector(cone, radius, budget).signs
     stabilizers = []
     for g in elements:
-        if sign_vector(ConjugateCone(cone, g), radius, budget) == base_vector:
+        conjugate = ConjugateCone(cone, g)
+        if all(conjugate.sign(e) == s for e, s in zip(b.elements, base_signs)):
             stabilizers.append(element_to_json(g))
 
     return OrderPropertyReport(radius, n_max, tuple(conradian),

@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordercone import (BraidWord, BudgetExceededError, braid_equal,
                        free_reduce, handle_reduce, main_sign, shift_embed)
-from ordercone.braids import fingerprint, parse_letters, permutation
+from ordercone.braids import (burau_fingerprint, fingerprint, parse_letters,
+                               permutation)
 
-from conftest import braids_equal_oracle, random_positive_word, random_word
+from conftest import (braids_equal_oracle, burau_dense, random_positive_word,
+                      random_word)
 
 
 def w3(text: str) -> BraidWord:
@@ -141,6 +145,19 @@ def test_equal_words_share_fingerprint():
     for _ in range(150):
         word = random_word(rng, 4, 10)
         assert fingerprint(word) == fingerprint(handle_reduce(word))
+
+
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    letter = st.integers(min_value=1, max_value=n - 1).flatmap(
+        lambda i: st.sampled_from((i, -i)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=80))))
+
+
+@given(braid_words())
+def test_column_update_fingerprint_matches_dense_product(word):
+    assert burau_fingerprint(word) == burau_dense(word)
 
 
 def test_permutation_consistency():

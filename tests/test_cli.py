@@ -105,9 +105,11 @@ def test_usage_error_exit_code(capsys):
      '{"braid_ball": 5}'),
     ("convexity", "--cone", "dehornoy:3", "--predicate",
      '{"type": "lattice_sublattice", "basis": 5}', "--radius", "1"),
+    ("sign", "--cone", '{"type": "conjugate", "base": {"type": "dehornoy", '
+     '"n": 3}, "g": 5}', "--word", "s1"),
 ], ids=["cone-no-n", "klein-bad-sign", "conjugate-no-g", "predicate-list",
         "chain-object", "whole-no-n", "budget-list", "budget-ball-number",
-        "basis-number"])
+        "basis-number", "conjugate-g-number"])
 def test_malformed_descriptor_is_usage_error(capsys, argv):
     code = main(list(argv))
     err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Sign vectors, the ultrametric, census, and the experiment drivers."""
 
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -15,9 +17,12 @@ from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
                        discreteness_check, distance,
                        interval_closure, klein_tararin_cones,
                        order_property_scan, quad, sign_vector, soul_estimate)
+from ordercone.braids import clear_caches
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DensityWitness,
                                     DiscretenessPass)
+from ordercone.cones import element_to_json
+from ordercone.groups import clear_ball_cache
 
 
 def lat(k, *normals):
@@ -323,6 +328,38 @@ def test_property_scan_klein(klein):
                                 for p in report.biorder_violations]
 
 
+def stabilizers_oracle(cone, radius, restrict_to=None):
+    """Ball elements whose full conjugate sign vector equals the cone's:
+    the reference for the early-exit stabilizer pass."""
+    base = sign_vector(cone, radius)
+    return tuple(element_to_json(g) for g in ball(cone.context, radius)
+                 if (restrict_to is None or restrict_to.contains(g))
+                 and sign_vector(ConjugateCone(cone, g), radius) == base)
+
+
+_B3 = GroupContext.braid(3)
+
+
+@pytest.mark.parametrize("cone, restrict_to", [
+    (DehornoyCone(3), None),
+    (DehornoyCone(3), BraidShiftPredicate(3, 1)),
+    (DubrovinaDubrovinCone(3), None),
+    (DubrovinaDubrovinCone(3), BraidShiftPredicate(3, 1)),
+    (DubrovinaDubrovinCone(4), None),
+    (DubrovinaDubrovinCone(4), BraidShiftPredicate(4, 1)),
+    (KleinTararinCone(1, 1), None),
+    (KleinTararinCone(1, 1), KleinYPredicate()),
+    (ConjugateCone(DehornoyCone(3), _B3.element("s1 S2")), None),
+    (ConjugateCone(DehornoyCone(3), _B3.element("s1 S2")),
+     CyclicBraidPredicate(3, "s1")),
+], ids=["dehornoy3", "dehornoy3-shift", "dd3", "dd3-shift", "dd4",
+        "dd4-shift", "klein", "klein-y", "conjugate", "conjugate-s1"])
+def test_stabilizer_scan_matches_full_vectors(cone, restrict_to):
+    report = order_property_scan(cone, 3, n_max=1, restrict_to=restrict_to)
+    expected = stabilizers_oracle(cone, 3, restrict_to)
+    assert report.stabilizer_elements == expected
+
+
 def test_cylinder_monotonicity(b3):
     # For 1 < h < g, positivity of g survives conjugation by h.
     pd = DehornoyCone(3)
@@ -374,3 +411,37 @@ def test_certificate_json_round_trip(b3):
     for witness in witnesses[:3]:
         again = certificate_from_json(witness.to_json())
         assert again.replay()
+
+
+def test_threads_from_cold_caches_agree(b3):
+    """Threads sharing the reduction and ball caches, started with both
+    empty, build the same sign vector and census-ball product triples."""
+
+    def build():
+        vector = sign_vector(DehornoyCone(3), 4)
+        return ([e.text() for e in vector.ball], vector.signs,
+                ball(b3, 4).product_triples())
+
+    results = {}
+
+    def worker(slot):
+        results[slot] = build()
+
+    clear_caches()
+    clear_ball_cache()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,))
+                   for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    clear_caches()
+    clear_ball_cache()
+    reference = build()
+    assert [results.get(slot) for slot in range(4)] == [reference] * 4
