@@ -65,7 +65,7 @@ class BraidWord:
         if self.n < 2:
             raise UsageError(f"braid group needs n >= 2 strands, got {self.n}")
         for letter in self.letters:
-            if letter == 0 or not 1 <= abs(letter) <= self.n - 1:
+            if type(letter) is not int or not 1 <= abs(letter) <= self.n - 1:
                 raise UsageError(
                     f"letter {letter} out of range for {self.n} strands")
         if not isinstance(self.letters, tuple):

@@ -5,17 +5,27 @@ loudly when it runs out; silent truncation is forbidden everywhere.
 Defaults can be overridden per call, or globally through the
 ``ORDERCONE_BUDGET`` environment variable, which holds a JSON object of
 field overrides, e.g. ``{"handle_steps": 2000000, "braid_ball": {"3": 6}}``.
+Inside ``budget_scope(b)`` the budget ``b`` replaces defaults and
+environment as the starting point, so code that takes no budget argument
+(handle reduction, certificate replay) still honours it; the CLI runs
+each command in the scope of its resolved ``--budget``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 from .errors import UsageError
 
 _ENV_VAR = "ORDERCONE_BUDGET"
+
+# The budget installed by ``budget_scope``; None means defaults plus env.
+_scoped: ContextVar["Budget | None"] = ContextVar("ordercone_budget",
+                                                  default=None)
 
 #: Default Cayley-ball radius limits for braid groups, keyed by strand count.
 _DEFAULT_BRAID_BALL = {2: 8, 3: 4, 4: 3}
@@ -67,20 +77,35 @@ class Budget:
             raise UsageError(f"bad budget overrides {overrides!r}: {exc}") from exc
 
 
+@contextmanager
+def budget_scope(budget: Budget):
+    """Make ``budget`` the starting point of ``current_budget`` in this
+    context (thread or task) until the block exits."""
+    token = _scoped.set(budget)
+    try:
+        yield
+    finally:
+        _scoped.reset(token)
+
+
 def current_budget(overrides: "Budget | dict | None" = None) -> Budget:
-    """Resolve the effective budget: defaults, then env var, then overrides."""
+    """Resolve the effective budget: the scoped budget if one is set,
+    otherwise defaults then env var; then the overrides."""
     if isinstance(overrides, Budget):
         return overrides
-    budget = Budget()
-    raw = os.environ.get(_ENV_VAR)
-    if raw:
-        try:
-            env_fields = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{_ENV_VAR} is not valid JSON: {exc}") from exc
-        if not isinstance(env_fields, dict):
-            raise UsageError(f"{_ENV_VAR} must hold a JSON object")
-        budget = budget.with_overrides(env_fields)
+    budget = _scoped.get()
+    if budget is None:
+        budget = Budget()
+        raw = os.environ.get(_ENV_VAR)
+        if raw:
+            try:
+                env_fields = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise UsageError(
+                    f"{_ENV_VAR} is not valid JSON: {exc}") from exc
+            if not isinstance(env_fields, dict):
+                raise UsageError(f"{_ENV_VAR} must hold a JSON object")
+            budget = budget.with_overrides(env_fields)
     if overrides:
         budget = budget.with_overrides(dict(overrides))
     return budget

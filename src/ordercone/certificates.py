@@ -20,8 +20,9 @@ def _cone(cone_json: dict):
 
 @dataclass(frozen=True)
 class ConvexityCertificate:
-    """A passed triple scan: no f < g < h with f, h inside and g outside
-    was found in the ball of the stated radius."""
+    """A passed sorted-ball check: sorted by the cone, the ball of the
+    stated radius holds the subgroup's members as one contiguous block,
+    so it has no f < g < h with f, h inside and g outside."""
 
     cone_json: dict
     predicate_json: dict

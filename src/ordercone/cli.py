@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import lospace
-from .budgets import current_budget
+from .budgets import budget_scope, current_budget
 from .certificates import ConvexityCertificate
 from .cones import (ConeOracle, DehornoyCone, DubrovinaDubrovinCone,
                     LatticeCone, compare, cone_from_json, predicate_from_json,
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int)
     _add_common(p)
 
-    p = sub.add_parser("convexity", help="triple-scan a candidate subgroup")
+    p = sub.add_parser("convexity", help="sorted-ball convexity check of a candidate subgroup")
     p.add_argument("--cone")
     p.add_argument("--predicate", required=True, help="predicate JSON")
     p.add_argument("--radius", type=int)
@@ -240,9 +240,6 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
-    overrides = _budget_overrides(args)
-    budget = current_budget(overrides) if overrides else None
-
     if args.command == "sign":
         cone = parse_cone(args.cone)
         element = parse_element(cone.context, args.word)
@@ -256,7 +253,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "ball":
         context = parse_group(args.group)
-        b = ball(context, args.radius, budget)
+        b = ball(context, args.radius)
         return {"count": len(b),
                 "elements": [e.text() for e in b.elements]}, 0
 
@@ -264,27 +261,27 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         context = parse_group(args.group)
         if args.radii:
             lo, hi = (int(x) for x in args.radii.split("..", 1))
-            rows = [[r, len(census(CensusQuery(context, r), budget))]
+            rows = [[r, len(census(CensusQuery(context, r)))]
                     for r in range(lo, hi + 1)]
             return {"columns": ["radius", "count"], "rows": rows}, 0
         if args.radius is None:
             raise UsageError("census needs --radius or --radii")
         pins = tuple(parse_element(context, p) for p in args.pin)
-        vectors = census(CensusQuery(context, args.radius, pins), budget)
+        vectors = census(CensusQuery(context, args.radius, pins))
         return {"count": len(vectors),
                 "vectors": [v.to_json() for v in vectors]}, 0
 
     if args.command == "distance":
         cone_a = parse_cone(args.cone_a)
         cone_b = parse_cone(args.cone_b)
-        return distance(cone_a, cone_b, args.resolution, budget).to_json(), 0
+        return distance(cone_a, cone_b, args.resolution).to_json(), 0
 
     if args.command == "orbit-scan":
         cone = parse_cone(args.cone)
-        conjugators = ball(cone.context, args.conjugator_radius, budget)
+        conjugators = ball(cone.context, args.conjugator_radius)
         witness = lospace.accumulation_scan(cone, conjugators,
                                             args.target_radius,
-                                            args.resolution, budget)
+                                            args.resolution)
         if witness is None:
             return {"found": False}, 0
         report = witness.to_json()
@@ -293,14 +290,14 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "dd-witness":
         witnesses = lospace.dd_isolation_witnesses(args.n, args.radius,
-                                                   args.max_len, budget)
+                                                   args.max_len)
         return {"count": len(witnesses),
                 "witnesses": [w.to_json() for w in witnesses]}, 0
 
     if args.command == "convexity":
         cone = parse_cone(args.cone)
         predicate = predicate_from_json(json.loads(args.predicate))
-        result = lospace.convexity_check(cone, predicate, args.radius, budget)
+        result = lospace.convexity_check(cone, predicate, args.radius)
         report = result.to_json()
         if isinstance(result, ConvexityCertificate):
             return report, 0
@@ -309,12 +306,12 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "classify":
         spec = parse_spec(args.spec)
-        return classify_density(spec, budget).to_json(), 0
+        return classify_density(spec).to_json(), 0
 
     if args.command == "perturb":
         spec = parse_spec(args.spec)
         required = [[int(c) for c in r.split(",")] for r in args.require]
-        return perturb_dense(spec, required, budget).to_json(), 0
+        return perturb_dense(spec, required).to_json(), 0
 
     if args.command == "soul":
         cone = parse_cone(args.cone)
@@ -323,13 +320,12 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             raise UsageError("--chain must hold a JSON list of predicates")
         estimate = lospace.soul_estimate(
             cone, [predicate_from_json(d) for d in chain], args.radius,
-            args.n_max, budget)
+            args.n_max)
         return estimate.to_json(), 0
 
     if args.command == "props":
         cone = parse_cone(args.cone)
-        scan = lospace.order_property_scan(cone, args.radius, args.n_max,
-                                           budget)
+        scan = lospace.order_property_scan(cone, args.radius, args.n_max)
         violated = scan.conradian_violations or scan.biorder_violations
         return scan.to_json(), 1 if violated else 0
 
@@ -344,7 +340,8 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         args = _apply_config(args)
-        report, code = _run(args)
+        with budget_scope(current_budget(_budget_overrides(args))):
+            report, code = _run(args)
         report["seed"] = args.seed
         emit(report, args.format, args.out)
         return code

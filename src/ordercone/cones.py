@@ -16,6 +16,7 @@ replays identically (flip and replace re-certify convexity on load).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intlinalg
 from .braids import BraidWord, main_sign
@@ -88,7 +89,7 @@ class ConvexPredicate:
     """Membership test for a subgroup used as a convexity candidate.
 
     Predicates only decide membership; convexity with respect to a cone
-    is certified separately by the triple scan in ``lospace``.
+    is certified separately by the sorted-ball check in ``lospace``.
     """
 
     context: GroupContext
@@ -589,16 +590,16 @@ class LexExtensionCone(ConeOracle):
     def context(self) -> GroupContext:
         return self.convex.context
 
+    @cached_property
+    def _transform(self):
+        """Quotient-coordinate transform of a sublattice convex subgroup."""
+        return _completed_transforms(self.convex.basis, self.convex.k)[1]
+
     def _quotient_image(self, g: GroupElement) -> GroupElement:
         if isinstance(self.convex, KleinYPredicate):
             return self.quotient.context.element((g.payload[0],))
-        transform = getattr(self, "_transform_cache", None)
-        if transform is None:
-            _, transform = _completed_transforms(self.convex.basis,
-                                                 self.convex.k)
-            object.__setattr__(self, "_transform_cache", transform)
         r = len(self.convex.basis)
-        alpha = intlinalg.matvec_left(list(g.payload), transform)
+        alpha = intlinalg.matvec_left(list(g.payload), self._transform)
         return self.quotient.context.element(tuple(alpha[r:]))
 
     def _sign(self, g: GroupElement) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import intlinalg
@@ -98,23 +99,20 @@ class LexConeSpec:
             total = total + entry * coord
         return total
 
-    @property
+    @cached_property
     def _int_normals(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each normal scaled by a positive integer so both functional
         rows are integral; signs are unchanged and dots become fast."""
-        cached = getattr(self, "_int_normals_cache", None)
-        if cached is None:
-            cached = []
-            for normal in self.normals:
-                denom = 1
-                for entry in normal:
-                    for part in (entry.a, entry.b):
-                        denom = denom * part.denominator // gcd(
-                            denom, part.denominator)
-                cached.append((tuple(int(e.a * denom) for e in normal),
-                               tuple(int(e.b * denom) for e in normal)))
-            object.__setattr__(self, "_int_normals_cache", cached)
-        return cached
+        out = []
+        for normal in self.normals:
+            denom = 1
+            for entry in normal:
+                for part in (entry.a, entry.b):
+                    denom = denom * part.denominator // gcd(
+                        denom, part.denominator)
+            out.append((tuple(int(e.a * denom) for e in normal),
+                        tuple(int(e.b * denom) for e in normal)))
+        return out
 
     def sign(self, v) -> int:
         v = _as_vector(v, self.k)

@@ -16,15 +16,17 @@ trying + before -, which makes the output order deterministic.
 
 The remaining operations are experiment drivers: semigroup witnesses
 for the Dubrovina-Dubrovin cone, conjugate-orbit accumulation scans,
-convexity triple scans, discreteness checks, interval closures, and
-Conradian / bi-order violation scans, each returning replayable
+sorted-ball convexity checks, discreteness checks, interval closures,
+and Conradian / bi-order violation scans, each returning replayable
 certificates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .budgets import Budget, current_budget
 from .certificates import (AccumulationWitness, ConvexityCertificate,
@@ -126,6 +128,20 @@ def sign_vector(cone: ConeOracle, radius: int,
     return vector
 
 
+def _first_disagreement(cone: ConeOracle, elements,
+                        signs: Iterable[int]) -> int | None:
+    """Position of the first element whose sign under ``cone`` differs
+    from the reference sign beside it, or None when all agree.
+
+    ``signs`` may be a lazy iterable; it is consumed in step with the
+    elements, so a walk that stops early evaluates no further signs.
+    """
+    for i, (g, s) in enumerate(zip(elements, signs)):
+        if cone.sign(g) != s:
+            return i
+    return None
+
+
 def distance(p: ConeOracle, q: ConeOracle, resolution: int,
              budget: Budget | dict | None = None) -> DistanceResult:
     """Largest agreement radius up to the resolution, as a distance."""
@@ -134,10 +150,10 @@ def distance(p: ConeOracle, q: ConeOracle, resolution: int,
     if resolution < 1:
         raise UsageError("resolution must be at least 1")
     b = ball(p.context, resolution, budget)
-    for element, length in zip(b.elements, b.lengths):
-        if p.sign(element) != q.sign(element):
-            return DistanceResult(length - 1, resolution, True)
-    return DistanceResult(resolution, resolution, False)
+    i = _first_disagreement(q, b.elements, (p.sign(g) for g in b.elements))
+    if i is None:
+        return DistanceResult(resolution, resolution, False)
+    return DistanceResult(b.lengths[i] - 1, resolution, True)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +350,11 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
     probe = ball(cone.context, resolution, budget)
     base_signs = [cone.sign(g) for g in probe]
     for h in conjugators:
-        conjugate = ConjugateCone(cone, h)
-        first_diff: int | None = None
-        for g, s, length in zip(probe.elements, base_signs, probe.lengths):
-            if conjugate.sign(g) != s:
-                first_diff = length
-                break
-        if first_diff is None:
+        i = _first_disagreement(ConjugateCone(cone, h), probe.elements,
+                                base_signs)
+        if i is None:
             continue  # agreement to the whole resolution: inexact, unusable
-        agree = first_diff - 1
+        agree = probe.lengths[i] - 1
         if agree >= target_radius:
             return AccumulationWitness(cone.to_json(), element_to_json(h),
                                        target_radius, agree, resolution)
@@ -355,35 +367,29 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
 
 def convexity_check(cone: ConeOracle, predicate: ConvexPredicate, radius: int,
                     budget: Budget | dict | None = None):
-    """Scan all triples f, h in C, g outside C for f < g < h.
+    """Sort the ball by the cone once and test whether the subgroup's
+    members form one contiguous block.
 
-    Returns a ConvexityCertificate on a clean scan, otherwise the first
-    counterexample in deterministic scan order.
+    That is exactly the absence of f < g < h in the ball with f, h
+    inside and g outside.  Returns a ConvexityCertificate when the block
+    is contiguous, otherwise a counterexample made of the least member,
+    the first non-member after it and the greatest member.
     """
     if predicate.context != cone.context:
         raise ContextMismatchError("incompatible groups")
     b = ball(cone.context, radius, budget)
-    signs = {g: cone.sign(g) for g in b}
-
-    def less(u: GroupElement, v: GroupElement) -> bool:
-        product = u.inverse() * v
-        if product.is_identity():
-            return False
-        s = signs.get(product)
-        if s is None:
-            s = cone.sign(product)
-        return s == 1
-
-    members = [g for g in b if predicate.contains(g)]
-    outside = [g for g in b if not predicate.contains(g)]
-    for f in members:
-        for h in members:
-            for g in outside:
-                if less(f, g) and less(g, h):
-                    return ConvexityCounterexample(
-                        cone.to_json(), predicate.to_json(), radius,
-                        element_to_json(f), element_to_json(g),
-                        element_to_json(h))
+    ordered = sorted(b, key=cmp_to_key(
+        lambda u, v: -cone.sign(u.inverse() * v)))
+    inside = [predicate.contains(g) for g in ordered]
+    if True in inside:
+        first = inside.index(True)
+        last = len(inside) - 1 - inside[::-1].index(True)
+        if not all(inside[first:last]):
+            gap = inside.index(False, first)
+            return ConvexityCounterexample(
+                cone.to_json(), predicate.to_json(), radius,
+                element_to_json(ordered[first]), element_to_json(ordered[gap]),
+                element_to_json(ordered[last]))
     return ConvexityCertificate(cone.to_json(), predicate.to_json(), radius)
 
 
@@ -392,7 +398,9 @@ def discreteness_check(cone: ConeOracle, candidate_eps: GroupElement,
     """Verify no positive ball element lies strictly below the candidate.
 
     Returns a DiscretenessPass, or a DensityWitness naming the first
-    smaller positive element found.
+    smaller positive element found.  This stays a linear scan in ball
+    order: sorting the ball as ``convexity_check`` does would cost more
+    sign evaluations and change which witness is reported.
     """
     if cone.sign(candidate_eps) != 1:
         raise UsageError("candidate least element must be positive")
@@ -427,11 +435,12 @@ def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
         above = cone.sign(bottom.inverse() * h)
         if below >= 0 and above >= 0:
             members.append(h)
-    base_vector = sign_vector(cone, radius, budget)
+    base = sign_vector(cone, radius, budget)
     flags = []
     for h in members:
-        conj_vector = sign_vector(ConjugateCone(cone, h), radius, budget)
-        flags.append((element_to_json(h), conj_vector == base_vector))
+        moved = _first_disagreement(ConjugateCone(cone, h), base.ball.elements,
+                                    base.signs)
+        flags.append((element_to_json(h), moved is None))
     return IntervalClosureReport(cone.to_json(), element_to_json(g), radius,
                                  k_max, tuple(flags),
                                  all(s for _, s in flags))
@@ -503,8 +512,8 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
     base_signs = sign_vector(cone, radius, budget).signs
     stabilizers = []
     for g in elements:
-        conjugate = ConjugateCone(cone, g)
-        if all(conjugate.sign(e) == s for e, s in zip(b.elements, base_signs)):
+        if _first_disagreement(ConjugateCone(cone, g), b.elements,
+                               base_signs) is None:
             stabilizers.append(element_to_json(g))
 
     return OrderPropertyReport(radius, n_max, tuple(conradian),

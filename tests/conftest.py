@@ -10,6 +10,10 @@ column-update product.
 The lattice ball-search density oracle decides dense/discrete by
 enumerating lattice shells, independently of the exact recursion in
 ``classify_density``.
+
+The convexity triple scan tests every member pair against every outside
+element of the ball, O(|B|^3) comparisons; it is the reference for the
+sorted-ball ``lospace.convexity_check``.
 """
 
 from __future__ import annotations
@@ -18,8 +22,13 @@ import random
 
 import pytest
 
-from ordercone import BraidWord, GroupContext, UsageError
+from ordercone import BraidWord, GroupContext, UsageError, ball
 from ordercone.braids import _P, _T, _TINV
+from ordercone.certificates import (ConvexityCertificate,
+                                    ConvexityCounterexample)
+from ordercone.cones import element_to_json
+from ordercone.errors import ContextMismatchError
+from ordercone.groups import GroupElement
 from ordercone.lattices import (DensityReport, LexConeSpec, Vector,
                                 compare_vectors, iter_lattice_shell,
                                 least_positive_in_ball)
@@ -166,6 +175,39 @@ def ball_search_density(spec: LexConeSpec, radius: int,
             return DensityReport("dense", None, "ball-search")
         scanned = width
     return DensityReport("discrete", minimum, "ball-search")
+
+
+def convexity_triple_scan(cone, predicate, radius, budget=None):
+    """Scan all triples f, h in C, g outside C for f < g < h.
+
+    Returns a ConvexityCertificate on a clean scan, otherwise the first
+    counterexample in deterministic scan order.
+    """
+    if predicate.context != cone.context:
+        raise ContextMismatchError("incompatible groups")
+    b = ball(cone.context, radius, budget)
+    signs = {g: cone.sign(g) for g in b}
+
+    def less(u: GroupElement, v: GroupElement) -> bool:
+        product = u.inverse() * v
+        if product.is_identity():
+            return False
+        s = signs.get(product)
+        if s is None:
+            s = cone.sign(product)
+        return s == 1
+
+    members = [g for g in b if predicate.contains(g)]
+    outside = [g for g in b if not predicate.contains(g)]
+    for f in members:
+        for h in members:
+            for g in outside:
+                if less(f, g) and less(g, h):
+                    return ConvexityCounterexample(
+                        cone.to_json(), predicate.to_json(), radius,
+                        element_to_json(f), element_to_json(g),
+                        element_to_json(h))
+    return ConvexityCertificate(cone.to_json(), predicate.to_json(), radius)
 
 
 def random_word(rng: random.Random, n: int, max_len: int,

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordercone import (BraidWord, BudgetExceededError, braid_equal,
-                       free_reduce, handle_reduce, main_sign, shift_embed)
+from ordercone import (BraidWord, BudgetExceededError, UsageError,
+                       braid_equal, free_reduce, handle_reduce, main_sign,
+                       shift_embed)
 from ordercone.braids import (burau_fingerprint, fingerprint, parse_letters,
                                permutation)
 
@@ -26,6 +27,13 @@ def test_parse_and_format():
     assert BraidWord.from_text(3, "").letters == ()
     with pytest.raises(Exception):
         parse_letters("t1")
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3, 1.5, True],
+                         ids=["zero", "high", "low", "float", "bool"])
+def test_braid_word_rejects_bad_letters(letter):
+    with pytest.raises(UsageError):
+        BraidWord(3, (1, letter))
 
 
 def test_free_reduce_examples():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ordercone.braids import clear_caches
 from ordercone.cli import main, report_emit
 from ordercone.errors import UsageError
 
@@ -244,6 +245,25 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ORDERCONE_BUDGET", "not json")
     code, _ = run_cli(capsys, "ball", "--group", "braid:3", "--radius", "1")
     assert code == 2
+
+
+_LONG_WORD = "s1 s2 s1 s2 S1 S2 S1 S2 s1 s2 S1 s2 s2 S1 S1 s2 s1 S2 S2 s1"
+_FLIP_R5 = json.dumps({"type": "flip_on_convex",
+                       "base": {"type": "dehornoy", "n": 3},
+                       "predicate": {"type": "braid_shift", "n": 3, "r": 1},
+                       "radius": 5})
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("sign", "--cone", "dehornoy:3", "--word", _LONG_WORD,
+      "--budget", '{"handle_steps": 1}'), 3),
+    (("sign", "--cone", _FLIP_R5, "--word", "s1",
+      "--budget", '{"braid_ball": {"3": 5}}'), 0),
+], ids=["handle-steps", "replay-ball"])
+def test_budget_flag_reaches_calls_without_budget(capsys, argv, expected):
+    clear_caches()  # a cached reduction would skip the handle-step limit
+    code, _ = run_cli(capsys, *argv)
+    assert code == expected
 
 
 def test_report_emit_rejects_unknown_format():

@@ -11,7 +11,8 @@ from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
                        CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
-                       LexConeSpec, UsageError, WholePredicate,
+                       LatticeSublatticePredicate, LexConeSpec, UsageError,
+                       WholePredicate,
                        accumulation_scan, ball, census, certificate_from_json,
                        convexity_check, dd_isolation_witnesses,
                        discreteness_check, distance,
@@ -23,6 +24,8 @@ from ordercone.certificates import (ConvexityCertificate,
                                     DiscretenessPass)
 from ordercone.cones import element_to_json
 from ordercone.groups import clear_ball_cache
+
+from conftest import convexity_triple_scan
 
 
 def lat(k, *normals):
@@ -238,6 +241,67 @@ def test_convexity_klein_passes(klein):
                       ConvexityCertificate)
 
 
+def test_convexity_counterexample_is_least_gap_greatest(b3):
+    result = convexity_check(DehornoyCone(3), CyclicBraidPredicate(3, "s1"), 3)
+    assert isinstance(result, ConvexityCounterexample)
+    assert (result.f, result.g, result.h) == ("S1 S1 S1", "S1 S1 S2",
+                                              "s1 s1 s1")
+    assert result.replay()
+
+
+def _convexity_zoo():
+    b3, b4 = GroupContext.braid(3), GroupContext.braid(4)
+    klein, z2 = GroupContext.klein_bottle(), GroupContext.free_abelian(2)
+    d3, dd3, d4, dd4 = (DehornoyCone(3), DubrovinaDubrovinCone(3),
+                        DehornoyCone(4), DubrovinaDubrovinCone(4))
+    cases = [
+        ("dehornoy3-shift1", d3, BraidShiftPredicate(3, 1), 4),
+        ("dehornoy3-s1", d3, CyclicBraidPredicate(3, "s1"), 3),
+        ("dehornoy3-s2", d3, CyclicBraidPredicate(3, "s2"), 3),
+        ("dehornoy3-s1s2", d3, CyclicBraidPredicate(3, "s1 s2"), 2),
+        ("dehornoy3-whole", d3, WholePredicate(b3), 2),
+        ("dd3-shift1", dd3, BraidShiftPredicate(3, 1), 3),
+        ("dd3-s1", dd3, CyclicBraidPredicate(3, "s1"), 3),
+        ("conj-dehornoy3-shift1",
+         ConjugateCone(d3, b3.element("s1 s2")), BraidShiftPredicate(3, 1), 3),
+        ("conj-dd3-shift1",
+         ConjugateCone(dd3, b3.element("S2 s1")), BraidShiftPredicate(3, 1), 3),
+        ("dehornoy4-shift1", d4, BraidShiftPredicate(4, 1), 2),
+        ("dehornoy4-shift2", d4, BraidShiftPredicate(4, 2), 2),
+        ("dehornoy4-s2", d4, CyclicBraidPredicate(4, "s2"), 2),
+        ("dd4-shift1", dd4, BraidShiftPredicate(4, 1), 2),
+        ("dd4-shift2", dd4, BraidShiftPredicate(4, 2), 2),
+        ("conj-dd4-shift2",
+         ConjugateCone(dd4, b4.element("s2 S1")), BraidShiftPredicate(4, 2), 2),
+        ("lattice-lex-y", lat(2, (1, 0), (0, 1)),
+         LatticeSublatticePredicate(2, ((0, 1),)), 3),
+        ("lattice-lex-x", lat(2, (1, 0), (0, 1)),
+         LatticeSublatticePredicate(2, ((1, 0),)), 3),
+        ("lattice-irrational-x", lat(2, ((1, 0), (0, 1))),
+         LatticeSublatticePredicate(2, ((1, 0),)), 3),
+        ("lattice-z3-plane", lat(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         LatticeSublatticePredicate(3, ((0, 1, 0), (0, 0, 1))), 2),
+        ("lattice-z3-diagonal", lat(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         LatticeSublatticePredicate(3, ((1, 1, 0),)), 2),
+        ("lattice-whole", lat(2, (1, 0), (0, 1)), WholePredicate(z2), 3),
+    ]
+    cases += [(f"klein{c.sx:+d}{c.sy:+d}-y", c, KleinYPredicate(), 3)
+              for c in klein_tararin_cones()]
+    cases.append(("klein-whole", KleinTararinCone(1, -1),
+                  WholePredicate(klein), 3))
+    return cases
+
+
+@pytest.mark.parametrize("case", _convexity_zoo(), ids=lambda c: c[0])
+def test_sorted_convexity_matches_triple_scan(case):
+    _, cone, predicate, radius = case
+    result = convexity_check(cone, predicate, radius)
+    reference = convexity_triple_scan(cone, predicate, radius)
+    assert type(result) is type(reference)
+    assert result.replay()
+    assert reference.replay()
+
+
 # -- discreteness -------------------------------------------------------------
 
 
@@ -358,6 +422,20 @@ def test_stabilizer_scan_matches_full_vectors(cone, restrict_to):
     report = order_property_scan(cone, 3, n_max=1, restrict_to=restrict_to)
     expected = stabilizers_oracle(cone, 3, restrict_to)
     assert report.stabilizer_elements == expected
+
+
+@pytest.mark.parametrize("cone", [
+    DehornoyCone(3), DubrovinaDubrovinCone(3),
+    ConjugateCone(DehornoyCone(3), _B3.element("s1 S2")),
+], ids=["dehornoy3", "dd3", "conjugate"])
+def test_interval_closure_flags_match_full_vectors(cone):
+    g = _B3.element("s1")
+    report = interval_closure(cone, g if cone.sign(g) == 1 else g.inverse(),
+                              3, 2)
+    stabilizers = stabilizers_oracle(cone, 3)
+    flags = [flag for _, flag in report.members]
+    assert True in flags and False in flags
+    assert flags == [m in stabilizers for m, _ in report.members]
 
 
 def test_cylinder_monotonicity(b3):
