@@ -2,7 +2,7 @@
 spaces of left orderings of concrete groups: free abelian lattices,
 Artin braid groups, and the Klein-bottle group."""
 
-from .budgets import Budget, current_budget
+from .budgets import Budget, budget_scope, current_budget
 from .braids import (BraidWord, MainSignReport, braid_equal, free_reduce,
                      handle_reduce, main_sign, shift_embed)
 from .certificates import (AccumulationWitness, ConvexityCertificate,

@@ -11,9 +11,9 @@ The reduction engine rewrites *handles*: a handle is a subword
 ``s_{i+1}^{-e} s_i^d s_{i+1}^{e}``, keeps letters of index ``>= i + 2``,
 and drops the outer pair.  We always rewrite the handle that *closes
 earliest* in the word; that handle cannot contain a nested handle, so
-the rewrite is permitted and the known termination argument applies.  A
-step budget is enforced regardless, and running out raises instead of
-returning a non-reduced word.
+the rewrite is permitted and the known termination argument applies.  The
+current budget's ``handle_steps`` caps the rewrites regardless, and
+running out raises instead of returning a non-reduced word.
 
 A reduced (handle-free) word has its lowest occurring generator index
 appearing with a single sign, and a nonempty reduced word is never
@@ -167,15 +167,13 @@ def _find_handle(letters: list[int], n: int) -> tuple[int, int] | None:
     return None
 
 
-def handle_reduce_letters(n: int, letters: Letters,
-                          max_steps: int | None = None) -> tuple[int, ...]:
+def handle_reduce_letters(n: int, letters: Letters) -> tuple[int, ...]:
     """Handle-free word equivalent to ``letters`` in the braid group B_n."""
     key = (n, free_reduce_letters(letters))
     cached = _reduce_cache.get(key)
     if cached is not None:
         return cached
-    if max_steps is None:
-        max_steps = current_budget().handle_steps
+    limit = current_budget().handle_steps
     word = list(key[1])
     steps = 0
     while True:
@@ -186,9 +184,9 @@ def handle_reduce_letters(n: int, letters: Letters,
             _reduce_cache[(n, result)] = result
             return result
         steps += 1
-        if steps > max_steps:
+        if steps > limit:
             raise BudgetExceededError(
-                f"reduction budget exceeded after {max_steps} steps")
+                f"reduction budget exceeded after {limit} steps")
         p, q = found
         opener = word[p]
         i = abs(opener)
@@ -203,18 +201,18 @@ def handle_reduce_letters(n: int, letters: Letters,
         word = list(free_reduce_letters(word[:p] + replacement + word[q + 1:]))
 
 
-def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
+def handle_reduce(word: BraidWord) -> BraidWord:
     """Reduce to a handle-free word equal to ``word`` in B_n.
 
     The lowest generator index of the result occurs with one sign only,
     and the result is empty exactly when the braid is trivial.
     """
-    return BraidWord(word.n, handle_reduce_letters(word.n, word.letters, max_steps))
+    return BraidWord(word.n, handle_reduce_letters(word.n, word.letters))
 
 
-def main_sign(word: BraidWord, max_steps: int | None = None) -> MainSignReport:
+def main_sign(word: BraidWord) -> MainSignReport:
     """Lowest-index generator of the reduced form together with its sign."""
-    reduced = handle_reduce(word, max_steps)
+    reduced = handle_reduce(word)
     if not reduced.letters:
         return MainSignReport(None, 0, reduced)
     index = min(abs(l) for l in reduced.letters)
@@ -222,11 +220,11 @@ def main_sign(word: BraidWord, max_steps: int | None = None) -> MainSignReport:
     return MainSignReport(index, sign, reduced)
 
 
-def is_trivial(word: BraidWord, max_steps: int | None = None) -> bool:
-    return not handle_reduce(word, max_steps).letters
+def is_trivial(word: BraidWord) -> bool:
+    return not handle_reduce(word).letters
 
 
-def braid_equal(u: BraidWord, v: BraidWord, max_steps: int | None = None) -> bool:
+def braid_equal(u: BraidWord, v: BraidWord) -> bool:
     """Word problem: true iff ``u`` and ``v`` represent the same braid."""
     if u.n != v.n:
         raise ContextMismatchError("incompatible groups")
@@ -234,7 +232,7 @@ def braid_equal(u: BraidWord, v: BraidWord, max_steps: int | None = None) -> boo
         return True
     if fingerprint(u) != fingerprint(v):
         return False
-    return is_trivial(u * v.inverse(), max_steps)
+    return is_trivial(u * v.inverse())
 
 
 def shift_embed(r: int, word: BraidWord, n: int) -> BraidWord:

@@ -2,13 +2,13 @@
 
 Every potentially expensive search carries an explicit budget and fails
 loudly when it runs out; silent truncation is forbidden everywhere.
-Defaults can be overridden per call, or globally through the
-``ORDERCONE_BUDGET`` environment variable, which holds a JSON object of
-field overrides, e.g. ``{"handle_steps": 2000000, "braid_ball": {"3": 6}}``.
-Inside ``budget_scope(b)`` the budget ``b`` replaces defaults and
-environment as the starting point, so code that takes no budget argument
-(handle reduction, certificate replay) still honours it; the CLI runs
-each command in the scope of its resolved ``--budget``.
+Every search reads its limits from ``current_budget()``: the budget
+installed by the innermost ``budget_scope(b)``, or else the defaults with
+the ``ORDERCONE_BUDGET`` environment variable applied, which holds a JSON
+object of field overrides, e.g. ``{"handle_steps": 2000000, "braid_ball":
+{"3": 6}}``.  One scope therefore reaches balls, census, BFS and handle
+reduction alike; the CLI runs each command in the scope of its resolved
+``--budget``.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ class Budget:
 
     def with_overrides(self, overrides: dict) -> "Budget":
         """Return a copy with the given field overrides applied."""
+        if not isinstance(overrides, dict):
+            raise UsageError(
+                f"budget overrides must be a JSON object, not {overrides!r}")
         fields = dict(overrides)
         try:
             if "braid_ball" in fields:
@@ -79,8 +82,8 @@ class Budget:
 
 @contextmanager
 def budget_scope(budget: Budget):
-    """Make ``budget`` the starting point of ``current_budget`` in this
-    context (thread or task) until the block exits."""
+    """Make ``current_budget()`` return ``budget`` in this context
+    (thread or task) until the block exits."""
     token = _scoped.set(budget)
     try:
         yield
@@ -88,24 +91,17 @@ def budget_scope(budget: Budget):
         _scoped.reset(token)
 
 
-def current_budget(overrides: "Budget | dict | None" = None) -> Budget:
-    """Resolve the effective budget: the scoped budget if one is set,
-    otherwise defaults then env var; then the overrides."""
-    if isinstance(overrides, Budget):
-        return overrides
+def current_budget() -> Budget:
+    """The scoped budget if one is set, otherwise defaults then env var."""
     budget = _scoped.get()
-    if budget is None:
-        budget = Budget()
-        raw = os.environ.get(_ENV_VAR)
-        if raw:
-            try:
-                env_fields = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise UsageError(
-                    f"{_ENV_VAR} is not valid JSON: {exc}") from exc
-            if not isinstance(env_fields, dict):
-                raise UsageError(f"{_ENV_VAR} must hold a JSON object")
-            budget = budget.with_overrides(env_fields)
-    if overrides:
-        budget = budget.with_overrides(dict(overrides))
+    if budget is not None:
+        return budget
+    budget = Budget()
+    raw = os.environ.get(_ENV_VAR)
+    if raw:
+        try:
+            env_fields = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{_ENV_VAR} is not valid JSON: {exc}") from exc
+        budget = budget.with_overrides(env_fields)
     return budget

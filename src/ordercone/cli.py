@@ -106,13 +106,6 @@ def report_emit(result, fmt: str) -> bytes:
     raise UsageError(f"unknown output format {fmt!r}")
 
 
-def _budget_overrides(args) -> dict:
-    overrides = json.loads(args.budget) if getattr(args, "budget", None) else {}
-    if not isinstance(overrides, dict):
-        raise UsageError("--budget must hold a JSON object")
-    return overrides
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -222,14 +215,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    """Whether a config value has the JSON type its flag would produce."""
+    if isinstance(action, argparse._AppendAction):
+        return type(value) is list and all(type(v) is str for v in value)
+    return type(value) is (action.type or str)
+
+
+def _apply_config(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> argparse.Namespace:
+    """Fill unset flags from the ``--config`` object; its values bypass
+    argparse, so each must already have its flag's type."""
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
             defaults = json.load(handle)
+        if not isinstance(defaults, dict):
+            raise UsageError("--config must hold a JSON object")
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a
+                   for a in subparsers.choices[args.command]._actions}
         for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, []) and attr != "command":
-                setattr(args, attr, value)
+            action = actions.get(key.replace("-", "_"))
+            if (action is None
+                    or getattr(args, action.dest, None) not in (None, [])):
+                continue
+            if not _config_value_ok(action, value):
+                raise UsageError(f"--config value for {key!r} has the "
+                                 f"wrong type: {value!r}")
+            setattr(args, action.dest, value)
     missing = [name for name in _REQUIRED.get(args.command, ())
                if getattr(args, name, None) is None]
     if missing:
@@ -339,8 +353,10 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        args = _apply_config(args)
-        with budget_scope(current_budget(_budget_overrides(args))):
+        args = _apply_config(parser, args)
+        budget = getattr(args, "budget", None)
+        with budget_scope(current_budget().with_overrides(
+                json.loads(budget) if budget else {})):
             report, code = _run(args)
         report["seed"] = args.seed
         emit(report, args.format, args.out)

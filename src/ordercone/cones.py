@@ -57,10 +57,11 @@ def _field(data, key: str):
 
 
 def _int_field(data, key: str) -> int:
-    try:
-        return int(_field(data, key))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"descriptor field {key!r} must be an integer") from exc
+    """An integer field; floats, strings and booleans are refused."""
+    value = _field(data, key)
+    if type(value) is not int:
+        raise UsageError(f"descriptor field {key!r} must be an integer")
+    return value
 
 
 def _sign_field(data, key: str) -> int:

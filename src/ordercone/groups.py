@@ -24,7 +24,7 @@ from functools import cached_property
 
 from . import braids
 from .braids import BraidWord
-from .budgets import Budget, current_budget
+from .budgets import current_budget
 from .errors import BudgetExceededError, ContextMismatchError, UsageError
 
 FREE_ABELIAN = "free_abelian"
@@ -275,8 +275,7 @@ class Ball:
 _ball_cache: dict[tuple[GroupContext, int], Ball] = {}
 
 
-def ball(context: GroupContext, radius: int,
-         budget: Budget | dict | None = None) -> Ball:
+def ball(context: GroupContext, radius: int) -> Ball:
     """Enumerate the Cayley ball of the given radius.
 
     Braid balls are capped by the budget because deduplication costs a
@@ -285,7 +284,7 @@ def ball(context: GroupContext, radius: int,
     if radius < 0:
         raise UsageError("ball radius must be nonnegative")
     if context.family == BRAID:
-        limit = current_budget(budget).braid_ball_limit(context.n)
+        limit = current_budget().braid_ball_limit(context.n)
         if radius > limit:
             raise BudgetExceededError(
                 f"ball budget exceeded: radius {radius} > limit {limit} "

@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd
 
 from . import intlinalg
-from .budgets import Budget, current_budget
+from .budgets import current_budget
 from .errors import CrossCheckError, PerturbationError, UsageError
 from .quadratic import QuadScalar, quad, sqrt2_sign
 
@@ -237,19 +237,18 @@ def least_positive_in_ball(spec: LexConeSpec, radius: int) -> Vector | None:
     return best
 
 
-def classify_density(spec: LexConeSpec,
-                     budget: Budget | dict | None = None) -> DensityReport:
+def classify_density(spec: LexConeSpec) -> DensityReport:
     """Exact dense/discrete verdict with the least positive element.
 
-    Discrete verdicts are verified against a ball search at the budget's
-    check radius; any positive vector below the claimed least fails the
-    operation loudly.
+    Discrete verdicts are verified against a ball search at the scoped
+    budget's check radius; any positive vector below the claimed least
+    fails the operation loudly.
     """
     least = _classify(spec.k, spec.normals)
     if least is None:
         return DensityReport("dense", None, "exact-recursive")
     norm = sum(abs(c) for c in least)
-    check_radius = max(min(current_budget(budget).lattice_check_radius,
+    check_radius = max(min(current_budget().lattice_check_radius,
                            max(norm, 4)), 1)
     window_min = least_positive_in_ball(spec, check_radius)
     if norm <= check_radius:
@@ -276,8 +275,7 @@ class PerturbationResult:
                 "coordinate": self.coordinate, "delta": str(self.delta)}
 
 
-def perturb_dense(spec: LexConeSpec, required_positive,
-                  budget: Budget | dict | None = None) -> PerturbationResult:
+def perturb_dense(spec: LexConeSpec, required_positive) -> PerturbationResult:
     """Tilt the first normal into a dense order keeping pinned vectors positive.
 
     Candidate normals are n1 + delta*sqrt(2)*e_j for j = 1..k and delta
@@ -313,7 +311,7 @@ def perturb_dense(spec: LexConeSpec, required_positive,
             except UsageError:
                 break  # validity is delta-independent for fixed j
             if (all(candidate.sign(g) == 1 for g in required)
-                    and classify_density(candidate, budget).verdict == "dense"):
+                    and classify_density(candidate).verdict == "dense"):
                 witness = _difference_witness(spec, candidate, witness_radius)
                 if witness is not None:
                     return PerturbationResult(candidate, witness, j + 1, delta)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .budgets import Budget, current_budget
+from .budgets import current_budget
 from .certificates import (AccumulationWitness, ConvexityCertificate,
                            ConvexityCounterexample, DensityWitness,
                            DiscretenessPass, IntervalClosureReport,
@@ -111,10 +111,9 @@ class DistanceResult:
 
 
 def sign_vector(cone: ConeOracle, radius: int,
-                budget: Budget | dict | None = None,
                 validate: bool = False) -> SignVector:
     """Evaluate the cone on every element of the radius ball."""
-    b = ball(cone.context, radius, budget)
+    b = ball(cone.context, radius)
     signs = []
     for element in b:
         s = cone.sign(element)
@@ -142,14 +141,13 @@ def _first_disagreement(cone: ConeOracle, elements,
     return None
 
 
-def distance(p: ConeOracle, q: ConeOracle, resolution: int,
-             budget: Budget | dict | None = None) -> DistanceResult:
+def distance(p: ConeOracle, q: ConeOracle, resolution: int) -> DistanceResult:
     """Largest agreement radius up to the resolution, as a distance."""
     if p.context != q.context:
         raise ContextMismatchError("incompatible groups")
     if resolution < 1:
         raise UsageError("resolution must be at least 1")
-    b = ball(p.context, resolution, budget)
+    b = ball(p.context, resolution)
     i = _first_disagreement(q, b.elements, (p.sign(g) for g in b.elements))
     if i is None:
         return DistanceResult(resolution, resolution, False)
@@ -170,21 +168,20 @@ class CensusQuery:
     required_positive: tuple[GroupElement, ...] = ()
 
 
-def census(query: CensusQuery,
-           budget: Budget | dict | None = None) -> list[SignVector]:
+def census(query: CensusQuery) -> list[SignVector]:
     """All consistent sign vectors on the ball matching the pins.
 
     Complete and duplicate-free; deterministic order (variables in ball
     order, + tried before -).  Solutions are re-validated independently
     after enumeration as a guard against propagation bugs.
     """
-    eff = current_budget(budget)
+    eff = current_budget()
     cap = (eff.census_braid_radius if query.context.family == BRAID
            else eff.census_other_radius)
     if query.radius > cap:
         raise BudgetExceededError(
             f"census budget exceeded: radius {query.radius} > limit {cap}")
-    b = ball(query.context, query.radius, budget)
+    b = ball(query.context, query.radius)
     n = len(b)
     inverse = b.inverse_position
     triples = b.product_triples()
@@ -266,9 +263,8 @@ def census(query: CensusQuery,
 # Semigroup witnesses for the Dubrovina-Dubrovin cone
 
 
-def dd_isolation_witnesses(n: int, radius: int, max_len: int,
-                           budget: Budget | dict | None = None
-                           ) -> list[SemigroupWitness]:
+def dd_isolation_witnesses(n: int, radius: int,
+                           max_len: int) -> list[SemigroupWitness]:
     """Factor every DD-positive ball element over the cone's generators.
 
     Breadth-first search over semigroup products with word-problem
@@ -277,10 +273,10 @@ def dd_isolation_witnesses(n: int, radius: int, max_len: int,
     never silently vanish.
     """
     cone = DubrovinaDubrovinCone(n)
-    frontier_cap = current_budget(budget).bfs_frontier
+    frontier_cap = current_budget().bfs_frontier
     targets: dict[GroupElement, int] = {}
     order: list[GroupElement] = []
-    for element in ball(cone.context, radius, budget):
+    for element in ball(cone.context, radius):
         if cone.sign(element) == 1:
             targets[element] = len(order)
             order.append(element)
@@ -330,8 +326,7 @@ def dd_isolation_witnesses(n: int, radius: int, max_len: int,
 
 
 def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
-                      resolution: int | None = None,
-                      budget: Budget | dict | None = None
+                      resolution: int | None = None
                       ) -> AccumulationWitness | None:
     """First conjugator moving the cone a positive exact distance at most
     2^-target_radius, or None when the scanned set has no witness.
@@ -347,7 +342,7 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
         resolution = target_radius + 1
     if resolution <= target_radius:
         raise UsageError("resolution must exceed the target radius")
-    probe = ball(cone.context, resolution, budget)
+    probe = ball(cone.context, resolution)
     base_signs = [cone.sign(g) for g in probe]
     for h in conjugators:
         i = _first_disagreement(ConjugateCone(cone, h), probe.elements,
@@ -365,8 +360,7 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
 # Convexity, discreteness, interval closures
 
 
-def convexity_check(cone: ConeOracle, predicate: ConvexPredicate, radius: int,
-                    budget: Budget | dict | None = None):
+def convexity_check(cone: ConeOracle, predicate: ConvexPredicate, radius: int):
     """Sort the ball by the cone once and test whether the subgroup's
     members form one contiguous block.
 
@@ -377,7 +371,7 @@ def convexity_check(cone: ConeOracle, predicate: ConvexPredicate, radius: int,
     """
     if predicate.context != cone.context:
         raise ContextMismatchError("incompatible groups")
-    b = ball(cone.context, radius, budget)
+    b = ball(cone.context, radius)
     ordered = sorted(b, key=cmp_to_key(
         lambda u, v: -cone.sign(u.inverse() * v)))
     inside = [predicate.contains(g) for g in ordered]
@@ -394,7 +388,7 @@ def convexity_check(cone: ConeOracle, predicate: ConvexPredicate, radius: int,
 
 
 def discreteness_check(cone: ConeOracle, candidate_eps: GroupElement,
-                       radius: int, budget: Budget | dict | None = None):
+                       radius: int):
     """Verify no positive ball element lies strictly below the candidate.
 
     Returns a DiscretenessPass, or a DensityWitness naming the first
@@ -404,7 +398,7 @@ def discreteness_check(cone: ConeOracle, candidate_eps: GroupElement,
     """
     if cone.sign(candidate_eps) != 1:
         raise UsageError("candidate least element must be positive")
-    for g in ball(cone.context, radius, budget):
+    for g in ball(cone.context, radius):
         if cone.sign(g) != 1 or g == candidate_eps:
             continue
         if cone.sign(g.inverse() * candidate_eps) == 1:
@@ -416,9 +410,7 @@ def discreteness_check(cone: ConeOracle, candidate_eps: GroupElement,
 
 
 def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
-                     k_max: int,
-                     budget: Budget | dict | None = None
-                     ) -> IntervalClosureReport:
+                     k_max: int) -> IntervalClosureReport:
     """Ball members h with g^-k <= h <= g^k for some k <= k_max, and
     whether each of them fixes the cone under conjugation at this radius.
 
@@ -430,12 +422,12 @@ def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
     top = g ** k_max
     bottom = top.inverse()
     members: list[GroupElement] = []
-    for h in ball(cone.context, radius, budget):
+    for h in ball(cone.context, radius):
         below = cone.sign(h.inverse() * top)
         above = cone.sign(bottom.inverse() * h)
         if below >= 0 and above >= 0:
             members.append(h)
-    base = sign_vector(cone, radius, budget)
+    base = sign_vector(cone, radius)
     flags = []
     for h in members:
         moved = _first_disagreement(ConjugateCone(cone, h), base.ball.elements,
@@ -478,12 +470,11 @@ class OrderPropertyReport:
 
 
 def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
-                        budget: Budget | dict | None = None,
                         restrict_to: ConvexPredicate | None = None
                         ) -> OrderPropertyReport:
     """Scan a ball for Conradian failures, bi-order failures, and
     cone-stabilizing elements; optionally restricted to a subgroup."""
-    b = ball(cone.context, radius, budget)
+    b = ball(cone.context, radius)
     elements = [g for g in b
                 if restrict_to is None or restrict_to.contains(g)]
     positives = [g for g in elements if cone.sign(g) == 1]
@@ -509,7 +500,7 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
             if cone.sign(g * h * g_inverse) == -1:
                 biorder.append((element_to_json(g), element_to_json(h)))
 
-    base_signs = sign_vector(cone, radius, budget).signs
+    base_signs = sign_vector(cone, radius).signs
     stabilizers = []
     for g in elements:
         if _first_disagreement(ConjugateCone(cone, g), b.elements,
@@ -561,16 +552,15 @@ class SoulEstimate:
 
 
 def soul_estimate(cone: ConeOracle, chain: list[ConvexPredicate], radius: int,
-                  n_max: int = 4,
-                  budget: Budget | dict | None = None) -> SoulEstimate:
+                  n_max: int = 4) -> SoulEstimate:
     """Scan an inclusion-ordered chain of candidate convex subgroups."""
     levels = []
     best_conradian = -1
     best_biorder = -1
     for level, predicate in enumerate(chain):
-        convex_result = convexity_check(cone, predicate, radius, budget)
+        convex_result = convexity_check(cone, predicate, radius)
         is_convex = isinstance(convex_result, ConvexityCertificate)
-        report = order_property_scan(cone, radius, n_max, budget,
+        report = order_property_scan(cone, radius, n_max,
                                      restrict_to=predicate)
         conradian_ok = not report.conradian_violations
         biorder_ok = not report.biorder_violations

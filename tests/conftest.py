@@ -177,7 +177,7 @@ def ball_search_density(spec: LexConeSpec, radius: int,
     return DensityReport("discrete", minimum, "ball-search")
 
 
-def convexity_triple_scan(cone, predicate, radius, budget=None):
+def convexity_triple_scan(cone, predicate, radius):
     """Scan all triples f, h in C, g outside C for f < g < h.
 
     Returns a ConvexityCertificate on a clean scan, otherwise the first
@@ -185,7 +185,7 @@ def convexity_triple_scan(cone, predicate, radius, budget=None):
     """
     if predicate.context != cone.context:
         raise ContextMismatchError("incompatible groups")
-    b = ball(cone.context, radius, budget)
+    b = ball(cone.context, radius)
     signs = {g: cone.sign(g) for g in b}
 
     def less(u: GroupElement, v: GroupElement) -> bool:

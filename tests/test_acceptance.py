@@ -14,7 +14,8 @@ from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
                        CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, LatticeCone, LexConeSpec, UsageError,
-                       accumulation_scan, ball, census, classify_density,
+                       accumulation_scan, ball, budget_scope, census,
+                       classify_density, current_budget,
                        convexity_check, dd_isolation_witnesses,
                        discreteness_check, distance,
                        klein_tararin_cones, order_property_scan, perturb_dense,
@@ -124,17 +125,18 @@ def test_criterion_06_dehornoy_discreteness():
 def test_criterion_07_accumulation():
     with criterion(7, "accumulation: conjugates of the Dehornoy cone of B_3 "
                       "within 2^-r for r = 1, 2, 3", 600.0):
-        budget = {"braid_ball": {3: 6}}
         cone = DehornoyCone(3)
-        conjugators = ball(cone.context, 6, budget)
-        for target in (1, 2, 3):
-            witness = accumulation_scan(cone, conjugators, target,
-                                        resolution=4, budget=budget)
-            assert witness is not None, f"no witness at target {target}"
-            assert witness.agree_radius >= target
-            assert Fraction(1, 2 ** witness.agree_radius) <= Fraction(
-                1, 2 ** target)
-            assert witness.replay()
+        with budget_scope(current_budget().with_overrides(
+                {"braid_ball": {3: 6}})):
+            conjugators = ball(cone.context, 6)
+            for target in (1, 2, 3):
+                witness = accumulation_scan(cone, conjugators, target,
+                                            resolution=4)
+                assert witness is not None, f"no witness at target {target}"
+                assert witness.agree_radius >= target
+                assert Fraction(1, 2 ** witness.agree_radius) <= Fraction(
+                    1, 2 ** target)
+                assert witness.replay()
 
 
 def test_criterion_08_dd_isolation_witnesses():

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordercone import (BraidWord, BudgetExceededError, UsageError,
-                       braid_equal, free_reduce, handle_reduce, main_sign,
-                       shift_embed)
+                       braid_equal, budget_scope, current_budget,
+                       free_reduce, handle_reduce, main_sign, shift_embed)
 from ordercone.braids import (burau_fingerprint, fingerprint, parse_letters,
                                permutation)
 
@@ -62,8 +62,9 @@ def test_handle_reduce_braid_relator():
 
 
 def test_handle_reduce_budget_error():
-    with pytest.raises(BudgetExceededError):
-        handle_reduce(BraidWord(4, (1, 2, 1, -2, -1, -2) * 4), max_steps=1)
+    with budget_scope(current_budget().with_overrides({"handle_steps": 1})):
+        with pytest.raises(BudgetExceededError):
+            handle_reduce(BraidWord(4, (1, 2, 1, -2, -1, -2) * 4))
 
 
 def test_main_sign_examples():

@@ -108,9 +108,14 @@ def test_usage_error_exit_code(capsys):
      '{"type": "lattice_sublattice", "basis": 5}', "--radius", "1"),
     ("sign", "--cone", '{"type": "conjugate", "base": {"type": "dehornoy", '
      '"n": 3}, "g": 5}', "--word", "s1"),
+    ("sign", "--cone", '{"type": "dehornoy", "n": 3.9}', "--word", "s1"),
+    ("sign", "--cone", '{"type": "dehornoy", "n": "3"}', "--word", "s1"),
+    ("convexity", "--cone", "dehornoy:3", "--predicate",
+     '{"type": "braid_shift", "n": 3, "r": true}', "--radius", "1"),
 ], ids=["cone-no-n", "klein-bad-sign", "conjugate-no-g", "predicate-list",
         "chain-object", "whole-no-n", "budget-list", "budget-ball-number",
-        "basis-number", "conjugate-g-number"])
+        "basis-number", "conjugate-g-number", "n-float", "n-string",
+        "r-bool"])
 def test_malformed_descriptor_is_usage_error(capsys, argv):
     code = main(list(argv))
     err = capsys.readouterr().err
@@ -228,6 +233,23 @@ def test_config_file(tmp_path, capsys):
     code, out = run_cli(capsys, "census", "--config", str(config))
     assert code == 0
     assert json.loads(out)["count"] == 4
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ({"budget": {"handle_steps": 5}},
+     ("sign", "--cone", "dehornoy:3", "--word", "s1"), "'budget'"),
+    ({"radius": "3"}, ("ball", "--group", "z"), "'radius'"),
+    (["radius", 3], ("ball", "--group", "z"), "JSON object"),
+], ids=["budget-object", "radius-string", "config-list"])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, config,
+                                                   argv, named):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code = main([*argv, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: ")
+    assert named in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordercone import (ContextMismatchError, GroupContext, ball, invert,
-                       is_identity, multiply)
+from ordercone import (ContextMismatchError, GroupContext, ball,
+                       budget_scope, current_budget, invert, is_identity,
+                       multiply)
 
 from conftest import burau_exact
 
@@ -129,7 +130,8 @@ def test_ball_budget(b3):
     with pytest.raises(Exception, match="ball budget exceeded"):
         ball(b3, 9)
     # Override lifts the cap.
-    assert len(ball(GroupContext.braid(3), 5, {"braid_ball": {3: 6}})) > 0
+    with budget_scope(current_budget().with_overrides({"braid_ball": {3: 6}})):
+        assert len(ball(GroupContext.braid(3), 5)) > 0
 
 
 def test_ball_deterministic_order(z2):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from ordercone import (GroupContext, LatticeCone, LexConeSpec,
-                       PerturbationError, UsageError, ball, classify_density,
-                       convexity_check, extend_by_quotient,
+                       PerturbationError, UsageError, ball, budget_scope,
+                       classify_density, convexity_check, current_budget,
+                       extend_by_quotient,
                        least_positive_in_ball, perturb_dense, quad,
                        restrict_to_sublattice, saturate, sign_vector)
 from ordercone.certificates import ConvexityCertificate
@@ -264,5 +265,7 @@ def test_cross_check_radius_cap():
     # A least positive element beyond the check radius still verifies
     # partially (no smaller positive in the window).
     spec = spec_of(2, (0, 1), (1, 0))
-    report = classify_density(spec, {"lattice_check_radius": 4})
+    with budget_scope(current_budget().with_overrides(
+            {"lattice_check_radius": 4})):
+        report = classify_density(spec)
     assert report.least_positive == (1, 0)

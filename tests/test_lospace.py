@@ -6,15 +6,19 @@ import threading
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
+from ordercone import (BraidShiftPredicate, BudgetExceededError,
+                       CensusQuery, ConjugateCone,
                        CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec, UsageError,
                        WholePredicate,
-                       accumulation_scan, ball, census, certificate_from_json,
-                       convexity_check, dd_isolation_witnesses,
+                       accumulation_scan, ball, budget_scope, census,
+                       certificate_from_json, convexity_check,
+                       current_budget, dd_isolation_witnesses,
                        discreteness_check, distance,
                        interval_closure, klein_tararin_cones,
                        order_property_scan, quad, sign_vector, soul_estimate)
@@ -186,8 +190,26 @@ def test_dd_witnesses_cover_and_replay():
 
 
 def test_dd_witness_budget():
-    with pytest.raises(Exception, match="frontier budget"):
-        dd_isolation_witnesses(3, 3, 12, {"bfs_frontier": 4})
+    with budget_scope(current_budget().with_overrides({"bfs_frontier": 4})):
+        with pytest.raises(Exception, match="frontier budget"):
+            dd_isolation_witnesses(3, 3, 12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sign_vector(DehornoyCone(3), 4),
+    lambda: dd_isolation_witnesses(3, 3, 12),
+    lambda: census(CensusQuery(GroupContext.braid(3), 3)),
+], ids=["sign-vector", "dd-witness", "census"])
+def test_budget_scope_reaches_handle_reduction(call):
+    # Cached reductions and balls would skip the handle-step limit.
+    clear_caches()
+    clear_ball_cache()
+    with budget_scope(current_budget().with_overrides({"handle_steps": 1})):
+        with pytest.raises(BudgetExceededError):
+            call()
+    clear_caches()
+    clear_ball_cache()
+    call()
 
 
 # -- accumulation -------------------------------------------------------------
@@ -300,6 +322,31 @@ def test_sorted_convexity_matches_triple_scan(case):
     assert type(result) is type(reference)
     assert result.replay()
     assert reference.replay()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), base_kind=st.sampled_from(["dehornoy", "dd"]),
+       predicate_kind=st.sampled_from(["shift", "cyclic", "whole"]),
+       radius=st.integers(min_value=2, max_value=3))
+def test_sorted_convexity_matches_triple_scan_on_conjugates(
+        data, base_kind, predicate_kind, radius):
+    b3 = GroupContext.braid(3)
+    words = ball(b3, 2).elements
+    h = data.draw(st.sampled_from(words), label="conjugator")
+    base = DehornoyCone(3) if base_kind == "dehornoy" else DubrovinaDubrovinCone(3)
+    cone = ConjugateCone(base, h)
+    if predicate_kind == "shift":
+        predicate = BraidShiftPredicate(3, data.draw(st.sampled_from([0, 1]),
+                                                     label="r"))
+    elif predicate_kind == "cyclic":
+        g = data.draw(st.sampled_from(words), label="generator")
+        predicate = CyclicBraidPredicate(3, g.text())
+    else:
+        predicate = WholePredicate(b3)
+    result = convexity_check(cone, predicate, radius)
+    reference = convexity_triple_scan(cone, predicate, radius)
+    assert type(result) is type(reference)
+    assert result.replay()
 
 
 # -- discreteness -------------------------------------------------------------
