@@ -18,7 +18,7 @@ from .cones import (BraidShiftPredicate, ConeOracle, ConvexPredicate,
 from .errors import (BudgetExceededError, CertificateError,
                      ContextMismatchError, CrossCheckError, OrderconeError,
                      PerturbationError, UsageError)
-from .groups import Ball, GroupContext, GroupElement, ball, invert, is_identity, multiply
+from .groups import Ball, GroupContext, GroupElement, ball, multiply
 from .lattices import (DensityReport, LexConeSpec, PerturbationResult,
                        SaturationResult, classify_density, extend_by_quotient,
                        least_positive_in_ball, perturb_dense,

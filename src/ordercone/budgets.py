@@ -17,7 +17,7 @@ import json
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import UsageError
 
@@ -52,13 +52,13 @@ class Budget:
     lattice_check_radius: int = 12
 
     def __post_init__(self) -> None:
-        for name in ("handle_steps", "bfs_frontier", "braid_ball_default",
-                     "census_braid_radius", "census_other_radius",
-                     "lattice_check_radius"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"budget field {name!r} must be positive")
-        if any(v <= 0 for v in self.braid_ball.values()):
-            raise UsageError("braid ball limits must be positive")
+        limits = [(f.name, getattr(self, f.name)) for f in fields(self)
+                  if f.name != "braid_ball"]
+        limits += [(f"braid_ball[{n}]", v) for n, v in self.braid_ball.items()]
+        for name, value in limits:
+            if type(value) is not int or value <= 0:
+                raise UsageError(
+                    f"budget field {name} must be a positive integer")
 
     def braid_ball_limit(self, n: int) -> int:
         return self.braid_ball.get(n, self.braid_ball_default)
@@ -68,14 +68,14 @@ class Budget:
         if not isinstance(overrides, dict):
             raise UsageError(
                 f"budget overrides must be a JSON object, not {overrides!r}")
-        fields = dict(overrides)
+        changes = dict(overrides)
         try:
-            if "braid_ball" in fields:
+            if "braid_ball" in changes:
                 merged = dict(self.braid_ball)
-                merged.update({int(k): int(v)
-                               for k, v in fields["braid_ball"].items()})
-                fields["braid_ball"] = merged
-            return replace(self, **fields)
+                merged.update({int(k): v
+                               for k, v in changes["braid_ball"].items()})
+                changes["braid_ball"] = merged
+            return replace(self, **changes)
         except (AttributeError, TypeError, ValueError) as exc:
             raise UsageError(f"bad budget overrides {overrides!r}: {exc}") from exc
 

@@ -9,8 +9,9 @@ reproduces; tests and the CLI treat a False replay as a hard failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import UsageError
+from .errors import UsageError, _field, _int_field
 
 
 def _cone(cone_json: dict):
@@ -193,31 +194,35 @@ class IntervalClosureReport:
 
 
 def certificate_from_json(data: dict):
-    kind = data.get("kind")
+    field, int_field = partial(_field, data), partial(_int_field, data)
+    kind = field("kind")
     if kind == "convexity_pass":
-        return ConvexityCertificate(data["cone"], data["predicate"],
-                                    int(data["radius"]))
+        return ConvexityCertificate(field("cone"), field("predicate"),
+                                    int_field("radius"))
     if kind == "convexity_counterexample":
-        return ConvexityCounterexample(data["cone"], data["predicate"],
-                                       int(data["radius"]),
-                                       data["f"], data["g"], data["h"])
+        return ConvexityCounterexample(field("cone"), field("predicate"),
+                                       int_field("radius"),
+                                       field("f"), field("g"), field("h"))
     if kind == "semigroup_witness":
-        return SemigroupWitness(int(data["n"]), data["element"],
-                                tuple(data["witness"]))
+        if not isinstance(field("witness"), list):
+            raise UsageError("semigroup witness must be a list of factors")
+        return SemigroupWitness(int_field("n"), field("element"),
+                                tuple(field("witness")))
     if kind == "accumulation_witness":
-        return AccumulationWitness(data["cone"], data["conjugator"],
-                                   int(data["target_radius"]),
-                                   int(data["agree_radius"]),
-                                   int(data["resolution"]))
+        return AccumulationWitness(field("cone"), field("conjugator"),
+                                   int_field("target_radius"),
+                                   int_field("agree_radius"),
+                                   int_field("resolution"))
     if kind == "density_witness":
-        return DensityWitness(data["cone"], data["eps"],
-                              data["smaller_positive"])
+        return DensityWitness(field("cone"), field("eps"),
+                              field("smaller_positive"))
     if kind == "discreteness_pass":
-        return DiscretenessPass(data["cone"], data["eps"], int(data["radius"]))
+        return DiscretenessPass(field("cone"), field("eps"),
+                                int_field("radius"))
     if kind == "interval_closure":
-        members = tuple((m["element"], bool(m["stabilizes"]))
-                        for m in data["members"])
-        return IntervalClosureReport(data["cone"], data["element"],
-                                     int(data["radius"]), int(data["k_max"]),
-                                     members, bool(data["all_stabilize"]))
+        members = tuple((_field(m, "element"), bool(_field(m, "stabilizes")))
+                        for m in field("members"))
+        return IntervalClosureReport(field("cone"), field("element"),
+                                     int_field("radius"), int_field("k_max"),
+                                     members, bool(field("all_stabilize")))
     raise UsageError(f"unknown certificate kind {kind!r}")

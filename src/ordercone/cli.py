@@ -25,7 +25,7 @@ from .cones import (ConeOracle, DehornoyCone, DubrovinaDubrovinCone,
                     LatticeCone, compare, cone_from_json, predicate_from_json,
                     sign_text)
 from .errors import BudgetExceededError, OrderconeError, UsageError
-from .groups import BRAID, GroupContext, ball
+from .groups import GroupContext, ball
 from .lattices import (LexConeSpec, classify_density, perturb_dense)
 from .lospace import CensusQuery, census, distance
 
@@ -73,11 +73,6 @@ def parse_spec(text: str) -> LexConeSpec:
         with open(text[1:], encoding="utf-8") as handle:
             return LexConeSpec.from_json(json.load(handle))
     return LexConeSpec.from_json(json.loads(text))
-
-
-def parse_element(context: GroupContext, text: str):
-    return context.element(text if context.family == BRAID
-                           else [int(c) for c in text.split(",")])
 
 
 def emit(report, fmt: str, out_path: str | None) -> None:
@@ -256,13 +251,13 @@ def _apply_config(parser: argparse.ArgumentParser,
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "sign":
         cone = parse_cone(args.cone)
-        element = parse_element(cone.context, args.word)
+        element = cone.context.element(args.word)
         return {"sign": sign_text(cone.sign(element))}, 0
 
     if args.command == "compare":
         cone = parse_cone(args.cone)
-        left = parse_element(cone.context, args.left)
-        right = parse_element(cone.context, args.right)
+        left = cone.context.element(args.left)
+        right = cone.context.element(args.right)
         return {"relation": compare(cone, left, right)}, 0
 
     if args.command == "ball":
@@ -280,7 +275,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             return {"columns": ["radius", "count"], "rows": rows}, 0
         if args.radius is None:
             raise UsageError("census needs --radius or --radii")
-        pins = tuple(parse_element(context, p) for p in args.pin)
+        pins = tuple(context.element(p) for p in args.pin)
         vectors = census(CensusQuery(context, args.radius, pins))
         return {"count": len(vectors),
                 "vectors": [v.to_json() for v in vectors]}, 0

@@ -21,9 +21,9 @@ from functools import cached_property
 from . import intlinalg
 from .braids import BraidWord, main_sign
 from .certificates import ConvexityCertificate
-from .errors import CertificateError, ContextMismatchError, UsageError
-from .groups import (BRAID, FREE_ABELIAN, KLEIN_BOTTLE, GroupContext,
-                     GroupElement)
+from .errors import (CertificateError, ContextMismatchError, UsageError,
+                     _field, _int_field)
+from .groups import GroupContext, GroupElement
 from .lattices import LexConeSpec, _completed_transforms
 
 _SIGN_TEXT = {1: "+", 0: "0", -1: "-"}
@@ -34,52 +34,11 @@ def sign_text(s: int) -> str:
     return _SIGN_TEXT[s]
 
 
-def element_to_json(g: GroupElement):
-    if g.context.family == BRAID:
-        return g.text()
-    return list(g.payload)
-
-
-def context_to_json(ctx: GroupContext) -> dict:
-    if ctx.family == FREE_ABELIAN:
-        return {"family": ctx.family, "k": ctx.k}
-    if ctx.family == BRAID:
-        return {"family": ctx.family, "n": ctx.n}
-    return {"family": ctx.family}
-
-
-def _field(data, key: str):
-    """One field of a JSON descriptor, or UsageError if the payload is
-    not an object or lacks the field."""
-    if not isinstance(data, dict) or key not in data:
-        raise UsageError(f"descriptor {data!r} has no {key!r} field")
-    return data[key]
-
-
-def _int_field(data, key: str) -> int:
-    """An integer field; floats, strings and booleans are refused."""
-    value = _field(data, key)
-    if type(value) is not int:
-        raise UsageError(f"descriptor field {key!r} must be an integer")
-    return value
-
-
 def _sign_field(data, key: str) -> int:
     text = _field(data, key)
     if text not in ("+", "-"):
         raise UsageError(f"descriptor field {key!r} must be '+' or '-'")
     return _TEXT_SIGN[text]
-
-
-def context_from_json(data: dict) -> GroupContext:
-    family = _field(data, "family")
-    if family == FREE_ABELIAN:
-        return GroupContext.free_abelian(_int_field(data, "k"))
-    if family == BRAID:
-        return GroupContext.braid(_int_field(data, "n"))
-    if family == KLEIN_BOTTLE:
-        return GroupContext.klein_bottle()
-    raise UsageError(f"unknown group family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +145,14 @@ class LatticeSublatticePredicate(ConvexPredicate):
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        basis = tuple(tuple(int(c) for c in b) for b in self.basis)
+        try:
+            basis = tuple(tuple(b) for b in self.basis)
+        except TypeError:
+            raise UsageError("basis must be a list of integer rows") from None
         object.__setattr__(self, "basis", basis)
         for b in basis:
-            if len(b) != self.k:
-                raise UsageError("basis rows must have dimension k")
+            if len(b) != self.k or any(type(c) is not int for c in b):
+                raise UsageError("basis rows must be k integers each")
 
     @property
     def context(self) -> GroupContext:
@@ -295,7 +257,7 @@ class WholePredicate(ConvexPredicate):
         return g
 
     def to_json(self) -> dict:
-        return {"type": "whole", "group": context_to_json(self.context_data)}
+        return {"type": "whole", "group": self.context_data.to_json()}
 
     def describe(self) -> str:
         return f"all of {self.context_data!r}"
@@ -308,16 +270,14 @@ def predicate_from_json(data: dict) -> ConvexPredicate:
     if kind == "klein_y":
         return KleinYPredicate()
     if kind == "lattice_sublattice":
-        try:
-            basis = tuple(tuple(int(c) for c in b) for b in _field(data, "basis"))
-        except (TypeError, ValueError) as exc:
-            raise UsageError("basis must be a list of integer rows") from exc
-        k = len(basis[0]) if basis else int(data.get("k", 0))
+        basis = _field(data, "basis")
+        k = (len(basis[0]) if isinstance(basis, list) and basis
+             and isinstance(basis[0], list) else _int_field(data, "k"))
         return LatticeSublatticePredicate(k, basis)
     if kind == "cyclic_braid":
         return CyclicBraidPredicate(_int_field(data, "n"), _field(data, "word"))
     if kind == "whole":
-        return WholePredicate(context_from_json(_field(data, "group")))
+        return WholePredicate(GroupContext.from_json(_field(data, "group")))
     raise UsageError(f"unknown predicate type {kind!r}")
 
 
@@ -480,7 +440,7 @@ class ConjugateCone(ConeOracle):
 
     def to_json(self) -> dict:
         return {"type": "conjugate", "base": self.base.to_json(),
-                "g": element_to_json(self.h)}
+                "g": self.h.to_json()}
 
     def describe(self) -> str:
         return f"conj[{self.h.text()}]({self.base.describe()})"

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the JSON field readers that raise them.
 
 The CLI maps these onto its exit codes: usage problems exit 2, budget
 exhaustion exits 3.  A property violation discovered by a scan is not an
@@ -36,3 +36,19 @@ class CertificateError(OrderconeError):
 class CrossCheckError(OrderconeError):
     """An exact verdict and its ball-search cross-check disagreed.  Neither
     answer is trusted; the operation fails loudly instead."""
+
+
+def _field(data, key: str):
+    """One field of a JSON descriptor, or UsageError if the payload is
+    not an object or lacks the field."""
+    if not isinstance(data, dict) or key not in data:
+        raise UsageError(f"descriptor {data!r} has no {key!r} field")
+    return data[key]
+
+
+def _int_field(data, key: str) -> int:
+    """An integer field; floats, strings and booleans are refused."""
+    value = _field(data, key)
+    if type(value) is not int:
+        raise UsageError(f"descriptor field {key!r} must be an integer")
+    return value

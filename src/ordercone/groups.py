@@ -25,7 +25,8 @@ from functools import cached_property
 from . import braids
 from .braids import BraidWord
 from .budgets import current_budget
-from .errors import BudgetExceededError, ContextMismatchError, UsageError
+from .errors import (BudgetExceededError, ContextMismatchError, UsageError,
+                     _field, _int_field)
 
 FREE_ABELIAN = "free_abelian"
 BRAID = "braid"
@@ -34,7 +35,7 @@ KLEIN_BOTTLE = "klein_bottle"
 
 def _int_tuple(value) -> tuple[int, ...]:
     """A list or tuple payload of integers as a tuple, else UsageError."""
-    if isinstance(value, (list, tuple)) and all(isinstance(c, int)
+    if isinstance(value, (list, tuple)) and all(type(c) is int
                                                 for c in value):
         return tuple(value)
     raise UsageError(f"element payload {value!r} is not a list of integers")
@@ -72,6 +73,28 @@ class GroupContext:
     def klein_bottle(cls) -> "GroupContext":
         return cls(KLEIN_BOTTLE)
 
+    @classmethod
+    def from_json(cls, data) -> "GroupContext":
+        family = _field(data, "family")
+        if family == FREE_ABELIAN:
+            return cls.free_abelian(_int_field(data, "k"))
+        if family == BRAID:
+            return cls.braid(_int_field(data, "n"))
+        return cls(family)
+
+    def to_json(self) -> dict:
+        if self.family == FREE_ABELIAN:
+            return {"family": self.family, "k": self.k}
+        if self.family == BRAID:
+            return {"family": self.family, "n": self.n}
+        return {"family": self.family}
+
+    def census_limit(self) -> int:
+        """The scoped budget's census radius cap for this family."""
+        budget = current_budget()
+        return (budget.census_braid_radius if self.family == BRAID
+                else budget.census_other_radius)
+
     def identity(self) -> "GroupElement":
         if self.family == FREE_ABELIAN:
             return GroupElement(self, (0,) * self.k)
@@ -80,9 +103,9 @@ class GroupContext:
         return GroupElement(self, (0, 0))
 
     def element(self, value) -> "GroupElement":
-        """Coerce a payload into an element: coordinate tuple, Klein pair,
-        BraidWord, braid word text, or braid letter tuple.  Any other
-        payload is a UsageError."""
+        """Coerce a payload into an element: coordinate tuple or Klein pair
+        (or their comma-separated text), BraidWord, braid word text, or
+        braid letter tuple.  Any other payload is a UsageError."""
         if self.family == BRAID:
             if isinstance(value, BraidWord):
                 word = value
@@ -93,6 +116,12 @@ class GroupContext:
             if word.n != self.n:
                 raise ContextMismatchError("incompatible groups")
             return GroupElement(self, braids.free_reduce(word))
+        if isinstance(value, str):
+            try:
+                value = [int(c) for c in value.split(",")]
+            except ValueError:
+                raise UsageError(f"{value!r} is not comma-separated "
+                                 "integers") from None
         coords = _int_tuple(value)
         expected = self.k if self.family == FREE_ABELIAN else 2
         if len(coords) != expected:
@@ -152,10 +181,18 @@ class GroupElement:
         return out
 
     def inverse(self) -> "GroupElement":
-        return invert(self)
+        ctx = self.context
+        if ctx.family == FREE_ABELIAN:
+            return GroupElement(ctx, tuple(-c for c in self.payload))
+        if ctx.family == KLEIN_BOTTLE:
+            a, b = self.payload
+            return GroupElement(ctx, (-a, -b if a % 2 == 0 else b))
+        return GroupElement(ctx, self.payload.inverse())
 
     def is_identity(self) -> bool:
-        return is_identity(self)
+        if self.context.family == BRAID:
+            return braids.is_trivial(self.payload)
+        return all(c == 0 for c in self.payload)
 
     def word_length(self) -> int:
         """Length of the stored representative.  Exact for ball members;
@@ -191,6 +228,10 @@ class GroupElement:
             return self.payload.to_text()
         return ",".join(str(c) for c in self.payload)
 
+    def to_json(self):
+        """Braid word text, or the coordinate list."""
+        return self.text() if self.context.family == BRAID else list(self.payload)
+
     def __repr__(self) -> str:
         return f"<{self.context!r}: {self.text() or '1'}>"
 
@@ -206,22 +247,6 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
         a2, b2 = h.payload
         return GroupElement(ctx, (a1 + a2, (b1 if a2 % 2 == 0 else -b1) + b2))
     return GroupElement(ctx, g.payload * h.payload)
-
-
-def invert(g: GroupElement) -> GroupElement:
-    ctx = g.context
-    if ctx.family == FREE_ABELIAN:
-        return GroupElement(ctx, tuple(-c for c in g.payload))
-    if ctx.family == KLEIN_BOTTLE:
-        a, b = g.payload
-        return GroupElement(ctx, (-a, -b if a % 2 == 0 else b))
-    return GroupElement(ctx, g.payload.inverse())
-
-
-def is_identity(g: GroupElement) -> bool:
-    if g.context.family == BRAID:
-        return braids.is_trivial(g.payload)
-    return all(c == 0 for c in g.payload)
 
 
 class Ball:

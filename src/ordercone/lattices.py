@@ -28,7 +28,8 @@ from math import gcd
 
 from . import intlinalg
 from .budgets import current_budget
-from .errors import CrossCheckError, PerturbationError, UsageError
+from .errors import (CrossCheckError, PerturbationError, UsageError,
+                     _field, _int_field)
 from .quadratic import QuadScalar, quad, sqrt2_sign
 
 Vector = tuple[int, ...]
@@ -132,9 +133,9 @@ class LexConeSpec:
     def from_json(cls, data: dict) -> "LexConeSpec":
         try:
             normals = tuple(tuple(QuadScalar.from_json(entry) for entry in normal)
-                            for normal in data["normals"])
-            return cls(int(data["k"]), normals)
-        except (KeyError, TypeError) as exc:
+                            for normal in _field(data, "normals"))
+            return cls(_int_field(data, "k"), normals)
+        except TypeError as exc:
             raise UsageError(f"bad lex spec payload: {exc}") from exc
 
 

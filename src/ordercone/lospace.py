@@ -34,9 +34,9 @@ from .certificates import (AccumulationWitness, ConvexityCertificate,
                            DiscretenessPass, IntervalClosureReport,
                            SemigroupWitness)
 from .cones import (ConeOracle, ConjugateCone, ConvexPredicate,
-                    DubrovinaDubrovinCone, element_to_json, sign_text)
+                    DubrovinaDubrovinCone, sign_text)
 from .errors import (BudgetExceededError, ContextMismatchError, UsageError)
-from .groups import BRAID, Ball, GroupContext, GroupElement, ball
+from .groups import Ball, GroupContext, GroupElement, ball
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class SignVector:
 
     def to_json(self) -> dict:
         return {"radius": self.ball.radius,
-                "signs": [[element_to_json(e), sign_text(s)]
+                "signs": [[e.to_json(), sign_text(s)]
                           for e, s in zip(self.ball.elements, self.signs)]}
 
     def __eq__(self, other) -> bool:
@@ -175,9 +175,7 @@ def census(query: CensusQuery) -> list[SignVector]:
     order, + tried before -).  Solutions are re-validated independently
     after enumeration as a guard against propagation bugs.
     """
-    eff = current_budget()
-    cap = (eff.census_braid_radius if query.context.family == BRAID
-           else eff.census_other_radius)
+    cap = query.context.census_limit()
     if query.radius > cap:
         raise BudgetExceededError(
             f"census budget exceeded: radius {query.radius} > limit {cap}")
@@ -351,7 +349,7 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
             continue  # agreement to the whole resolution: inexact, unusable
         agree = probe.lengths[i] - 1
         if agree >= target_radius:
-            return AccumulationWitness(cone.to_json(), element_to_json(h),
+            return AccumulationWitness(cone.to_json(), h.to_json(),
                                        target_radius, agree, resolution)
     return None
 
@@ -382,8 +380,8 @@ def convexity_check(cone: ConeOracle, predicate: ConvexPredicate, radius: int):
             gap = inside.index(False, first)
             return ConvexityCounterexample(
                 cone.to_json(), predicate.to_json(), radius,
-                element_to_json(ordered[first]), element_to_json(ordered[gap]),
-                element_to_json(ordered[last]))
+                ordered[first].to_json(), ordered[gap].to_json(),
+                ordered[last].to_json())
     return ConvexityCertificate(cone.to_json(), predicate.to_json(), radius)
 
 
@@ -402,10 +400,9 @@ def discreteness_check(cone: ConeOracle, candidate_eps: GroupElement,
         if cone.sign(g) != 1 or g == candidate_eps:
             continue
         if cone.sign(g.inverse() * candidate_eps) == 1:
-            return DensityWitness(cone.to_json(),
-                                  element_to_json(candidate_eps),
-                                  element_to_json(g))
-    return DiscretenessPass(cone.to_json(), element_to_json(candidate_eps),
+            return DensityWitness(cone.to_json(), candidate_eps.to_json(),
+                                  g.to_json())
+    return DiscretenessPass(cone.to_json(), candidate_eps.to_json(),
                             radius)
 
 
@@ -432,8 +429,8 @@ def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
     for h in members:
         moved = _first_disagreement(ConjugateCone(cone, h), base.ball.elements,
                                     base.signs)
-        flags.append((element_to_json(h), moved is None))
-    return IntervalClosureReport(cone.to_json(), element_to_json(g), radius,
+        flags.append((h.to_json(), moved is None))
+    return IntervalClosureReport(cone.to_json(), g.to_json(), radius,
                                  k_max, tuple(flags),
                                  all(s for _, s in flags))
 
@@ -491,21 +488,21 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
                     ok = True
                     break
             if not ok:
-                conradian.append((element_to_json(g), element_to_json(h)))
+                conradian.append((g.to_json(), h.to_json()))
 
     biorder = []
     for g in elements:
         g_inverse = g.inverse()
         for h in positives:
             if cone.sign(g * h * g_inverse) == -1:
-                biorder.append((element_to_json(g), element_to_json(h)))
+                biorder.append((g.to_json(), h.to_json()))
 
     base_signs = sign_vector(cone, radius).signs
     stabilizers = []
     for g in elements:
         if _first_disagreement(ConjugateCone(cone, g), b.elements,
                                base_signs) is None:
-            stabilizers.append(element_to_json(g))
+            stabilizers.append(g.to_json())
 
     return OrderPropertyReport(radius, n_max, tuple(conradian),
                                tuple(biorder), tuple(stabilizers))

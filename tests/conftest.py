@@ -26,7 +26,6 @@ from ordercone import BraidWord, GroupContext, UsageError, ball
 from ordercone.braids import _P, _T, _TINV
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
-from ordercone.cones import element_to_json
 from ordercone.errors import ContextMismatchError
 from ordercone.groups import GroupElement
 from ordercone.lattices import (DensityReport, LexConeSpec, Vector,
@@ -205,8 +204,7 @@ def convexity_triple_scan(cone, predicate, radius):
                 if less(f, g) and less(g, h):
                     return ConvexityCounterexample(
                         cone.to_json(), predicate.to_json(), radius,
-                        element_to_json(f), element_to_json(g),
-                        element_to_json(h))
+                        f.to_json(), g.to_json(), h.to_json())
     return ConvexityCertificate(cone.to_json(), predicate.to_json(), radius)
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,11 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+_LATTICE_SPEC = json.dumps({"k": 2, "normals": [
+    [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}],
+    [{"a": "1", "b": "0"}, {"a": "0", "b": "0"}]]})
+
+
 @pytest.mark.parametrize("argv", [
     ("sign", "--cone", '{"type": "dehornoy"}', "--word", "s1"),
     ("sign", "--cone", '{"type": "klein_tararin", "sx": "x", "sy": "+"}',
@@ -112,20 +118,30 @@ def test_usage_error_exit_code(capsys):
     ("sign", "--cone", '{"type": "dehornoy", "n": "3"}', "--word", "s1"),
     ("convexity", "--cone", "dehornoy:3", "--predicate",
      '{"type": "braid_shift", "n": 3, "r": true}', "--radius", "1"),
+    ("sign", "--cone", '{"type": "conjugate", "base": {"type": '
+     '"klein_tararin", "sx": "+", "sy": "-"}, "g": [true, 1]}',
+     "--word", "0,1"),
+    ("classify", "--spec", _LATTICE_SPEC.replace('"k": 2', '"k": 2.7')),
+    ("classify", "--spec",
+     '{"k": true, "normals": [[{"a": "1", "b": "0"}]]}'),
+    ("convexity", "--cone", "lattice:" + _LATTICE_SPEC, "--predicate",
+     '{"type": "lattice_sublattice", "basis": [[1.9, 0]]}', "--radius", "1"),
+    ("ball", "--group", "z", "--radius", "1", "--budget",
+     '{"braid_ball": {"3": 6.9}}'),
+    ("ball", "--group", "z", "--radius", "1", "--budget",
+     '{"handle_steps": 1.5}'),
+    ("ball", "--group", "z", "--radius", "1", "--budget",
+     '{"census_braid_radius": true}'),
 ], ids=["cone-no-n", "klein-bad-sign", "conjugate-no-g", "predicate-list",
         "chain-object", "whole-no-n", "budget-list", "budget-ball-number",
         "basis-number", "conjugate-g-number", "n-float", "n-string",
-        "r-bool"])
+        "r-bool", "g-bool", "spec-k-float", "spec-k-bool", "basis-float",
+        "budget-ball-float", "budget-steps-float", "budget-radius-bool"])
 def test_malformed_descriptor_is_usage_error(capsys, argv):
     code = main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("usage error: ")
-
-
-_LATTICE_SPEC = json.dumps({"k": 2, "normals": [
-    [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}],
-    [{"a": "1", "b": "0"}, {"a": "0", "b": "0"}]]})
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,6 +302,52 @@ def test_budget_flag_reaches_calls_without_budget(capsys, argv, expected):
     clear_caches()  # a cached reduction would skip the handle-step limit
     code, _ = run_cli(capsys, *argv)
     assert code == expected
+
+
+_README_CHAIN = ('[{"type":"braid_shift","n":3,"r":1},'
+                 '{"type":"whole","group":{"family":"braid","n":3}}]')
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (("sign", "--cone", "dehornoy:3", "--word", "s1 S2"), 0,
+     "2a011610d06b522dd36577c20bb5db9a7c090097f324e0dbf2fd6e6014fb9e6a"),
+    (("compare", "--cone", "klein:++", "--left", "0,-1", "--right", "1,0"), 0,
+     "2d20ed0c0658b689895909a159379595c596149f2b9cfffaaf2d76f2a323c61a"),
+    (("ball", "--group", "braid:3", "--radius", "2"), 0,
+     "983b913300d9427d9f7d0870e9d7c4a19ae544b75acf284d02323ecbba99d2d7"),
+    (("census", "--group", "klein", "--radius", "2"), 0,
+     "8f7b4e0fb69faa549b770a62ecdc8628c4fc52c7f2e8cd64fc3bc247f8e0884b"),
+    (("census", "--group", "z", "--radii", "1..6", "--format", "csv"), 0,
+     "fc12a0bebba2816af79e3b69a76b67f3391ee87d3e6ca83abcfb79101e0e16ee"),
+    (("distance", "--cone-a", "klein:++", "--cone-b", "klein:+-",
+      "--resolution", "4"), 0,
+     "1616b35eb2e121b20a6de2217a2be267c352b7ab6efd1d61a4b5cd738d44e95e"),
+    (("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "6",
+      "--target-radius", "3", "--resolution", "4",
+      "--budget", '{"braid_ball": {"3": 6}}'), 0,
+     "ed03a15ffd169e81f442ee393c5d3256feb561ea43d1297e3cfc7acd400ec725"),
+    (("dd-witness", "--n", "3", "--radius", "3", "--max-len", "12"), 0,
+     "cf7c1ccf205af841f24debff4cb3e85b92d3446d87c4eebdd4760c3e3ef6075f"),
+    (("convexity", "--cone", "dehornoy:3", "--predicate",
+      '{"type": "braid_shift", "n": 3, "r": 1}', "--radius", "3"), 0,
+     "655082dccf9b01ca865579014601d99998b4fdde74b3ddd1db9eeb152858b1ed"),
+    (("classify", "--spec", '{"k":2,"normals":[[{"a":"0","b":"0"},'
+      '{"a":"1","b":"0"}],[{"a":"1","b":"0"},{"a":"0","b":"0"}]]}'), 0,
+     "f65198a668077e809de2d426abdd60623641512a28294dc762396d8f26a54a26"),
+    (("soul", "--cone", "dehornoy:3", "--radius", "3",
+      "--chain", _README_CHAIN), 0,
+     "e575f99b0ae066c803bda19491aaae1c687d1b877573d8add261069e462c5546"),
+    (("props", "--cone", "dehornoy:3", "--radius", "3"), 1,
+     "c864035f07de151de4835e486608b3a5e8a51031ed01896f141c35821cfdd35a"),
+], ids=["sign", "compare", "ball", "census", "census-csv", "distance",
+        "orbit-scan", "dd-witness", "convexity", "classify", "soul", "props"])
+def test_readme_example_report_bytes(capsys, argv, code, digest):
+    """The README's CLI examples keep their exit codes and exact report
+    bytes (sha256 of stdout); ``perturb --spec @spec.json`` is left out
+    because it reads a file."""
+    got, out = run_cli(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_report_emit_rejects_unknown_format():

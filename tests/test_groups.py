@@ -1,15 +1,17 @@
 """Element arithmetic and ball enumeration across the three families."""
 
 import random
+import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordercone import (ContextMismatchError, GroupContext, ball,
-                       budget_scope, current_budget, invert, is_identity,
-                       multiply)
+import ordercone
+from ordercone import (ContextMismatchError, GroupContext, UsageError, ball,
+                       budget_scope, current_budget, multiply)
 
 from conftest import burau_exact
 
@@ -42,13 +44,17 @@ def test_klein_group_laws(p1, p2, p3):
     klein = GroupContext.klein_bottle()
     g, h, f = (klein.element(p) for p in (p1, p2, p3))
     assert (g * h) * f == g * (h * f)
-    assert is_identity(g * invert(g))
-    assert invert(invert(g)) == g
+    assert (g * g.inverse()).is_identity()
+    assert g.inverse().inverse() == g
 
 
 def test_free_abelian_examples(z2):
     assert (z2.element((1, 2)) * z2.element((-1, 3))).payload == (0, 5)
-    assert invert(z2.element((3, -1))).payload == (-3, 1)
+    assert z2.element((3, -1)).inverse().payload == (-3, 1)
+    assert z2.element("3,-1") == z2.element((3, -1))
+    for bad in ("3,x", "3", (True, 1)):
+        with pytest.raises(UsageError):
+            z2.element(bad)
     assert GroupContext.free_abelian(3).element((0, 0, 0)).is_identity()
 
 
@@ -156,3 +162,16 @@ def test_klein_ball_closure(klein):
         prod = g * h
         if prod.word_length() <= 3 and not prod.is_identity():
             assert prod in b
+
+
+def test_only_groups_module_names_the_family():
+    """Family dispatch lives in ``groups.py``; every other module asks a
+    ``GroupContext`` or ``GroupElement`` method instead."""
+    source = Path(ordercone.__file__).parent
+    pattern = re.compile(r"\.family\b|FREE_ABELIAN|KLEIN_BOTTLE|\bBRAID\b")
+    leaks = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(source.glob("*.py"))
+             if path.name != "groups.py"
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert leaks == []

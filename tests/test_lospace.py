@@ -26,7 +26,6 @@ from ordercone.braids import clear_caches
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DensityWitness,
                                     DiscretenessPass)
-from ordercone.cones import element_to_json
 from ordercone.groups import clear_ball_cache
 
 from conftest import convexity_triple_scan
@@ -443,7 +442,7 @@ def stabilizers_oracle(cone, radius, restrict_to=None):
     """Ball elements whose full conjugate sign vector equals the cone's:
     the reference for the early-exit stabilizer pass."""
     base = sign_vector(cone, radius)
-    return tuple(element_to_json(g) for g in ball(cone.context, radius)
+    return tuple(g.to_json() for g in ball(cone.context, radius)
                  if (restrict_to is None or restrict_to.contains(g))
                  and sign_vector(ConjugateCone(cone, g), radius) == base)
 
@@ -536,6 +535,20 @@ def test_certificate_json_round_trip(b3):
     for witness in witnesses[:3]:
         again = certificate_from_json(witness.to_json())
         assert again.replay()
+
+
+@pytest.mark.parametrize("change", [
+    {"radius": 2.9}, {"kind": "semigroup_witness", "n": "3"},
+    {"kind": "semigroup_witness", "witness": "y1"}, {"cone": None},
+], ids=["radius-float", "n-string", "witness-string", "no-cone"])
+def test_certificate_from_json_refuses_malformed_fields(change):
+    data = {"kind": "convexity_pass", "cone": {"type": "dehornoy", "n": 3},
+            "predicate": {"type": "braid_shift", "n": 3, "r": 1},
+            "radius": 2, "n": 3, "element": "s1", "witness": ["y1"]}
+    data.update(change)
+    data = {k: v for k, v in data.items() if v is not None}  # None drops
+    with pytest.raises(UsageError):
+        certificate_from_json(data)
 
 
 def test_threads_from_cold_caches_agree(b3):
