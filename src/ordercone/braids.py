@@ -17,14 +17,12 @@ running out raises instead of returning a non-reduced word.
 
 A reduced (handle-free) word has its lowest occurring generator index
 appearing with a single sign, and a nonempty reduced word is never
-trivial in the group.  That turns reduction into a word-problem
-decision: ``u = v`` exactly when ``u v^{-1}`` reduces to the empty word.
-Reduction results are memoized keyed by the free-reduced letter
-sequence.  A permutation + modular-Burau fingerprint provides a cheap
-sound inequality filter and a hash for semantic deduplication.  The
-Burau part is the unreduced Burau matrix modulo the prime 2^61 - 1 at
-t = 3, built one letter at a time; a generator rewrites only two
-columns, so a word of length L costs O(L n) rather than O(L n^3).
+trivial; the Dehornoy and Dubrovina-Dubrovin signs read it.  Reduction
+results are memoized keyed by the free-reduced letter sequence.
+
+Equality and hashing use an exact key instead, ``fingerprint``: the
+Garside left normal form (Epstein et al., *Word Processing in Groups*,
+ch. 9), with each simple factor stored as its permutation.
 """
 
 from __future__ import annotations
@@ -42,16 +40,16 @@ _TOKEN = re.compile(r"^([sS])([1-9][0-9]*)$")
 # Reduction memo, keyed by (n, free-reduced letter tuple).
 _reduce_cache: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
-# Modular Burau fingerprint parameters: prime modulus, unit evaluation point.
-_P = (1 << 61) - 1
-_T = 3
-_TINV = pow(_T, _P - 2, _P)
-_ONE_MINUS_T = (1 - _T) % _P
-_ONE_MINUS_TINV = (1 - _TINV) % _P
+# Normal-form memos: interned simple factors, and left-weighted pairs.
+Simple = tuple[int, ...]
+_simples: dict[Simple, Simple] = {}
+_left_weighted: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
 
 
 def clear_caches() -> None:
     _reduce_cache.clear()
+    _left_weighted.clear()
+    _simples.clear()
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,6 @@ class BraidWord:
             object.__setattr__(self, "letters", tuple(self.letters))
 
     @classmethod
-    def identity(cls, n: int) -> "BraidWord":
-        return cls(n, ())
-
-    @classmethod
     def from_text(cls, n: int, text: str) -> "BraidWord":
         return cls(n, parse_letters(text))
 
@@ -89,13 +83,6 @@ class BraidWord:
         if self.n != other.n:
             raise ContextMismatchError("incompatible groups")
         return BraidWord(self.n, free_reduce_letters(self.letters + other.letters))
-
-    def __pow__(self, k: int) -> "BraidWord":
-        base = self if k >= 0 else self.inverse()
-        out = BraidWord.identity(self.n)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
@@ -220,19 +207,11 @@ def main_sign(word: BraidWord) -> MainSignReport:
     return MainSignReport(index, sign, reduced)
 
 
-def is_trivial(word: BraidWord) -> bool:
-    return not handle_reduce(word).letters
-
-
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:
     """Word problem: true iff ``u`` and ``v`` represent the same braid."""
     if u.n != v.n:
         raise ContextMismatchError("incompatible groups")
-    if u.letters == v.letters:
-        return True
-    if fingerprint(u) != fingerprint(v):
-        return False
-    return is_trivial(u * v.inverse())
+    return u.letters == v.letters or fingerprint(u) == fingerprint(v)
 
 
 def shift_embed(r: int, word: BraidWord, n: int) -> BraidWord:
@@ -245,40 +224,59 @@ def shift_embed(r: int, word: BraidWord, n: int) -> BraidWord:
     return BraidWord(n, shifted)
 
 
-def permutation(word: BraidWord) -> tuple[int, ...]:
-    """Image in the symmetric group, as a tuple of strand positions.
-
-    Independent of the word representative: the braid relations map to
-    the Coxeter relations of S_n.
-    """
-    perm = list(range(word.n))
-    for letter in word.letters:
-        i = abs(letter) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return tuple(perm)
+def _simple(perm) -> Simple:
+    """The interned tuple of a permutation: equal factors share memory."""
+    perm = tuple(perm)
+    return _simples.setdefault(perm, perm)
 
 
-def burau_fingerprint(word: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """Unreduced Burau matrix of the word, mod _P at t = _T, as row tuples.
+def _left_weight(a: Simple, b: Simple) -> tuple[Simple, Simple]:
+    """Simples (a', b') with a' b' = a b, left-weighted: while some s_j
+    starts b (value j + 1 before j) but does not finish a (a[j] < a[j+1]),
+    move it over: swap positions j, j + 1 of a and values j, j + 1 of b."""
+    pair = _left_weighted.get((a, b))
+    if pair is None:
+        x, y = list(a), list(b)
+        where = sorted(range(len(y)), key=y.__getitem__)  # value -> position
+        j = 0
+        while j < len(x) - 1:
+            if x[j] < x[j + 1] and where[j] > where[j + 1]:
+                x[j], x[j + 1] = x[j + 1], x[j]
+                y[where[j]], y[where[j + 1]] = j + 1, j
+                where[j], where[j + 1] = where[j + 1], where[j]
+                j = max(j - 1, 0)
+            else:
+                j += 1
+        pair = _left_weighted[(a, b)] = _simple(x), _simple(y)
+    return pair
 
-    Right-multiplying by ``s_i^{+-1}`` only rewrites columns ``i`` and
-    ``i + 1``, so the product is kept column by column at O(n) per letter.
+
+def fingerprint(word: BraidWord) -> tuple[int, tuple[Simple, ...]]:
+    """Exact key ``(p, (A_1, ..., A_r))`` of the left normal form
+    Delta^p A_1 ... A_r: equal exactly when the braids are equal.
+
+    A simple is its strand labels by position.  ``s_i^{-1}`` is Delta^{-1}
+    (Delta s_i^{-1}), and moving Delta^{-1} to the front flips the simples
+    it passes by tau: s_i -> s_{n-i}; factors are kept flipped by tau^p and
+    restored at the end.  Each new simple is left-weighted against its
+    predecessors from the right, up to the first pair that does not change.
     """
     n = word.n
-    cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]
+    identity, delta = _simple(range(n)), _simple(range(n - 1, -1, -1))
+    p, factors = 0, []
     for letter in word.letters:
-        i = abs(letter) - 1
-        left, right = cols[i], cols[i + 1]
-        if letter > 0:
-            cols[i] = [(a * _ONE_MINUS_T + b) % _P for a, b in zip(left, right)]
-            cols[i + 1] = [a * _T % _P for a in left]
-        else:
-            cols[i] = [b * _TINV % _P for b in right]
-            cols[i + 1] = [(a + b * _ONE_MINUS_TINV) % _P
-                           for a, b in zip(left, right)]
-    return tuple(zip(*cols))
-
-
-def fingerprint(word: BraidWord):
-    """Sound inequality filter: equal braids always get equal fingerprints."""
-    return permutation(word), burau_fingerprint(word)
+        p -= letter < 0
+        j = abs(letter) - 1 if p % 2 == 0 else n - 1 - abs(letter)
+        base = identity if letter > 0 else delta  # s_j, or Delta s_j^{-1}
+        factors.append(_simple(base[:j] + (base[j + 1], base[j]) + base[j + 2:]))
+        for k in range(len(factors) - 1, 0, -1):
+            a, b = _left_weight(factors[k - 1], factors[k])
+            if a == factors[k - 1]:
+                break
+            factors[k - 1], factors[k] = a, b
+        if factors[-1] == identity:
+            factors.pop()
+    if p % 2:
+        factors = [_simple(n - 1 - v for v in reversed(a)) for a in factors]
+    lead = factors.count(delta)  # Delta factors only lead a normal form
+    return p + lead, tuple(factors[lead:])

@@ -220,9 +220,12 @@ def certificate_from_json(data: dict):
         return DiscretenessPass(field("cone"), field("eps"),
                                 int_field("radius"))
     if kind == "interval_closure":
-        members = tuple((_field(m, "element"), bool(_field(m, "stabilizes")))
-                        for m in field("members"))
+        members, closed = field("members"), field("all_stabilize")
+        if not isinstance(members, list) or type(closed) is not bool or any(
+                type(_field(m, "stabilizes")) is not bool for m in members):
+            raise UsageError("malformed interval_closure members or flags")
+        members = tuple((_field(m, "element"), m["stabilizes"]) for m in members)
         return IntervalClosureReport(field("cone"), field("element"),
                                      int_field("radius"), int_field("k_max"),
-                                     members, bool(field("all_stabilize")))
+                                     members, closed)
     raise UsageError(f"unknown certificate kind {kind!r}")

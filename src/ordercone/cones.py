@@ -173,7 +173,8 @@ class LatticeSublatticePredicate(ConvexPredicate):
         return self.subgroup_context().element(tuple(coeff))
 
     def to_json(self) -> dict:
-        return {"type": "lattice_sublattice", "basis": [list(b) for b in self.basis]}
+        return {"type": "lattice_sublattice", "k": self.k,
+                "basis": [list(b) for b in self.basis]}
 
     def describe(self) -> str:
         return f"span{list(map(list, self.basis))}<=Z^{self.k}"

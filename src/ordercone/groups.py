@@ -3,16 +3,16 @@
 Three group families are supported:
 
 * free abelian lattices Z^k, elements stored as integer vectors;
-* Artin braid groups B_n, elements carrying a free-reduced word with
-  semantic equality through the word problem;
+* Artin braid groups B_n, elements carrying a free-reduced word and
+  compared through the exact key of its Garside left normal form;
 * the Klein-bottle group <x, y | x y x^-1 = y^-1>, elements in the
   normal form x^a y^b with the multiplication law
   (a1, b1)(a2, b2) = (a1 + a2, (-1)^a2 b1 + b2), derived once from the
   relator and fixed as the datum.
 
 Balls are enumerated breadth first over the standard generators and
-their inverses in a fixed letter order, deduplicating with each
-family's equality decision, so members carry shortest (for braids,
+their inverses in a fixed letter order, deduplicating by each
+element's exact key, so members carry shortest (for braids,
 BFS-first canonical) representatives and appear in a deterministic
 order: by word length, then by discovery.
 """
@@ -20,7 +20,6 @@ order: by word length, then by discovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import braids
 from .braids import BraidWord
@@ -99,7 +98,7 @@ class GroupContext:
         if self.family == FREE_ABELIAN:
             return GroupElement(self, (0,) * self.k)
         if self.family == BRAID:
-            return GroupElement(self, BraidWord.identity(self.n))
+            return GroupElement(self, BraidWord(self.n, ()))
         return GroupElement(self, (0, 0))
 
     def element(self, value) -> "GroupElement":
@@ -156,9 +155,9 @@ class GroupContext:
 class GroupElement:
     """An element of one of the supported groups in its family's form.
 
-    Equality and hashing are semantic: braid elements compare through the
-    word problem and hash through the permutation/Burau fingerprint, so
-    different words for the same braid collide as they must.
+    Equality, hashing and ``is_identity`` read one cached key: the
+    payload for Z^k and Klein, the normal-form key ``braids.fingerprint``
+    for braids, so different words for the same braid are equal.
     """
 
     context: GroupContext
@@ -190,9 +189,8 @@ class GroupElement:
         return GroupElement(ctx, self.payload.inverse())
 
     def is_identity(self) -> bool:
-        if self.context.family == BRAID:
-            return braids.is_trivial(self.payload)
-        return all(c == 0 for c in self.payload)
+        # The identity's key is all zeros: (0, ()) for braids.
+        return not any(self._key)
 
     def word_length(self) -> int:
         """Length of the stored representative.  Exact for ball members;
@@ -205,23 +203,23 @@ class GroupElement:
         """h^-1 * self * h."""
         return h.inverse() * self * h
 
-    @cached_property
-    def _fingerprint(self):
-        return braids.fingerprint(self.payload)
+    @property
+    def _key(self):
+        # Not functools.cached_property: its first-access lock slows hashing.
+        if self.context.family != BRAID:
+            return self.payload
+        key = self.__dict__.get("key")
+        if key is None:
+            key = self.__dict__["key"] = braids.fingerprint(self.payload)
+        return key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if self.context != other.context:
-            return False
-        if self.context.family == BRAID:
-            return braids.braid_equal(self.payload, other.payload)
-        return self.payload == other.payload
+        return self.context == other.context and self._key == other._key
 
     def __hash__(self) -> int:
-        if self.context.family == BRAID:
-            return hash((self.context, self._fingerprint))
-        return hash((self.context, self.payload))
+        return hash((self.context, self._key))
 
     def text(self) -> str:
         if self.context.family == BRAID:
@@ -303,8 +301,8 @@ _ball_cache: dict[tuple[GroupContext, int], Ball] = {}
 def ball(context: GroupContext, radius: int) -> Ball:
     """Enumerate the Cayley ball of the given radius.
 
-    Braid balls are capped by the budget because deduplication costs a
-    word-problem call per candidate collision.
+    Braid balls are capped by the budget because they grow exponentially
+    and every candidate computes its normal-form key.
     """
     if radius < 0:
         raise UsageError("ball radius must be nonnegative")

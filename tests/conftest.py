@@ -2,10 +2,9 @@
 
 The exact Burau matrix over Z[t, 1/t] is a faithful representation of
 the 3-strand braid group, so it decides equality there without touching
-the reduction machinery under test.  Laurent polynomials are dicts
-degree -> coefficient with zero coefficients dropped.  The dense
-modular Burau product is the reference for the fingerprint's
-column-update product.
+the normal-form keys or the reduction machinery under test.  Laurent
+polynomials are dicts degree -> coefficient with zero coefficients
+dropped.
 
 The lattice ball-search density oracle decides dense/discrete by
 enumerating lattice shells, independently of the exact recursion in
@@ -23,7 +22,6 @@ import random
 import pytest
 
 from ordercone import BraidWord, GroupContext, UsageError, ball
-from ordercone.braids import _P, _T, _TINV
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
 from ordercone.errors import ContextMismatchError
@@ -100,42 +98,6 @@ def braids_equal_oracle(u: BraidWord, v: BraidWord) -> bool:
     """Independent equality decision, valid for 3-strand braids only."""
     assert u.n == v.n == 3, "the Burau oracle is only faithful for B_3"
     return burau_exact(u) == burau_exact(v)
-
-
-def _burau_generator(n: int, letter: int) -> tuple[tuple[int, ...], ...]:
-    """Unreduced Burau matrix of one generator, mod _P at t = _T."""
-    i = abs(letter) - 1
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    if letter > 0:
-        rows[i][i] = (1 - _T) % _P
-        rows[i][i + 1] = _T % _P
-        rows[i + 1][i] = 1
-        rows[i + 1][i + 1] = 0
-    else:
-        rows[i][i] = 0
-        rows[i][i + 1] = 1
-        rows[i + 1][i] = _TINV
-        rows[i + 1][i + 1] = (1 - _TINV) % _P
-    return tuple(tuple(r) for r in rows)
-
-
-def _matmul(a: tuple[tuple[int, ...], ...],
-            b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    size = len(a)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(row[t] * col[t] for t in range(size)) % _P for col in cols)
-        for row in a)
-
-
-def burau_dense(word: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """Modular Burau matrix by one dense n x n product per letter: the
-    reference for the column-update ``braids.burau_fingerprint``."""
-    n = word.n
-    matrix = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-    for letter in word.letters:
-        matrix = _matmul(matrix, _burau_generator(n, letter))
-    return matrix
 
 
 def _positive_below(spec: LexConeSpec, bound: Vector,

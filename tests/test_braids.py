@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from ordercone import (BraidWord, BudgetExceededError, UsageError,
                        braid_equal, budget_scope, current_budget,
                        free_reduce, handle_reduce, main_sign, shift_embed)
-from ordercone.braids import (burau_fingerprint, fingerprint, parse_letters,
-                               permutation)
+from ordercone import braids
+from ordercone.braids import clear_caches, fingerprint, parse_letters
 
-from conftest import (braids_equal_oracle, burau_dense, random_positive_word,
-                      random_word)
+from conftest import braids_equal_oracle, random_positive_word, random_word
 
 
 def w3(text: str) -> BraidWord:
@@ -80,8 +79,6 @@ def test_main_sign_examples():
 
 def test_braid_equal_examples():
     assert braid_equal(w3("s1 s2 s1"), w3("s2 s1 s2"))
-    # Permutation images differ, so the words cannot be equal.
-    assert permutation(w3("s1 s2")) != permutation(w3("s2 s1"))
     assert not braid_equal(w3("s1 s2"), w3("s2 s1"))
     assert braid_equal(w3(""), w3("s1 S1"))
 
@@ -103,8 +100,8 @@ def test_reduction_sound_against_burau():
 
 
 def test_reduction_soundness_b4():
-    # braid_equal is itself reduction based, but agreement between the
-    # reduced form and the original word is still a consistency check.
+    # braid_equal compares Garside normal-form keys, so this checks each
+    # reduction against a decision that shares no code with it.
     rng = random.Random(606)
     for _ in range(150):
         word = random_word(rng, 4, 10)
@@ -156,26 +153,71 @@ def test_equal_words_share_fingerprint():
         assert fingerprint(word) == fingerprint(handle_reduce(word))
 
 
+def _relator(draw, n: int) -> tuple[int, ...]:
+    """A cyclic rotation of a defining relator of B_n, or its inverse."""
+    i = draw(st.integers(1, n - 1))
+    kinds = ["free"] + (["braid"] if i < n - 1 else []) + (
+        ["far"] if i < n - 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "free":
+        rel = (i, -i)
+    elif kind == "braid":
+        rel = (i, i + 1, i, -(i + 1), -i, -(i + 1))
+    else:
+        j = draw(st.integers(i + 2, n - 1))
+        rel = (i, j, -i, -j)
+    shift = draw(st.integers(0, len(rel) - 1))
+    rel = rel[shift:] + rel[:shift]
+    return rel if draw(st.booleans()) else tuple(-l for l in reversed(rel))
+
+
 @st.composite
-def braid_words(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    letter = st.integers(min_value=1, max_value=n - 1).flatmap(
-        lambda i: st.sampled_from((i, -i)))
-    return BraidWord(n, tuple(draw(st.lists(letter, max_size=80))))
+def word_pairs(draw, lo: int, hi: int):
+    """(u, v) in B_n, n in [lo, hi]: v is u with relators inserted (the
+    same braid) or an independent word (usually a different one)."""
+    n = draw(st.integers(lo, hi))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    u = tuple(draw(st.lists(letter, max_size=12)))
+    if draw(st.booleans()):
+        v = u
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(v)))
+            v = v[:at] + _relator(draw, n) + v[at:]
+    else:
+        v = tuple(draw(st.lists(letter, max_size=12)))
+    return BraidWord(n, u), BraidWord(n, v)
 
 
-@given(braid_words())
-def test_column_update_fingerprint_matches_dense_product(word):
-    assert burau_fingerprint(word) == burau_dense(word)
+@given(word_pairs(3, 3))
+def test_key_decides_equality_against_burau_b3(pair):
+    u, v = pair
+    assert (fingerprint(u) == fingerprint(v)) == braids_equal_oracle(u, v)
 
 
-def test_permutation_consistency():
-    rng = random.Random(31337)
-    for _ in range(150):
-        u = random_word(rng, 4, 8)
-        v = random_word(rng, 4, 8)
-        if braid_equal(u, v):
-            assert permutation(u) == permutation(v)
+@given(word_pairs(4, 6))
+def test_key_decides_equality_against_reduction(pair):
+    u, v = pair
+    trivial = not handle_reduce(u * v.inverse()).letters
+    assert (fingerprint(u) == fingerprint(v)) == trivial
+
+
+@given(word_pairs(2, 6), st.data())
+def test_key_invariant_under_relator_insertion(pair, data):
+    u, _ = pair
+    at = data.draw(st.integers(0, len(u)))
+    rel = _relator(data.draw, u.n)
+    v = BraidWord(u.n, u.letters[:at] + rel + u.letters[at:])
+    assert fingerprint(u) == fingerprint(v)
+
+
+def test_clear_caches_resets_every_braid_memo():
+    word = BraidWord(4, (1, -2, 3, 2, -1, -3, 2))
+    handle_reduce(word)
+    fingerprint(word)
+    memos = (braids._reduce_cache, braids._left_weighted, braids._simples)
+    assert all(memos)
+    clear_caches()
+    assert not any(memos)
 
 
 def test_subword_property_sample():

@@ -238,3 +238,11 @@ def test_serialization_round_trip(b3, klein):
                       LatticeSublatticePredicate(2, ((1, 2),)),
                       CyclicBraidPredicate(3, "s1"), WholePredicate(klein)):
         assert predicate_from_json(predicate.to_json()) == predicate
+
+
+@pytest.mark.parametrize("basis", [(), ((1, 2),)], ids=["empty", "rank-1"])
+def test_lattice_sublattice_round_trip_keeps_k(basis):
+    predicate = LatticeSublatticePredicate(2, basis)
+    data = predicate.to_json()
+    assert data["k"] == 2
+    assert predicate_from_json(data) == predicate

@@ -196,11 +196,13 @@ def test_dd_witness_budget():
 
 @pytest.mark.parametrize("call", [
     lambda: sign_vector(DehornoyCone(3), 4),
-    lambda: dd_isolation_witnesses(3, 3, 12),
-    lambda: census(CensusQuery(GroupContext.braid(3), 3)),
-], ids=["sign-vector", "dd-witness", "census"])
+    lambda: dd_isolation_witnesses(3, 4, 14),
+    lambda: convexity_check(DehornoyCone(3), BraidShiftPredicate(3, 1), 3),
+], ids=["sign-vector", "dd-witness", "convexity"])
 def test_budget_scope_reaches_handle_reduction(call):
-    # Cached reductions and balls would skip the handle-step limit.
+    # Cached reductions and balls would skip the handle-step limit.  Each
+    # call reduces through a cone sign or a shift predicate; ball building
+    # and equality use normal-form keys and reduce nothing.
     clear_caches()
     clear_ball_cache()
     with budget_scope(current_budget().with_overrides({"handle_steps": 1})):
@@ -536,15 +538,27 @@ def test_certificate_json_round_trip(b3):
         again = certificate_from_json(witness.to_json())
         assert again.replay()
 
+    report = interval_closure(DehornoyCone(3), b3.element("s2"), 2, 4)
+    assert certificate_from_json(report.to_json()) == report
+
+
+_CLOSURE = {"kind": "interval_closure"}
+
 
 @pytest.mark.parametrize("change", [
     {"radius": 2.9}, {"kind": "semigroup_witness", "n": "3"},
     {"kind": "semigroup_witness", "witness": "y1"}, {"cone": None},
-], ids=["radius-float", "n-string", "witness-string", "no-cone"])
+    {**_CLOSURE, "all_stabilize": "false"},
+    {**_CLOSURE, "members": [{"element": "s1", "stabilizes": "no"}]},
+    {**_CLOSURE, "members": 5},
+], ids=["radius-float", "n-string", "witness-string", "no-cone",
+        "all-stabilize-string", "stabilizes-string", "members-int"])
 def test_certificate_from_json_refuses_malformed_fields(change):
     data = {"kind": "convexity_pass", "cone": {"type": "dehornoy", "n": 3},
             "predicate": {"type": "braid_shift", "n": 3, "r": 1},
-            "radius": 2, "n": 3, "element": "s1", "witness": ["y1"]}
+            "radius": 2, "n": 3, "element": "s1", "witness": ["y1"],
+            "k_max": 4, "members": [{"element": "s1", "stabilizes": True}],
+            "all_stabilize": True}
     data.update(change)
     data = {k: v for k, v in data.items() if v is not None}  # None drops
     with pytest.raises(UsageError):
