@@ -411,7 +411,8 @@ class LatticeCone(ConeOracle):
         return GroupContext.free_abelian(self.spec.k)
 
     def _sign(self, g: GroupElement) -> int:
-        return self.spec.sign(g.payload)
+        # sign() has checked the context; payloads are k-tuples of ints.
+        return self.spec._sign(g.payload)
 
     def to_json(self) -> dict:
         return {"type": "lattice", "spec": self.spec.to_json()}

@@ -37,7 +37,7 @@ def _int_tuple(value) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)) and all(type(c) is int
                                                 for c in value):
         return tuple(value)
-    raise UsageError(f"element payload {value!r} is not a list of integers")
+    raise UsageError(f"{value!r} is not a list of integers")
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,10 @@ class GroupElement:
             return self.payload
         key = self.__dict__.get("key")
         if key is None:
-            key = self.__dict__["key"] = braids.fingerprint(self.payload)
+            p, factors = braids.fingerprint(self.payload)
+            # p zigzagged onto 0, 1, 2, ...: CPython hashes -1 like -2.
+            key = (2 * p if p >= 0 else -2 * p - 1, factors)
+            self.__dict__["key"] = key
         return key
 
     def __eq__(self, other) -> bool:

@@ -30,6 +30,7 @@ from . import intlinalg
 from .budgets import current_budget
 from .errors import (CrossCheckError, PerturbationError, UsageError,
                      _field, _int_field)
+from .groups import GroupContext, _int_tuple, ball
 from .quadratic import QuadScalar, quad, sqrt2_sign
 
 Vector = tuple[int, ...]
@@ -43,7 +44,7 @@ _WITNESS_RADIUS = {2: 12, 3: 6}
 
 
 def _as_vector(v, k: int) -> Vector:
-    vec = tuple(int(c) for c in v)
+    vec = _int_tuple(v)
     if len(vec) != k:
         raise UsageError(f"expected a vector of dimension {k}, got {len(vec)}")
     return vec
@@ -116,10 +117,15 @@ class LexConeSpec:
         return out
 
     def sign(self, v) -> int:
-        v = _as_vector(v, self.k)
+        return self._sign(_as_vector(v, self.k))
+
+    def _sign(self, v: Vector) -> int:
+        """``sign`` of a vector already known to be a tuple of k ints."""
         for a_row, b_row in self._int_normals:
-            a = sum(x * c for x, c in zip(a_row, v))
-            b = sum(x * c for x, c in zip(b_row, v))
+            a = b = 0
+            for x, y, c in zip(a_row, b_row, v):
+                a += x * c
+                b += y * c
             if a or b:
                 return sqrt2_sign(a, b)
         return 0
@@ -143,7 +149,7 @@ def compare_vectors(spec: LexConeSpec, u, v) -> int:
     """Sign of v - u: positive when u < v in the order."""
     u = _as_vector(u, spec.k)
     v = _as_vector(v, spec.k)
-    return spec.sign(tuple(b - a for a, b in zip(u, v)))
+    return spec._sign(tuple(b - a for a, b in zip(u, v)))
 
 
 @dataclass(frozen=True)
@@ -231,9 +237,10 @@ def least_positive_in_ball(spec: LexConeSpec, radius: int) -> Vector | None:
     best: Vector | None = None
     for norm in range(1, radius + 1):
         for v in iter_lattice_shell(spec.k, norm):
-            if spec.sign(v) != 1:
+            if spec._sign(v) != 1:
                 continue
-            if best is None or compare_vectors(spec, v, best) == 1:
+            if best is None or spec._sign(
+                    tuple(b - a for a, b in zip(v, best))) == 1:
                 best = v
     return best
 
@@ -256,7 +263,8 @@ def classify_density(spec: LexConeSpec) -> DensityReport:
         if window_min != least:
             raise CrossCheckError(
                 f"exact least {least} disagrees with ball search {window_min}")
-    elif window_min is not None and compare_vectors(spec, window_min, least) == 1:
+    elif window_min is not None and spec._sign(
+            tuple(b - a for a, b in zip(window_min, least))) == 1:
         raise CrossCheckError(
             f"ball search found {window_min} below the exact least {least}")
     return DensityReport("discrete", least, "exact-recursive")
@@ -291,10 +299,12 @@ def perturb_dense(spec: LexConeSpec, required_positive) -> PerturbationResult:
     """
     required = [_as_vector(g, spec.k) for g in required_positive]
     for g in required:
-        if spec.sign(g) != 1:
+        if spec._sign(g) != 1:
             raise UsageError(f"required vector {g} is not positive under the spec")
     first = spec.normals[0]
-    witness_radius = _WITNESS_RADIUS.get(spec.k, 6)
+    # Difference-witness probe, built at the first candidate that needs
+    # it: ball vectors in ball order, each signed once under the input.
+    probe = None
     for j in range(spec.k):
         if any(first[p].b != 0 for p in range(spec.k) if p != j):
             continue  # another entry is already irrational; j cannot work
@@ -311,25 +321,20 @@ def perturb_dense(spec: LexConeSpec, required_positive) -> PerturbationResult:
                 candidate = LexConeSpec(spec.k, (tuple(entries),))
             except UsageError:
                 break  # validity is delta-independent for fixed j
-            if (all(candidate.sign(g) == 1 for g in required)
+            if (all(candidate._sign(g) == 1 for g in required)
                     and classify_density(candidate).verdict == "dense"):
-                witness = _difference_witness(spec, candidate, witness_radius)
+                if probe is None:
+                    probe = [(e.payload, spec._sign(e.payload)) for e in ball(
+                        GroupContext.free_abelian(spec.k),
+                        _WITNESS_RADIUS.get(spec.k, 6))]
+                witness = next((v for v, s in probe
+                                if candidate._sign(v) != s), None)
                 if witness is not None:
                     return PerturbationResult(candidate, witness, j + 1, delta)
             delta /= 2
     raise PerturbationError(
         "perturbation failed: no admissible tilt at the configured precision "
         f"(k = {spec.k}; dense single-normal specs over Q(sqrt 2) need k = 2)")
-
-
-def _difference_witness(old: LexConeSpec, new: LexConeSpec,
-                        radius: int) -> Vector | None:
-    from .groups import GroupContext, ball
-    for element in ball(GroupContext.free_abelian(old.k), radius):
-        v = element.payload
-        if old.sign(v) != new.sign(v):
-            return v
-    return None
 
 
 @dataclass(frozen=True)
@@ -385,7 +390,7 @@ def extend_by_quotient(inner: LexConeSpec | None, basis,
     its coset first and within L only when the coset is trivial.  An
     empty basis (trivial L) returns ``outer`` unchanged.
     """
-    basis = [tuple(int(c) for c in b) for b in basis]
+    basis = list(basis)
     if not basis:
         return outer
     k = len(basis[0])

@@ -207,15 +207,31 @@ def _seeded_spec(rng, k, irrational_share=0.4):
             continue
 
 
+def _criterion_11_inputs():
+    """Criterion 11's seeded inputs: 50 specs to classify (Z^2 and Z^3
+    alternating), then an endless stream of (spec, pins) to perturb."""
+    rng = random.Random(0xACCE9711)
+    specs = [_seeded_spec(rng, 2 if trial % 2 == 0 else 3)
+             for trial in range(50)]
+
+    def perturbation_inputs():
+        while True:
+            spec = _seeded_spec(rng, 2, irrational_share=0.2)
+            if sum(1 for e in spec.normals[0] if e.b != 0) > 1:
+                continue
+            yield spec, [g for g in ((rng.randint(-2, 2), rng.randint(-2, 2))
+                                     for _ in range(3)) if spec.sign(g) == 1]
+
+    return specs, perturbation_inputs()
+
+
 def test_criterion_11_lattice_pipeline():
     with criterion(11, "lattice pipeline: 50 seeded specs agree with ball "
                        "search; perturbations keep pins, go dense, and "
                        "carry witnesses", 120.0):
-        rng = random.Random(0xACCE9711)
+        specs, perturbation_inputs = _criterion_11_inputs()
         verdicts = {"dense": 0, "discrete": 0}
-        for trial in range(50):
-            k = 2 if trial % 2 == 0 else 3
-            spec = _seeded_spec(rng, k)
+        for spec in specs:
             exact = classify_density(spec)
             verdicts[exact.verdict] += 1
             if exact.verdict == "dense":
@@ -237,11 +253,7 @@ def test_criterion_11_lattice_pipeline():
 
         perturbed = 0
         while perturbed < 50:
-            spec = _seeded_spec(rng, 2, irrational_share=0.2)
-            if sum(1 for e in spec.normals[0] if e.b != 0) > 1:
-                continue
-            required = [g for g in ((rng.randint(-2, 2), rng.randint(-2, 2))
-                                    for _ in range(3)) if spec.sign(g) == 1]
+            spec, required = next(perturbation_inputs)
             try:
                 result = perturb_dense(spec, required)
             except PerturbationError:
@@ -250,6 +262,25 @@ def test_criterion_11_lattice_pipeline():
             assert classify_density(result.spec).verdict == "dense"
             assert spec.sign(result.witness) != result.spec.sign(result.witness)
             perturbed += 1
+
+
+def test_perturbation_witness_is_first_ball_disagreement():
+    # Slow oracle for the perturbation witness: the first vector of the
+    # radius-12 Z^2 ball, in ball order, on which the public signs of
+    # the input and the result disagree.
+    z2_ball = ball(GroupContext.free_abelian(2), 12)
+    _, perturbation_inputs = _criterion_11_inputs()
+    checked = 0
+    while checked < 20:
+        spec, required = next(perturbation_inputs)
+        try:
+            result = perturb_dense(spec, required)
+        except PerturbationError:
+            continue
+        assert result.witness == next(
+            e.payload for e in z2_ball
+            if spec.sign(e.payload) != result.spec.sign(e.payload))
+        checked += 1
 
 
 def _cone_pools(rng):

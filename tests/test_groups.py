@@ -83,6 +83,15 @@ def test_ball_counts():
     assert len(ball(GroupContext.free_abelian(3), 2)) == 24
 
 
+def test_braid_ball_hashes_are_distinct(b3):
+    # Keys differing only in p = -1 against p = -2 once shared a hash,
+    # because CPython hashes -1 like -2.
+    b = ball(b3, 4)
+    assert len(b) == 114
+    assert len({hash(e) for e in b}) == 114
+    assert b3.identity().is_identity()
+
+
 def test_braid_ball_against_burau_oracle(b3):
     # Independent count: dedupe all words of length <= 2 by exact Burau.
     words = set()

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ordercone import (GroupContext, LatticeCone, LexConeSpec,
                        PerturbationError, UsageError, ball, budget_scope,
@@ -34,6 +37,59 @@ def test_lex_sign_examples():
     assert STD2.sign((0, 0)) == 0
     with pytest.raises(UsageError):
         STD2.sign((1, 2, 3))
+    # Entries are never truncated: (0.5, -3) is positive, (0, -3) negative.
+    with pytest.raises(UsageError):
+        spec_of(2, (1, 0), (0, 1)).sign((0.5, -3))
+
+
+_LINE = spec_of(1, (1,))
+VECTOR_ARGUMENTS = {
+    "sign": lambda v: STD2.sign(v),
+    "compare-u": lambda v: compare_vectors(STD2, v, (0, 1)),
+    "compare-v": lambda v: compare_vectors(STD2, (0, 1), v),
+    "perturb-pin": lambda v: perturb_dense(STD2, [v]),
+    "saturate": lambda v: saturate(2, [v]),
+    "restrict": lambda v: restrict_to_sublattice(STD2, [v]),
+    "extend": lambda v: extend_by_quotient(_LINE, [v], _LINE),
+}
+
+
+@pytest.mark.parametrize("entry", [0.5, "2", True],
+                         ids=["float", "str", "bool"])
+@pytest.mark.parametrize("call", sorted(VECTOR_ARGUMENTS))
+def test_lattice_vectors_take_int_entries_only(call, entry):
+    # (entry, 1) is positive, saturated and valid once coerced to int,
+    # so only the entry type can refuse it.
+    with pytest.raises(UsageError, match="not a list of integers"):
+        VECTOR_ARGUMENTS[call]((entry, 1))
+
+
+# Small parts make ties on the leading normals common in the unit box.
+_quad_parts = st.one_of(st.integers(min_value=-1, max_value=1),
+                        st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=3))
+_quad_entries = st.builds(quad, _quad_parts, _quad_parts)
+
+
+@st.composite
+def lex_specs(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    normals = draw(st.lists(st.tuples(*[_quad_entries] * k),
+                            min_size=1, max_size=k))
+    try:
+        return LexConeSpec(k, tuple(normals))
+    except UsageError:
+        assume(False)
+
+
+@given(lex_specs())
+def test_trusted_sign_matches_first_nonzero_exact_dot(spec):
+    # Slow oracle: exact Q(sqrt 2) dots against the unscaled normals,
+    # over every vector of the box [-1, 1]^k.
+    for v in product((-1, 0, 1), repeat=spec.k):
+        dots = (spec.dot(i, v) for i in range(len(spec.normals)))
+        expected = next((d.sign() for d in dots if not d.is_zero()), 0)
+        assert spec._sign(v) == expected, v
 
 
 def test_spec_validation():
