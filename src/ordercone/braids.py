@@ -13,7 +13,11 @@ and drops the outer pair.  We always rewrite the handle that *closes
 earliest* in the word; that handle cannot contain a nested handle, so
 the rewrite is permitted and the known termination argument applies.  The
 current budget's ``handle_steps`` caps the rewrites regardless, and
-running out raises instead of returning a non-reduced word.
+running out raises instead of returning a non-reduced word.  After a
+rewrite only the junction is free-reduced again, and the scan resumes
+where the word first changed: the prefix before it holds no handle (one
+would have closed earlier), so every rewrite and result is the one a
+rescan from the start would give.
 
 A reduced (handle-free) word has its lowest occurring generator index
 appearing with a single sign, and a nonempty reduced word is never
@@ -62,12 +66,12 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise UsageError(f"braid group needs n >= 2 strands, got {self.n}")
+        if not isinstance(self.letters, tuple):
+            object.__setattr__(self, "letters", tuple(self.letters))
         for letter in self.letters:
             if type(letter) is not int or not 1 <= abs(letter) <= self.n - 1:
                 raise UsageError(
                     f"letter {letter} out of range for {self.n} strands")
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
 
     @classmethod
     def from_text(cls, n: int, text: str) -> "BraidWord":
@@ -121,12 +125,16 @@ def format_letters(letters: Letters) -> str:
 
 
 def free_reduce_letters(letters: Letters) -> tuple[int, ...]:
+    """Cancel adjacent inverse pairs; a tuple with nothing to cancel is
+    returned itself, so memo keys share the caller's tuple."""
     out: list[int] = []
     for letter in letters:
         if out and out[-1] == -letter:
             out.pop()
         else:
             out.append(letter)
+    if len(out) == len(letters) and isinstance(letters, tuple):
+        return letters
     return tuple(out)
 
 
@@ -135,57 +143,72 @@ def free_reduce(word: BraidWord) -> BraidWord:
     return BraidWord(word.n, free_reduce_letters(word.letters))
 
 
-def _find_handle(letters: list[int], n: int) -> tuple[int, int] | None:
-    """Position pair (p, q) of the earliest-closing handle, or None.
-
-    ``last[i]`` tracks the most recent occurrence of index ``i`` that has
-    not been separated from the scan point by any index ``< i``; a letter
-    of index ``j`` therefore invalidates the entries above ``j``.
-    """
-    last: list[int | None] = [None] * (n + 1)
-    for q, letter in enumerate(letters):
-        j = abs(letter)
-        for i in range(j + 1, n):
-            last[i] = None
-        p = last[j]
-        if p is not None and letters[p] == -letter:
-            return p, q
-        last[j] = q
-    return None
-
-
 def handle_reduce_letters(n: int, letters: Letters) -> tuple[int, ...]:
-    """Handle-free word equivalent to ``letters`` in the braid group B_n."""
+    """Handle-free word equivalent to ``letters`` in the braid group B_n.
+
+    ``last[i]`` is the latest scanned position of index ``i`` with no
+    smaller index after it.  A rewrite pushes the new interior and the
+    tail's junction onto the stack ``word[:p]`` with cancellation; the scan
+    resumes at ``low``, the shortest the stack got, with ``last`` rebuilt.
+    """
     key = (n, free_reduce_letters(letters))
     cached = _reduce_cache.get(key)
     if cached is not None:
         return cached
     limit = current_budget().handle_steps
     word = list(key[1])
-    steps = 0
-    while True:
-        found = _find_handle(word, n)
-        if found is None:
-            result = tuple(word)
-            _reduce_cache[key] = result
-            _reduce_cache[(n, result)] = result
-            return result
+    unset: list[int | None] = [None] * n
+    last = unset[:]
+    q = steps = 0
+    while q < len(word):
+        letter = word[q]
+        i = abs(letter)
+        last[i + 1:] = unset[i + 1:]
+        p = last[i]
+        if p is None or word[p] != -letter:
+            last[i] = q
+            q += 1
+            continue
         steps += 1
         if steps > limit:
             raise BudgetExceededError(
                 f"reduction budget exceeded after {limit} steps")
-        p, q = found
-        opener = word[p]
-        i = abs(opener)
-        e = 1 if opener > 0 else -1
+        e = -1 if letter > 0 else 1  # the opener is s_i^e
         replacement: list[int] = []
-        for letter in word[p + 1:q]:
-            if abs(letter) == i + 1:
-                d = 1 if letter > 0 else -1
+        for x in word[p + 1:q]:
+            if abs(x) == i + 1:
+                d = 1 if x > 0 else -1
                 replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
             else:
-                replacement.append(letter)
-        word = list(free_reduce_letters(word[:p] + replacement + word[q + 1:]))
+                replacement.append(x)
+        tail = word[q + 1:]
+        del word[p:]
+        low = p
+        for x in replacement:
+            if word and word[-1] == -x:
+                word.pop()
+                low = min(low, len(word))
+            else:
+                word.append(x)
+        k = 0  # the tail is free-reduced: only its junction can cancel
+        while k < len(tail) and word and word[-1] == -tail[k]:
+            word.pop()
+            k += 1
+        low = min(low, len(word))
+        word += tail[k:]
+        last = unset[:]
+        lowest = n
+        for k in range(low - 1, -1, -1):
+            i = abs(word[k])
+            if i < lowest:
+                last[i], lowest = k, i
+                if i == 1:
+                    break
+        q = low
+    result = tuple(word) if steps else key[1]
+    _reduce_cache[key] = result
+    _reduce_cache[(n, result)] = result
+    return result
 
 
 def handle_reduce(word: BraidWord) -> BraidWord:

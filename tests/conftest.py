@@ -13,6 +13,11 @@ enumerating lattice shells, independently of the exact recursion in
 The convexity triple scan tests every member pair against every outside
 element of the ball, O(|B|^3) comparisons; it is the reference for the
 sorted-ball ``lospace.convexity_check``.
+
+The handle-reduction oracle rescans the whole word for the
+earliest-closing handle and free-reduces the whole word after every
+rewrite; it is the reference for ``braids.handle_reduce_letters``, which
+resumes at the rewrite junction instead.
 """
 
 from __future__ import annotations
@@ -98,6 +103,55 @@ def braids_equal_oracle(u: BraidWord, v: BraidWord) -> bool:
     """Independent equality decision, valid for 3-strand braids only."""
     assert u.n == v.n == 3, "the Burau oracle is only faithful for B_3"
     return burau_exact(u) == burau_exact(v)
+
+
+def _free_reduce(letters) -> list[int]:
+    out: list[int] = []
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return out
+
+
+def _find_handle(letters: list[int], n: int) -> tuple[int, int] | None:
+    """Position pair (p, q) of the earliest-closing handle, or None.
+
+    ``last[i]`` tracks the most recent occurrence of index ``i`` that has
+    not been separated from the scan point by any index ``< i``; a letter
+    of index ``j`` therefore invalidates the entries above ``j``.
+    """
+    last: list[int | None] = [None] * (n + 1)
+    for q, letter in enumerate(letters):
+        j = abs(letter)
+        for i in range(j + 1, n):
+            last[i] = None
+        p = last[j]
+        if p is not None and letters[p] == -letter:
+            return p, q
+        last[j] = q
+    return None
+
+
+def handle_reduce_oracle(n: int, letters) -> tuple[tuple[int, ...], int]:
+    """(handle-free word, rewrite count): rewrite the earliest-closing
+    handle, then rescan and free-reduce the whole word, until none is left."""
+    word = _free_reduce(letters)
+    steps = 0
+    while (found := _find_handle(word, n)) is not None:
+        steps += 1
+        p, q = found
+        i, e = abs(word[p]), 1 if word[p] > 0 else -1
+        replacement: list[int] = []
+        for letter in word[p + 1:q]:
+            if abs(letter) == i + 1:
+                d = 1 if letter > 0 else -1
+                replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
+            else:
+                replacement.append(letter)
+        word = _free_reduce(word[:p] + replacement + word[q + 1:])
+    return tuple(word), steps
 
 
 def _positive_below(spec: LexConeSpec, bound: Vector,

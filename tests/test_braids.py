@@ -3,16 +3,18 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercone import (BraidWord, BudgetExceededError, UsageError,
-                       braid_equal, budget_scope, current_budget,
+from ordercone import (BraidWord, BudgetExceededError, GroupContext,
+                       UsageError, braid_equal, budget_scope, current_budget,
                        free_reduce, handle_reduce, main_sign, shift_embed)
 from ordercone import braids
-from ordercone.braids import clear_caches, fingerprint, parse_letters
+from ordercone.braids import (clear_caches, fingerprint, free_reduce_letters,
+                              handle_reduce_letters, parse_letters)
 
-from conftest import braids_equal_oracle, random_positive_word, random_word
+from conftest import (braids_equal_oracle, handle_reduce_oracle,
+                      random_positive_word, random_word)
 
 
 def w3(text: str) -> BraidWord:
@@ -33,6 +35,28 @@ def test_parse_and_format():
 def test_braid_word_rejects_bad_letters(letter):
     with pytest.raises(UsageError):
         BraidWord(3, (1, letter))
+
+
+def test_braid_word_reads_letters_from_any_iterable():
+    assert BraidWord(3, (x for x in (1, 2))).letters == (1, 2)
+    assert BraidWord(3, [1, -2]).letters == (1, -2)
+    with pytest.raises(UsageError):
+        BraidWord(3, (x for x in (1, 3)))
+
+
+def test_free_reduce_letters_returns_a_reduced_tuple_itself():
+    letters = (1, 2, -1)
+    assert free_reduce_letters(letters) is letters
+    from_list = free_reduce_letters([1, 2, -1])
+    assert type(from_list) is tuple and from_list == letters
+    assert free_reduce_letters((1, 2, -2, 1)) == (1, 1)
+    assert free_reduce_letters([2, -1, 1, -2]) == ()
+    # The reduction memo keys the element's own letters, not a copy.
+    clear_caches()
+    letters = GroupContext.braid(3).element([1, 2, -1]).payload.letters
+    assert handle_reduce_letters(3, letters) == (-2, 1, 2)
+    key = next(k for k in braids._reduce_cache if k == (3, letters))
+    assert key[1] is letters
 
 
 def test_free_reduce_examples():
@@ -64,6 +88,31 @@ def test_handle_reduce_budget_error():
     with budget_scope(current_budget().with_overrides({"handle_steps": 1})):
         with pytest.raises(BudgetExceededError):
             handle_reduce(BraidWord(4, (1, 2, 1, -2, -1, -2) * 4))
+
+
+def test_handle_steps_budget_counts_rewrites_exactly():
+    # A budget of exactly the oracle's rewrite count suffices and one less
+    # raises, so the resumed scan rewrites exactly the oracle's handles.
+    rng = random.Random(31337)
+    words = [BraidWord(4, (1, 2, 1, -2, -1, -2) * 4)]
+    while len(words) < 13:
+        words.append(random_word(rng, rng.randint(3, 5), 40, min_len=20))
+    checked = 0
+    for word in words:
+        expected, k = handle_reduce_oracle(word.n, word.letters)
+        if k < 2:
+            continue
+        checked += 1
+        for steps, fits in ((k, True), (k - 1, False)):
+            clear_caches()
+            limit = current_budget().with_overrides({"handle_steps": steps})
+            with budget_scope(limit):
+                if fits:
+                    assert handle_reduce(word).letters == expected
+                else:
+                    with pytest.raises(BudgetExceededError):
+                        handle_reduce(word)
+    assert checked >= 10
 
 
 def test_main_sign_examples():
@@ -186,6 +235,43 @@ def word_pairs(draw, lo: int, hi: int):
     else:
         v = tuple(draw(st.lists(letter, max_size=12)))
     return BraidWord(n, u), BraidWord(n, v)
+
+
+@st.composite
+def reduction_words(draw):
+    """(n, letters) in B_n, n in [2, 6], of up to about 80 letters: half
+    random, half with relators inserted or a conjugate of a positive word
+    (the benchmark's word-stream shape), sometimes inverted."""
+    n = draw(st.integers(2, 6))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    kind = draw(st.sampled_from(("random", "random", "relators", "conjugate")))
+    if kind == "conjugate":
+        outer = tuple(draw(st.lists(letter, max_size=25)))
+        inner = tuple(draw(st.lists(st.integers(1, n - 1), min_size=1,
+                                    max_size=30)))
+        word = outer + inner + tuple(-l for l in reversed(outer))
+    else:
+        word = tuple(draw(st.lists(letter, max_size=80 if kind == "random"
+                                   else 56)))
+        for _ in range(draw(st.integers(1, 4)) if kind == "relators" else 0):
+            at = draw(st.integers(0, len(word)))
+            word = word[:at] + _relator(draw, n) + word[at:]
+    if draw(st.booleans()):
+        word = tuple(-l for l in reversed(word))
+    return n, word
+
+
+@settings(deadline=None, max_examples=300)
+@given(reduction_words())
+def test_handle_reduction_matches_rescanning_oracle(case):
+    # Under a budget of the oracle's rewrite count, so an extra rewrite
+    # raises as well as a different result failing.
+    n, letters = case
+    expected, steps = handle_reduce_oracle(n, letters)
+    clear_caches()
+    limit = current_budget().with_overrides({"handle_steps": max(steps, 1)})
+    with budget_scope(limit):
+        assert handle_reduce_letters(n, letters) == expected
 
 
 @given(word_pairs(3, 3))
