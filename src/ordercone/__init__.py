@@ -3,8 +3,8 @@ spaces of left orderings of concrete groups: free abelian lattices,
 Artin braid groups, and the Klein-bottle group."""
 
 from .budgets import Budget, budget_scope, current_budget
-from .braids import (BraidWord, MainSignReport, braid_equal, free_reduce,
-                     handle_reduce, main_sign, shift_embed)
+from .braids import (BraidWord, MainSignReport, braid_equal, handle_reduce,
+                     main_sign, shift_embed)
 from .certificates import (AccumulationWitness, ConvexityCertificate,
                            ConvexityCounterexample, DensityWitness,
                            DiscretenessPass, IntervalClosureReport,

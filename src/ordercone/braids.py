@@ -3,7 +3,10 @@
 A word in the Artin generators of the braid group on ``n`` strands is a
 tuple of signed integers: ``+i`` encodes the generator ``s_i`` and
 ``-i`` its inverse, for ``1 <= i <= n - 1``.  Text form uses tokens
-``s<i>`` and ``S<i>`` separated by whitespace, e.g. ``"s1 S2"``.
+``s<i>`` and ``S<i>`` separated by whitespace, e.g. ``"s1 S2"``.  A
+``BraidWord`` is canonical at construction: it validates its letters and
+cancels adjacent inverse pairs, keeping the input tuple itself when
+nothing cancels, so every word is free-reduced.
 
 The reduction engine rewrites *handles*: a handle is a subword
 ``s_i^e  u  s_i^{-e}`` whose interior ``u`` only mentions indices above
@@ -22,7 +25,7 @@ rescan from the start would give.
 A reduced (handle-free) word has its lowest occurring generator index
 appearing with a single sign, and a nonempty reduced word is never
 trivial; the Dehornoy and Dubrovina-Dubrovin signs read it.  Reduction
-results are memoized keyed by the free-reduced letter sequence.
+results are memoized as words, keyed by the input's letter tuple.
 
 Equality and hashing use an exact key instead, ``fingerprint``: the
 Garside left normal form (Epstein et al., *Word Processing in Groups*,
@@ -37,12 +40,10 @@ from dataclasses import dataclass
 from .budgets import current_budget
 from .errors import BudgetExceededError, ContextMismatchError, UsageError
 
-Letters = tuple | list
-
 _TOKEN = re.compile(r"^([sS])([1-9][0-9]*)$")
 
-# Reduction memo, keyed by (n, free-reduced letter tuple).
-_reduce_cache: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+# Reduction memo: (n, letters) of a word and of its result -> the result.
+_reduce_cache: dict[tuple[int, tuple[int, ...]], "BraidWord"] = {}
 
 # Normal-form memos: interned simple factors, and left-weighted pairs.
 Simple = tuple[int, ...]
@@ -56,29 +57,47 @@ def clear_caches() -> None:
     _simples.clear()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidWord:
-    """A word in the Artin generators of the braid group on ``n`` strands."""
+    """A word in the Artin generators of the braid group on ``n`` strands.
+
+    Slotted: every braid element and the reduction memo hold words."""
 
     n: int
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise UsageError(f"braid group needs n >= 2 strands, got {self.n}")
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
-            if type(letter) is not int or not 1 <= abs(letter) <= self.n - 1:
-                raise UsageError(
-                    f"letter {letter} out of range for {self.n} strands")
+        n, letters = self.n, self.letters
+        if n < 2:
+            raise UsageError(f"braid group needs n >= 2 strands, got {n}")
+        if not isinstance(letters, tuple):
+            if isinstance(letters, str) or not hasattr(letters, "__iter__"):
+                raise UsageError(f"braid letters {letters!r} are not an "
+                                 "iterable of integers")
+            letters = tuple(letters)
+        cancels, previous = False, 0
+        for letter in letters:
+            if type(letter) is not int or not 0 < abs(letter) < n:
+                raise UsageError(f"letter {letter} out of range for {n} strands")
+            if letter == -previous:
+                cancels = True
+            previous = letter
+        if cancels:  # free-reduce: cancel adjacent inverse pairs
+            out: list[int] = []
+            for letter in letters:
+                if out and out[-1] == -letter:
+                    out.pop()
+                else:
+                    out.append(letter)
+            letters = tuple(out)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_text(cls, n: int, text: str) -> "BraidWord":
         return cls(n, parse_letters(text))
 
     def to_text(self) -> str:
-        return format_letters(self.letters)
+        return " ".join(f"s{l}" if l > 0 else f"S{-l}" for l in self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -86,7 +105,7 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
             raise ContextMismatchError("incompatible groups")
-        return BraidWord(self.n, free_reduce_letters(self.letters + other.letters))
+        return BraidWord(self.n, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
@@ -120,52 +139,33 @@ def parse_letters(text: str) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def format_letters(letters: Letters) -> str:
-    return " ".join(f"s{l}" if l > 0 else f"S{-l}" for l in letters)
+def handle_reduce(word: BraidWord) -> BraidWord:
+    """Reduce to a handle-free word equal to ``word`` in B_n.
 
-
-def free_reduce_letters(letters: Letters) -> tuple[int, ...]:
-    """Cancel adjacent inverse pairs; a tuple with nothing to cancel is
-    returned itself, so memo keys share the caller's tuple."""
-    out: list[int] = []
-    for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    if len(out) == len(letters) and isinstance(letters, tuple):
-        return letters
-    return tuple(out)
-
-
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs; the result represents the same braid."""
-    return BraidWord(word.n, free_reduce_letters(word.letters))
-
-
-def handle_reduce_letters(n: int, letters: Letters) -> tuple[int, ...]:
-    """Handle-free word equivalent to ``letters`` in the braid group B_n.
+    The lowest generator index of the result occurs with one sign only,
+    and the result is empty exactly when the braid is trivial.
 
     ``last[i]`` is the latest scanned position of index ``i`` with no
     smaller index after it.  A rewrite pushes the new interior and the
-    tail's junction onto the stack ``word[:p]`` with cancellation; the scan
+    tail's junction onto the stack ``letters[:p]`` with cancellation; the scan
     resumes at ``low``, the shortest the stack got, with ``last`` rebuilt.
     """
-    key = (n, free_reduce_letters(letters))
+    n = word.n
+    key = (n, word.letters)
     cached = _reduce_cache.get(key)
     if cached is not None:
         return cached
     limit = current_budget().handle_steps
-    word = list(key[1])
+    letters = list(word.letters)
     unset: list[int | None] = [None] * n
     last = unset[:]
     q = steps = 0
-    while q < len(word):
-        letter = word[q]
+    while q < len(letters):
+        letter = letters[q]
         i = abs(letter)
         last[i + 1:] = unset[i + 1:]
         p = last[i]
-        if p is None or word[p] != -letter:
+        if p is None or letters[p] != -letter:
             last[i] = q
             q += 1
             continue
@@ -175,49 +175,40 @@ def handle_reduce_letters(n: int, letters: Letters) -> tuple[int, ...]:
                 f"reduction budget exceeded after {limit} steps")
         e = -1 if letter > 0 else 1  # the opener is s_i^e
         replacement: list[int] = []
-        for x in word[p + 1:q]:
+        for x in letters[p + 1:q]:
             if abs(x) == i + 1:
                 d = 1 if x > 0 else -1
                 replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
             else:
                 replacement.append(x)
-        tail = word[q + 1:]
-        del word[p:]
+        tail = letters[q + 1:]
+        del letters[p:]
         low = p
         for x in replacement:
-            if word and word[-1] == -x:
-                word.pop()
-                low = min(low, len(word))
+            if letters and letters[-1] == -x:
+                letters.pop()
+                low = min(low, len(letters))
             else:
-                word.append(x)
+                letters.append(x)
         k = 0  # the tail is free-reduced: only its junction can cancel
-        while k < len(tail) and word and word[-1] == -tail[k]:
-            word.pop()
+        while k < len(tail) and letters and letters[-1] == -tail[k]:
+            letters.pop()
             k += 1
-        low = min(low, len(word))
-        word += tail[k:]
+        low = min(low, len(letters))
+        letters += tail[k:]
         last = unset[:]
         lowest = n
         for k in range(low - 1, -1, -1):
-            i = abs(word[k])
+            i = abs(letters[k])
             if i < lowest:
                 last[i], lowest = k, i
                 if i == 1:
                     break
         q = low
-    result = tuple(word) if steps else key[1]
+    result = BraidWord(n, tuple(letters)) if steps else word
     _reduce_cache[key] = result
-    _reduce_cache[(n, result)] = result
+    _reduce_cache[(n, result.letters)] = result
     return result
-
-
-def handle_reduce(word: BraidWord) -> BraidWord:
-    """Reduce to a handle-free word equal to ``word`` in B_n.
-
-    The lowest generator index of the result occurs with one sign only,
-    and the result is empty exactly when the braid is trivial.
-    """
-    return BraidWord(word.n, handle_reduce_letters(word.n, word.letters))
 
 
 def main_sign(word: BraidWord) -> MainSignReport:

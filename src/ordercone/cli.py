@@ -179,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convexity", help="sorted-ball convexity check of a candidate subgroup")
     p.add_argument("--cone")
-    p.add_argument("--predicate", required=True, help="predicate JSON")
+    p.add_argument("--predicate", help="predicate JSON")
     p.add_argument("--radius", type=int)
     _add_common(p)
 
     p = sub.add_parser("classify", help="dense/discrete verdict for a lex spec")
-    p.add_argument("--spec", required=True, help="spec JSON or @file")
+    p.add_argument("--spec", help="spec JSON or @file")
     _add_common(p)
 
     p = sub.add_parser("perturb", help="dense perturbation of a lex spec")
@@ -195,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soul", help="soul estimate along a convex chain")
     p.add_argument("--cone")
-    p.add_argument("--chain", required=True,
-                   help="JSON list of predicate descriptors")
+    p.add_argument("--chain", help="JSON list of predicate descriptors")
     p.add_argument("--radius", type=int)
     p.add_argument("--n-max", type=int, default=4)
     _add_common(p)

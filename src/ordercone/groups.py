@@ -3,8 +3,9 @@
 Three group families are supported:
 
 * free abelian lattices Z^k, elements stored as integer vectors;
-* Artin braid groups B_n, elements carrying a free-reduced word and
-  compared through the exact key of its Garside left normal form;
+* Artin braid groups B_n, elements carrying a ``BraidWord`` (free-reduced
+  by its constructor) and compared through the exact key of its Garside
+  left normal form;
 * the Klein-bottle group <x, y | x y x^-1 = y^-1>, elements in the
   normal form x^a y^b with the multiplication law
   (a1, b1)(a2, b2) = (a1 + a2, (-1)^a2 b1 + b2), derived once from the
@@ -30,14 +31,6 @@ from .errors import (BudgetExceededError, ContextMismatchError, UsageError,
 FREE_ABELIAN = "free_abelian"
 BRAID = "braid"
 KLEIN_BOTTLE = "klein_bottle"
-
-
-def _int_tuple(value) -> tuple[int, ...]:
-    """A list or tuple payload of integers as a tuple, else UsageError."""
-    if isinstance(value, (list, tuple)) and all(type(c) is int
-                                                for c in value):
-        return tuple(value)
-    raise UsageError(f"{value!r} is not a list of integers")
 
 
 @dataclass(frozen=True)
@@ -104,28 +97,20 @@ class GroupContext:
     def element(self, value) -> "GroupElement":
         """Coerce a payload into an element: coordinate tuple or Klein pair
         (or their comma-separated text), BraidWord, braid word text, or
-        braid letter tuple.  Any other payload is a UsageError."""
-        if self.family == BRAID:
-            if isinstance(value, BraidWord):
-                word = value
-            elif isinstance(value, str):
-                word = BraidWord.from_text(self.n, value)
-            else:
-                word = BraidWord(self.n, _int_tuple(value))
-            if word.n != self.n:
-                raise ContextMismatchError("incompatible groups")
-            return GroupElement(self, braids.free_reduce(word))
+        braid letter list or tuple.  Any other payload is a UsageError."""
         if isinstance(value, str):
-            try:
-                value = [int(c) for c in value.split(",")]
-            except ValueError:
-                raise UsageError(f"{value!r} is not comma-separated "
-                                 "integers") from None
-        coords = _int_tuple(value)
-        expected = self.k if self.family == FREE_ABELIAN else 2
-        if len(coords) != expected:
-            raise UsageError(f"expected {expected} coordinates, got {len(coords)}")
-        return GroupElement(self, coords)
+            if self.family == BRAID:
+                value = BraidWord.from_text(self.n, value)
+            else:
+                try:
+                    value = tuple(int(c) for c in value.split(","))
+                except ValueError:
+                    raise UsageError(f"{value!r} is not comma-separated "
+                                     "integers") from None
+        elif isinstance(value, (list, tuple)):
+            value = (BraidWord(self.n, value) if self.family == BRAID
+                     else tuple(value))
+        return GroupElement(self, value)
 
     def generators(self) -> list["GroupElement"]:
         if self.family == FREE_ABELIAN:
@@ -153,7 +138,9 @@ class GroupContext:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """An element of one of the supported groups in its family's form.
+    """An element of one of the supported groups in its family's form,
+    checked at construction: a tuple of k (Z^k) or 2 (Klein) ints, or a
+    ``BraidWord`` on the context's n strands.
 
     Equality, hashing and ``is_identity`` read one cached key: the
     payload for Z^k and Klein, the normal-form key ``braids.fingerprint``
@@ -162,6 +149,19 @@ class GroupElement:
 
     context: GroupContext
     payload: tuple | BraidWord
+
+    def __post_init__(self) -> None:
+        ctx, payload = self.context, self.payload
+        if ctx.family == BRAID:
+            if type(payload) is not BraidWord:
+                raise UsageError(f"{payload!r} is not a braid word")
+            if payload.n != ctx.n:
+                raise ContextMismatchError("incompatible groups")
+            return
+        size = ctx.k if ctx.family == FREE_ABELIAN else 2
+        if (type(payload) is not tuple or len(payload) != size
+                or not all(type(c) is int for c in payload)):
+            raise UsageError(f"{payload!r} is not a tuple of {size} integers")
 
     @property
     def word(self) -> BraidWord:

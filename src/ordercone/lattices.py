@@ -3,15 +3,16 @@
 A ``LexConeSpec`` orders Z^k by the sign of the first nonzero dot
 product against an ordered list of normal vectors with entries in
 Q(sqrt 2).  Each normal contributes two rational functionals (the
-rational and the sqrt-2 part of the dot product), so validity (no
-nonzero lattice vector orthogonal to every normal) and kernels are
-decided exactly with integer linear algebra.
+rational and the sqrt-2 part of the dot product).  The spec scales each
+pair to integer rows once, at construction, and that is the only form
+read afterwards: validity (no nonzero lattice vector orthogonal to every
+normal), signs and kernels are decided exactly from it.
 
 Density classification peels normals recursively: the integer kernel L
 of the first normal carries the refinement order given by the remaining
-normals, and its positives sit below everything the first normal
-already separates, so the whole order has a least positive element
-exactly when the restriction to L does.  When L is trivial the first
+rows, restricted to L through its basis, and its positives sit below
+everything the first normal already separates, so the whole order has a
+least positive element exactly when the restriction to L does.  When L is trivial the first
 normal embeds the lattice in the reals, where a subgroup of rank 2 or
 more is never discrete.  Discrete verdicts are cross-checked against a
 brute-force ball search and the operation fails loudly on disagreement;
@@ -23,14 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from math import lcm
 
 from . import intlinalg
 from .budgets import current_budget
 from .errors import (CrossCheckError, PerturbationError, UsageError,
                      _field, _int_field)
-from .groups import GroupContext, _int_tuple, ball
+from .groups import GroupContext, ball
 from .quadratic import QuadScalar, quad, sqrt2_sign
 
 Vector = tuple[int, ...]
@@ -44,35 +44,23 @@ _WITNESS_RADIUS = {2: 12, 3: 6}
 
 
 def _as_vector(v, k: int) -> Vector:
-    vec = _int_tuple(v)
-    if len(vec) != k:
-        raise UsageError(f"expected a vector of dimension {k}, got {len(vec)}")
-    return vec
-
-
-def _functional_rows(normals: tuple[Normal, ...]) -> list[list[Fraction]]:
-    rows = []
-    for normal in normals:
-        rows.append([entry.a for entry in normal])
-        rows.append([entry.b for entry in normal])
-    return rows
-
-
-def _integer_rows(rows: list[list[Fraction]]) -> intlinalg.IntMatrix:
-    out = []
-    for row in rows:
-        if not any(row):
-            continue
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
+    """A list or tuple of k integers as a tuple, else UsageError."""
+    if not (isinstance(v, (list, tuple)) and all(type(c) is int for c in v)):
+        raise UsageError(f"{v!r} is not a list of integers")
+    if len(v) != k:
+        raise UsageError(f"expected a vector of dimension {k}, got {len(v)}")
+    return tuple(v)
 
 
 @dataclass(frozen=True)
 class LexConeSpec:
-    """An exact total left order of Z^k: sign of the first nonzero dot."""
+    """An exact total left order of Z^k: sign of the first nonzero dot.
+
+    ``_int_normals`` is the one exact form that validity, signs and
+    density read: each normal scaled by a positive integer so that its
+    rational and sqrt-2 rows are integral, which changes no sign and no
+    kernel.
+    """
 
     k: int
     normals: tuple[Normal, ...]
@@ -86,10 +74,16 @@ class LexConeSpec:
                               for entry in normal)
                         for normal in self.normals)
         object.__setattr__(self, "normals", normals)
+        int_normals = []
         for normal in normals:
             if len(normal) != self.k:
                 raise UsageError(f"normal {normal!r} has wrong dimension")
-        rows = _functional_rows(normals)
+            denom = lcm(*(x.denominator for e in normal for x in (e.a, e.b)))
+            int_normals.append((tuple(int(e.a * denom) for e in normal),
+                                tuple(int(e.b * denom) for e in normal)))
+        object.__setattr__(self, "_int_normals", tuple(int_normals))
+        rows = [[Fraction(x) for x in row] for pair in int_normals
+                for row in pair]
         if intlinalg.rational_rank(rows) < self.k:
             raise UsageError(
                 "invalid spec: some nonzero lattice vector is orthogonal "
@@ -100,21 +94,6 @@ class LexConeSpec:
         for entry, coord in zip(self.normals[normal_index], v):
             total = total + entry * coord
         return total
-
-    @cached_property
-    def _int_normals(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Each normal scaled by a positive integer so both functional
-        rows are integral; signs are unchanged and dots become fast."""
-        out = []
-        for normal in self.normals:
-            denom = 1
-            for entry in normal:
-                for part in (entry.a, entry.b):
-                    denom = denom * part.denominator // gcd(
-                        denom, part.denominator)
-            out.append((tuple(int(e.a * denom) for e in normal),
-                        tuple(int(e.b * denom) for e in normal)))
-        return out
 
     def sign(self, v) -> int:
         return self._sign(_as_vector(v, self.k))
@@ -187,24 +166,27 @@ def _restrict_normals(normals: tuple[Normal, ...],
     return tuple(restricted)
 
 
-def _classify(k: int, normals: tuple[Normal, ...]) -> Vector | None:
-    """Least positive element in basis coordinates, or None when dense."""
-    if not normals:
+def _classify(k: int, int_normals) -> Vector | None:
+    """Least positive element in basis coordinates, or None when dense,
+    for the order given by integer (rational, sqrt-2) row pairs."""
+    if not int_normals:
         raise AssertionError("recursion exhausted normals on a nonzero lattice")
-    first, rest = normals[0], normals[1:]
-    rows = _integer_rows(_functional_rows((first,)))
-    kernel = intlinalg.kernel_basis(rows, k)
+    (a, b), rest = int_normals[0], int_normals[1:]
+    kernel = intlinalg.kernel_basis([row for row in (a, b) if any(row)], k)
     rank = len(kernel)
     if rank == 0:
         if k == 1:
-            return (1,) if first[0].sign() > 0 else (-1,)
+            return (sqrt2_sign(a[0], b[0]),)
         # The first normal embeds a rank >= 2 lattice into the reals;
         # such a subgroup is never discrete.
         return None
     if rank == k:
         # The first normal vanishes identically; peel it.
         return _classify(k, rest)
-    sub_least = _classify(rank, _restrict_normals(rest, kernel))
+    restricted = [tuple(tuple(sum(x * c for x, c in zip(row, basis_vec))
+                              for basis_vec in kernel) for row in pair)
+                  for pair in rest]
+    sub_least = _classify(rank, restricted)
     if sub_least is None:
         return None
     lifted = [0] * k
@@ -252,7 +234,7 @@ def classify_density(spec: LexConeSpec) -> DensityReport:
     budget's check radius; any positive vector below the claimed least
     fails the operation loudly.
     """
-    least = _classify(spec.k, spec.normals)
+    least = _classify(spec.k, spec._int_normals)
     if least is None:
         return DensityReport("dense", None, "exact-recursive")
     norm = sum(abs(c) for c in least)

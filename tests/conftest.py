@@ -16,7 +16,7 @@ sorted-ball ``lospace.convexity_check``.
 
 The handle-reduction oracle rescans the whole word for the
 earliest-closing handle and free-reduces the whole word after every
-rewrite; it is the reference for ``braids.handle_reduce_letters``, which
+rewrite; it is the reference for ``braids.handle_reduce``, which
 resumes at the rewrite junction instead.
 """
 

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from ordercone import (BraidWord, BudgetExceededError, GroupContext,
                        UsageError, braid_equal, budget_scope, current_budget,
-                       free_reduce, handle_reduce, main_sign, shift_embed)
+                       handle_reduce, main_sign, shift_embed)
 from ordercone import braids
-from ordercone.braids import (clear_caches, fingerprint, free_reduce_letters,
-                              handle_reduce_letters, parse_letters)
+from ordercone.braids import clear_caches, fingerprint, parse_letters
 
-from conftest import (braids_equal_oracle, handle_reduce_oracle,
-                      random_positive_word, random_word)
+from conftest import (_free_reduce, braids_equal_oracle,
+                      handle_reduce_oracle, random_positive_word, random_word)
 
 
 def w3(text: str) -> BraidWord:
@@ -22,9 +21,11 @@ def w3(text: str) -> BraidWord:
 
 
 def test_parse_and_format():
-    word = w3("s1 S2 s2")
-    assert word.letters == (1, -2, 2)
-    assert word.to_text() == "s1 S2 s2"
+    word = w3("s1 S2 s1")
+    assert word.letters == (1, -2, 1)
+    assert word.to_text() == "s1 S2 s1"
+    # A word is free-reduced on construction: S2 s2 cancels.
+    assert w3("s1 S2 s2").letters == (1,)
     assert BraidWord.from_text(3, "").letters == ()
     with pytest.raises(Exception):
         parse_letters("t1")
@@ -37,6 +38,14 @@ def test_braid_word_rejects_bad_letters(letter):
         BraidWord(3, (1, letter))
 
 
+@pytest.mark.parametrize("letters", [5, None, "s1"],
+                         ids=["int", "none", "text"])
+def test_braid_word_rejects_non_iterable_letters(letters):
+    # Text is not read character by character.
+    with pytest.raises(UsageError, match="not an iterable of integers"):
+        BraidWord(3, letters)
+
+
 def test_braid_word_reads_letters_from_any_iterable():
     assert BraidWord(3, (x for x in (1, 2))).letters == (1, 2)
     assert BraidWord(3, [1, -2]).letters == (1, -2)
@@ -44,25 +53,50 @@ def test_braid_word_reads_letters_from_any_iterable():
         BraidWord(3, (x for x in (1, 3)))
 
 
-def test_free_reduce_letters_returns_a_reduced_tuple_itself():
+def test_braid_word_keeps_a_reduced_tuple_itself():
     letters = (1, 2, -1)
-    assert free_reduce_letters(letters) is letters
-    from_list = free_reduce_letters([1, 2, -1])
+    assert BraidWord(3, letters).letters is letters
+    from_list = BraidWord(3, [1, 2, -1]).letters
     assert type(from_list) is tuple and from_list == letters
-    assert free_reduce_letters((1, 2, -2, 1)) == (1, 1)
-    assert free_reduce_letters([2, -1, 1, -2]) == ()
-    # The reduction memo keys the element's own letters, not a copy.
+    assert BraidWord(3, (1, 2, -2, 1)).letters == (1, 1)
+    assert BraidWord(3, [2, -1, 1, -2]).letters == ()
+    # The reduction memo keys the element's own letters, not a copy, and
+    # stores the reduced word: a hit returns that very object.
     clear_caches()
-    letters = GroupContext.braid(3).element([1, 2, -1]).payload.letters
-    assert handle_reduce_letters(3, letters) == (-2, 1, 2)
-    key = next(k for k in braids._reduce_cache if k == (3, letters))
-    assert key[1] is letters
+    word = GroupContext.braid(3).element([1, 2, -1]).payload
+    reduced = handle_reduce(word)
+    assert reduced.letters == (-2, 1, 2)
+    key = next(k for k in braids._reduce_cache if k == (3, word.letters))
+    assert key[1] is word.letters
+    assert handle_reduce(BraidWord(3, (1, 2, -1))) is reduced
+    assert handle_reduce(reduced) is reduced
+    free = w3("s1 S2")  # handle free: the word is its own result
+    assert handle_reduce(free) is free
 
 
 def test_free_reduce_examples():
-    assert free_reduce(w3("s1 S1")).letters == ()
-    assert free_reduce(w3("s1 s2 S2 s2")).letters == (1, 2)
-    assert free_reduce(w3("S2 s2 S2")).letters == (-2,)
+    assert w3("s1 S1").letters == ()
+    assert w3("s1 s2 S2 s2").letters == (1, 2)
+    assert w3("S2 s2 S2").letters == (-2,)
+    assert (w3("s1 s2") * w3("S2 S1 s2")).letters == (2,)
+
+
+@st.composite
+def letter_pairs(draw):
+    """(n, u, v): two letter tuples of up to 30 letters in B_n, n in
+    [2, 6]; with few generators, adjacent inverse pairs are common."""
+    n = draw(st.integers(2, 6))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    u, v = (tuple(draw(st.lists(letter, max_size=30))) for _ in range(2))
+    return n, u, v
+
+
+@given(letter_pairs())
+def test_braid_word_is_free_reduced_against_oracle(case):
+    n, u, v = case
+    assert BraidWord(n, u).letters == tuple(_free_reduce(u))
+    product = BraidWord(n, u) * BraidWord(n, v)
+    assert product.letters == tuple(_free_reduce(u + v))
 
 
 def test_handle_reduce_cancelling_pair():
@@ -271,7 +305,7 @@ def test_handle_reduction_matches_rescanning_oracle(case):
     clear_caches()
     limit = current_budget().with_overrides({"handle_steps": max(steps, 1)})
     with budget_scope(limit):
-        assert handle_reduce_letters(n, letters) == expected
+        assert handle_reduce(BraidWord(n, letters)).letters == expected
 
 
 @given(word_pairs(3, 3))

@@ -249,6 +249,27 @@ def test_config_file(tmp_path, capsys):
     code, out = run_cli(capsys, "census", "--config", str(config))
     assert code == 0
     assert json.loads(out)["count"] == 4
+    # --config supplies required flags too: --spec, --predicate, --chain.
+    spec = json.dumps({"k": 2, "normals": [
+        [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}],
+        [{"a": "1", "b": "0"}, {"a": "0", "b": "0"}]]})
+    config.write_text(json.dumps({"spec": spec}))
+    code, out = run_cli(capsys, "classify", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["verdict"] == "discrete"
+    config.write_text(json.dumps(
+        {"predicate": '{"type": "braid_shift", "n": 3, "r": 1}'}))
+    code, out = run_cli(capsys, "convexity", "--cone", "dehornoy:3",
+                        "--radius", "3", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["kind"] == "convexity_pass"
+    config.write_text(json.dumps({"chain": json.dumps(
+        [{"type": "braid_shift", "n": 3, "r": 1},
+         {"type": "whole", "group": {"family": "braid", "n": 3}}])}))
+    code, out = run_cli(capsys, "soul", "--cone", "dehornoy:3",
+                        "--radius", "3", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["best_biorder_level"] == 0
 
 
 @pytest.mark.parametrize("config, argv, named", [

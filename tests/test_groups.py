@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ordercone
-from ordercone import (ContextMismatchError, GroupContext, UsageError, ball,
-                       budget_scope, current_budget, multiply)
+from ordercone import (BraidWord, ContextMismatchError, GroupContext,
+                       GroupElement, UsageError, ball, budget_scope,
+                       current_budget, multiply)
 
 from conftest import burau_exact
 
@@ -56,6 +57,23 @@ def test_free_abelian_examples(z2):
         with pytest.raises(UsageError):
             z2.element(bad)
     assert GroupContext.free_abelian(3).element((0, 0, 0)).is_identity()
+
+
+@pytest.mark.parametrize("context, payload, error", [
+    (GroupContext.free_abelian(2), (0.5, -3), UsageError),
+    (GroupContext.free_abelian(2), (True, 1), UsageError),
+    (GroupContext.free_abelian(2), [1, 2], UsageError),
+    (GroupContext.free_abelian(2), (1, 2, 3), UsageError),
+    (GroupContext.klein_bottle(), (1,), UsageError),
+    (GroupContext.braid(3), (1, 2), UsageError),
+    (GroupContext.braid(3), BraidWord(4, (3,)), ContextMismatchError),
+], ids=["float", "bool", "list", "length", "klein-length", "braid-tuple",
+        "braid-n"])
+def test_element_payload_is_checked_at_construction(context, payload, error):
+    # A float payload used to reach the trusted lattice sign, which
+    # evaluated it in float arithmetic.
+    with pytest.raises(error):
+        GroupElement(context, payload)
 
 
 def test_braid_elements(b3):

@@ -126,6 +126,27 @@ def test_classify_against_ball_search_examples():
     assert ball_search_density(IRR2, 8).verdict == "dense"
 
 
+# 1/3 + (1/5) sqrt 2, and -1/3 + (1/4) sqrt 2 > 0 (its rational part is
+# negative): the rational and sqrt-2 parts have different denominators,
+# so each normal's integer rows share one rescaling.
+_MIXED = quad(Fraction(1, 3), Fraction(1, 5))
+_TIPPED = quad(Fraction(-1, 3), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("normals, least", [
+    (((_MIXED, 0), (0, _TIPPED)), (0, 1)),
+    (((_MIXED, 2 * _MIXED, 0), (_MIXED, 0, 0), (0, 0, _TIPPED)), (0, 0, 1)),
+    (((_MIXED, 2 * _MIXED, 0), (1, 0, _MIXED)), None),
+], ids=["z2-discrete", "z3-discrete", "z3-dense"])
+def test_classify_mixed_denominators(normals, least):
+    # Each peel restricts integer rows through a kernel basis; the final
+    # sign and the dense verdict must match plain ball search.
+    spec = LexConeSpec(len(normals[0]), normals)
+    exact = classify_density(spec)
+    assert exact.least_positive == least
+    assert_brute_force_agreement(spec, exact)
+
+
 def random_spec(rng, k, irrational_share=0.4):
     while True:
         count = rng.randint(1, k)
