@@ -267,14 +267,18 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "census":
         context = parse_group(args.group)
+        pins = tuple(context.element(p) for p in args.pin)
         if args.radii:
-            lo, hi = (int(x) for x in args.radii.split("..", 1))
-            rows = [[r, len(census(CensusQuery(context, r)))]
-                    for r in range(lo, hi + 1)]
+            lo, dots, hi = args.radii.partition("..")
+            if not (dots and lo.isdecimal() and hi.isdecimal()
+                    and int(lo) <= int(hi)):
+                raise UsageError("--radii must be a range a..b of radii "
+                                 f"with a <= b, not {args.radii!r}")
+            rows = [[r, len(census(CensusQuery(context, r, pins)))]
+                    for r in range(int(lo), int(hi) + 1)]
             return {"columns": ["radius", "count"], "rows": rows}, 0
         if args.radius is None:
             raise UsageError("census needs --radius or --radii")
-        pins = tuple(context.element(p) for p in args.pin)
         vectors = census(CensusQuery(context, args.radius, pins))
         return {"count": len(vectors),
                 "vectors": [v.to_json() for v in vectors]}, 0

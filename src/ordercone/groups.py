@@ -21,6 +21,7 @@ order: by word length, then by discovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import braids
 from .braids import BraidWord
@@ -53,15 +54,21 @@ class GroupContext:
         else:
             raise UsageError(f"unknown group family {self.family!r}")
 
+    # Interned: cones build their context on every access.  ``typed``
+    # keeps ``braid(3.0)`` or ``free_abelian(True)`` from answering for
+    # the int parameter.
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def free_abelian(cls, k: int) -> "GroupContext":
         return cls(FREE_ABELIAN, k=k)
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def braid(cls, n: int) -> "GroupContext":
         return cls(BRAID, n=n)
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def klein_bottle(cls) -> "GroupContext":
         return cls(KLEIN_BOTTLE)
 

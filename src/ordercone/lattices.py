@@ -197,21 +197,19 @@ def _classify(k: int, int_normals) -> Vector | None:
 
 
 def iter_lattice_shell(k: int, norm: int):
-    """All integer vectors of L1 norm exactly ``norm``, deterministically."""
-    def build(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            if remaining == 0:
-                yield tuple(prefix + [0])
-            else:
-                yield tuple(prefix + [remaining])
-                yield tuple(prefix + [-remaining])
-            return
-        for magnitude in range(remaining + 1):
-            values = (0,) if magnitude == 0 else (magnitude, -magnitude)
-            for value in values:
-                yield from build(prefix + [value], remaining - magnitude,
-                                 slots - 1)
-    yield from build([], norm, k)
+    """All integer vectors of L1 norm exactly ``norm``, deterministically:
+    each coordinate runs 0, 1, -1, 2, -2, ..., the first one slowest."""
+    prefixes = [((), norm)]
+    for _ in range(k - 1):
+        prefixes = [(prefix + (value,), remaining - magnitude)
+                    for prefix, remaining in prefixes
+                    for magnitude in range(remaining + 1)
+                    for value in ((magnitude, -magnitude) if magnitude
+                                  else (0,))]
+    for prefix, remaining in prefixes:
+        yield prefix + (remaining,)
+        if remaining:
+            yield prefix + (-remaining,)
 
 
 def least_positive_in_ball(spec: LexConeSpec, radius: int) -> Vector | None:

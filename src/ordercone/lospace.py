@@ -10,9 +10,12 @@ local cone axioms (inversion antisymmetry and product closure for
 in-ball products) plus optional positivity pins.  Finite-radius census
 vectors are necessary conditions for genuine left orders, so counts are
 "consistent cylinder classes at radius r"; when constructed orders
-match the count, the count is certified.  Enumeration is backtracking
-with unit propagation over inverse-paired variables in ball order,
-trying + before -, which makes the output order deterministic.
+match the count, the count is certified.  Enumeration is an iterative
+backtracking search with unit propagation over inverse-paired variables:
+it branches on the first unset ball position, + before -, so the sign
+tuples come out in decreasing lexicographic order.  Propagation checks
+every product triple once its last sign is set; the test suite keeps a
+brute-force enumeration as the oracle for the whole output list.
 
 The remaining operations are experiment drivers: semigroup witnesses
 for the Dubrovina-Dubrovin cone, conjugate-orbit accumulation scans,
@@ -110,8 +113,7 @@ class DistanceResult:
                 "resolution": self.resolution, "exact": self.exact}
 
 
-def sign_vector(cone: ConeOracle, radius: int,
-                validate: bool = False) -> SignVector:
+def sign_vector(cone: ConeOracle, radius: int) -> SignVector:
     """Evaluate the cone on every element of the radius ball."""
     b = ball(cone.context, radius)
     signs = []
@@ -121,10 +123,7 @@ def sign_vector(cone: ConeOracle, radius: int,
             raise UsageError(
                 f"cone assigned 0 to the nontrivial element {element!r}")
         signs.append(s)
-    vector = SignVector(b, tuple(signs))
-    if validate:
-        vector.validate()
-    return vector
+    return SignVector(b, tuple(signs))
 
 
 def _first_disagreement(cone: ConeOracle, elements,
@@ -171,90 +170,66 @@ class CensusQuery:
 def census(query: CensusQuery) -> list[SignVector]:
     """All consistent sign vectors on the ball matching the pins.
 
-    Complete and duplicate-free; deterministic order (variables in ball
-    order, + tried before -).  Solutions are re-validated independently
-    after enumeration as a guard against propagation bugs.
+    Complete and duplicate-free.  The search branches on the first unset
+    position in ball order and tries + before -, so the sign tuples come
+    out in decreasing lexicographic order.
     """
     cap = query.context.census_limit()
     if query.radius > cap:
         raise BudgetExceededError(
             f"census budget exceeded: radius {query.radius} > limit {cap}")
     b = ball(query.context, query.radius)
-    n = len(b)
-    inverse = b.inverse_position
-    triples = b.product_triples()
-    by_element: list[list[int]] = [[] for _ in range(n)]
-    for t, (i, j, k) in enumerate(triples):
-        for slot in (i, j, k):
-            by_element[slot].append(t)
-
-    signs = [0] * n
-    solutions: list[tuple[int, ...]] = []
-
-    def assign(pos: int, value: int, trail: list[int]) -> bool:
-        """Set a pair of signs and propagate closure; False on conflict."""
-        queue = []
-        for target, v in ((pos, value), (inverse[pos], -value)):
-            if signs[target] == 0:
-                signs[target] = v
-                trail.append(target)
-                queue.append(target)
-            elif signs[target] != v:
-                return False
-        while queue:
-            current = queue.pop()
-            for t in by_element[current]:
-                i, j, k = triples[t]
-                si, sj, sk = signs[i], signs[j], signs[k]
-                forced = None
-                if si == 1 and sj == 1:
-                    forced = (k, 1)
-                elif si == 1 and sk == -1:
-                    forced = (j, -1)
-                elif sj == 1 and sk == -1:
-                    forced = (i, -1)
-                if forced is None:
-                    continue
-                target, v = forced
-                if signs[target] == -v or signs[inverse[target]] == v:
-                    return False
-                for tgt, val in ((target, v), (inverse[target], -v)):
-                    if signs[tgt] == 0:
-                        signs[tgt] = val
-                        trail.append(tgt)
-                        queue.append(tgt)
-        return True
-
-    root_trail: list[int] = []
-    feasible = True
     for pin in query.required_positive:
         if pin not in b:
             raise UsageError(f"pinned element {pin!r} is outside the ball")
-        if not assign(b.position(pin), 1, root_trail):
-            feasible = False
-            break
+    inverse = b.inverse_position
+    by_element: list[list[tuple[int, int, int]]] = [[] for _ in range(len(b))]
+    for triple in b.product_triples():
+        for slot in triple:
+            by_element[slot].append(triple)
+    signs = [0] * len(b)
+    trail: list[int] = []
 
-    def search() -> None:
-        pos = next((i for i in range(n) if signs[i] == 0), None)
-        if pos is None:
-            solutions.append(tuple(signs))
-            return
-        for value in (1, -1):
-            trail: list[int] = []
-            if assign(pos, value, trail):
-                search()
-            for touched in trail:
-                signs[touched] = 0
+    def assign(pos: int, value: int) -> bool:
+        """Set a sign and its inverse's, then every pair that product
+        closure forces; False on a conflict."""
+        queue = [(pos, value)]
+        while queue:
+            pos, value = queue.pop()
+            if signs[pos] == value:
+                continue
+            if signs[pos] == -value:
+                return False
+            for target, v in ((pos, value), (inverse[pos], -value)):
+                signs[target] = v
+                trail.append(target)
+                for i, j, k in by_element[target]:
+                    si, sj, sk = signs[i], signs[j], signs[k]
+                    if si == 1 and sj == 1:
+                        queue.append((k, 1))
+                    elif si == 1 and sk == -1:
+                        queue.append((j, -1))
+                    elif sj == 1 and sk == -1:
+                        queue.append((i, -1))
+        return True
 
-    if feasible:
-        search()
-    for touched in root_trail:
-        signs[touched] = 0
-
-    vectors = [SignVector(b, sol) for sol in solutions]
-    for vector in vectors:
-        vector.validate()
-    return vectors
+    solutions: list[SignVector] = []
+    stack: list[tuple[int, int, int]] = []
+    feasible = all(assign(b.position(pin), 1)
+                   for pin in query.required_positive)
+    while True:
+        if feasible and 0 in signs:
+            pos = signs.index(0)
+            stack += ((pos, -1, len(trail)), (pos, 1, len(trail)))
+        elif feasible:
+            solutions.append(SignVector(b, tuple(signs)))
+        if not stack:
+            return solutions
+        pos, value, mark = stack.pop()
+        for touched in trail[mark:]:
+            signs[touched] = 0
+        del trail[mark:]
+        feasible = assign(pos, value)
 
 
 # ---------------------------------------------------------------------------

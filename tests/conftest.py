@@ -18,15 +18,25 @@ The handle-reduction oracle rescans the whole word for the
 earliest-closing handle and free-reduces the whole word after every
 rewrite; it is the reference for ``braids.handle_reduce``, which
 resumes at the rewrite junction instead.
+
+The census brute force tries every antisymmetric +/- assignment on a
+ball and keeps the product-closed ones that honour the pins; it is the
+reference for the propagating search in ``lospace.census``.  The library
+does not re-check its census output, so this module wraps ``census``
+(also where ``ordercone`` and its CLI bind it) so that every vector a
+test obtains from it passes ``SignVector.validate``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from itertools import product
 
 import pytest
 
-from ordercone import BraidWord, GroupContext, UsageError, ball
+import ordercone
+from ordercone import BraidWord, GroupContext, UsageError, ball, cli, lospace
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
 from ordercone.errors import ContextMismatchError
@@ -222,6 +232,40 @@ def convexity_triple_scan(cone, predicate, radius):
                         cone.to_json(), predicate.to_json(), radius,
                         f.to_json(), g.to_json(), h.to_json())
     return ConvexityCertificate(cone.to_json(), predicate.to_json(), radius)
+
+
+def census_brute_force(query) -> list[tuple[int, ...]]:
+    """Every antisymmetric, product-closed sign tuple on the query's ball
+    with the pins positive, in decreasing lexicographic order."""
+    b = ball(query.context, query.radius)
+    inverse = b.inverse_position
+    reps = [i for i in range(len(b)) if inverse[i] > i]
+    pins = [b.position(pin) for pin in query.required_positive]
+    triples = b.product_triples()
+    found = []
+    for bits in product((1, -1), repeat=len(reps)):
+        signs = [0] * len(b)
+        for rep, value in zip(reps, bits):
+            signs[rep] = value
+            signs[inverse[rep]] = -value
+        if (all(signs[p] == 1 for p in pins)
+                and all(not (signs[i] == 1 and signs[j] == 1 and signs[k] != 1)
+                        for i, j, k in triples)):
+            found.append(tuple(signs))
+    return sorted(found, reverse=True)
+
+
+def _validated(census):
+    @functools.wraps(census)
+    def checked(query):
+        vectors = census(query)
+        for vector in vectors:
+            vector.validate()
+        return vectors
+    return checked
+
+
+ordercone.census = lospace.census = cli.census = _validated(lospace.census)
 
 
 def random_word(rng: random.Random, n: int, max_len: int,

@@ -27,7 +27,7 @@ def test_parse_and_format():
     # A word is free-reduced on construction: S2 s2 cancels.
     assert w3("s1 S2 s2").letters == (1,)
     assert BraidWord.from_text(3, "").letters == ()
-    with pytest.raises(Exception):
+    with pytest.raises(UsageError):
         parse_letters("t1")
 
 
@@ -171,7 +171,7 @@ def test_shift_embed_examples():
     word = w3("s1 S2")
     assert shift_embed(0, word, 3).letters == word.letters
     assert shift_embed(2, BraidWord.from_text(2, "s1 s1"), 4).letters == (3, 3)
-    with pytest.raises(Exception):
+    with pytest.raises(UsageError, match="index overflow"):
         shift_embed(2, BraidWord.from_text(2, "s1"), 3)
 
 

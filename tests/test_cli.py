@@ -48,6 +48,22 @@ def test_census_csv_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "radius,count"
     assert lines[1:] == ["1,2", "2,2", "3,2", "4,2"]
+    code, out = run_cli(capsys, "census", "--group", "z2", "--radii", "1..3",
+                        "--pin", "1,0", "--pin", "0,1", "--format", "csv")
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["1,1", "2,2", "3,4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--radii", "3..1"), "range a..b"),
+    (("--radii", "3"), "range a..b"),
+    (("--radii", "1..3", "--pin", "2,0"), "outside the ball"),
+], ids=["descending", "no-range", "pin-outside-row"])
+def test_census_radii_usage_errors(capsys, argv, message):
+    code = main(["census", "--group", "z2", *argv, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: ") and message in captured.err
 
 
 def test_csv_rejected_for_non_tabular(capsys):

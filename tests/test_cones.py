@@ -9,9 +9,10 @@ from ordercone import (BraidShiftPredicate, CertificateError, ConjugateCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec,
-                       LexExtensionCone, ReplaceCone, WholePredicate, ball,
-                       compare, cone_from_json, convexity_check,
-                       predicate_from_json, quad, sign_vector)
+                       LexExtensionCone, ReplaceCone, UsageError,
+                       WholePredicate, ball, compare, cone_from_json,
+                       convexity_check, predicate_from_json, quad,
+                       sign_vector)
 from ordercone.certificates import ConvexityCertificate
 
 from conftest import random_positive_word, random_word
@@ -85,7 +86,7 @@ def test_flip_on_braid_shift(b3):
     flip = FlipCone(pd, shift, certified(pd, shift, 3))
     assert flip.sign(b3.element("s2")) == -1
     assert flip.sign(b3.element("s1")) == 1
-    sign_vector(flip, 3, validate=True)
+    sign_vector(flip, 3).validate()
 
 
 def test_flip_requires_certificate(b3):
@@ -133,7 +134,7 @@ def test_replace_on_convex(b3):
         word = "s1 " + " ".join(["s2"] * k) if k >= 0 else \
             "s1 " + " ".join(["S2"] * -k)
         assert swapped.sign(b3.element(word)) == 1
-    sign_vector(swapped, 3, validate=True)
+    sign_vector(swapped, 3).validate()
 
 
 def test_replace_equals_flip(klein):
@@ -160,12 +161,12 @@ def test_lex_extension_lattice(z2):
     assert ext.sign(z2.element((1, -50))) == 1
     assert ext.sign(z2.element((0, 3))) == 1
     assert ext.sign(z2.element((-1, 50))) == -1
-    sign_vector(ext, 6, validate=True)
+    sign_vector(ext, 6).validate()
 
 
 def test_lex_extension_rejects_torsion():
     pred = LatticeSublatticePredicate(2, ((2, 0),))
-    with pytest.raises(Exception, match="torsion|saturated"):
+    with pytest.raises(UsageError, match="torsion|saturated"):
         LexExtensionCone(pred, Z_POS, Z_POS)
 
 
@@ -194,7 +195,7 @@ def test_axiom_suite_over_the_zoo(b3, klein):
         (LexExtensionCone(KleinYPredicate(), Z_NEG, Z_POS), 5),
     ]
     for cone, radius in zoo:
-        sign_vector(cone, radius, validate=True)
+        sign_vector(cone, radius).validate()
 
 
 def test_predicate_closure(b3, klein):

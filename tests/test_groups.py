@@ -10,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ordercone
-from ordercone import (BraidWord, ContextMismatchError, GroupContext,
-                       GroupElement, UsageError, ball, budget_scope,
-                       current_budget, multiply)
+from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
+                       GroupContext, GroupElement, UsageError, ball,
+                       budget_scope, current_budget, multiply)
 
 from conftest import burau_exact
 
@@ -92,6 +92,16 @@ def test_context_mismatch(b3, z2):
     assert b3.element("s1") != z2.element((1, 0))
 
 
+def test_contexts_are_interned():
+    assert GroupContext.braid(3) is GroupContext.braid(3)
+    assert GroupContext.free_abelian(2) is GroupContext.free_abelian(2)
+    assert GroupContext.klein_bottle() is GroupContext.klein_bottle()
+    # A bool parameter does not answer for the int one.
+    GroupContext.free_abelian.cache_clear()
+    GroupContext.free_abelian(True)
+    assert type(GroupContext.free_abelian(1).k) is int
+
+
 def test_ball_counts():
     assert len(ball(GroupContext.free_abelian(2), 1)) == 4
     assert len(ball(GroupContext.klein_bottle(), 1)) == 4
@@ -160,7 +170,7 @@ def test_ball_word_lengths_are_geodesic(b3):
 
 
 def test_ball_budget(b3):
-    with pytest.raises(Exception, match="ball budget exceeded"):
+    with pytest.raises(BudgetExceededError, match="ball budget exceeded"):
         ball(b3, 9)
     # Override lifts the cap.
     with budget_scope(current_budget().with_overrides({"braid_ball": {3: 6}})):

@@ -16,7 +16,7 @@ from ordercone import (GroupContext, LatticeCone, LexConeSpec,
                        restrict_to_sublattice, saturate, sign_vector)
 from ordercone.certificates import ConvexityCertificate
 from ordercone.cones import LatticeSublatticePredicate
-from ordercone.lattices import compare_vectors
+from ordercone.lattices import compare_vectors, iter_lattice_shell
 
 from conftest import ball_search_density
 
@@ -99,13 +99,24 @@ def test_spec_validation():
         LexConeSpec(2, ())
 
 
+def test_lattice_shell_order():
+    """A shell lists the L1-norm-``m`` vectors sorted coordinate by
+    coordinate on (|c|, c < 0): 0, 1, -1, 2, -2, ..."""
+    for k in range(1, 5):
+        for m in range(7):
+            box = [v for v in product(range(-m, m + 1), repeat=k)
+                   if sum(map(abs, v)) == m]
+            assert list(iter_lattice_shell(k, m)) == sorted(
+                box, key=lambda v: tuple(x for c in v
+                                         for x in (abs(c), c < 0)))
+
+
 def test_cone_axioms_on_ball():
     rng = random.Random(101)
     for _ in range(25):
         spec = random_spec(rng, 2)
         cone = LatticeCone(spec)
-        vec = sign_vector(cone, 6, validate=True)
-        assert vec is not None
+        sign_vector(cone, 6).validate()
 
 
 def test_classify_examples():

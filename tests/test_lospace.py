@@ -3,7 +3,6 @@
 import random
 import sys
 import threading
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +27,7 @@ from ordercone.certificates import (ConvexityCertificate,
                                     DiscretenessPass)
 from ordercone.groups import clear_ball_cache
 
-from conftest import convexity_triple_scan
+from conftest import census_brute_force, convexity_triple_scan
 
 
 def lat(k, *normals):
@@ -106,24 +105,32 @@ def test_census_klein_matches_constructed(klein):
     assert set(vectors) == constructed
 
 
-def test_census_z2_brute_force(z2):
-    vectors = census(CensusQuery(z2, 2))
-    assert len(vectors) == 8
-    # Independent route: filter all +/- assignments over the inverse
-    # pairs of the ball by the closure constraints directly.
-    b = ball(z2, 2)
-    reps = [i for i in range(len(b)) if b.inverse_position[i] > i]
-    triples = b.product_triples()
-    brute = set()
-    for bits in product((1, -1), repeat=len(reps)):
-        signs = [0] * len(b)
-        for rep, value in zip(reps, bits):
-            signs[rep] = value
-            signs[b.inverse_position[rep]] = -value
-        if all(not (signs[i] == 1 and signs[j] == 1 and signs[k] != 1)
-               for i, j, k in triples):
-            brute.add(tuple(signs))
-    assert brute == {v.signs for v in vectors}
+def _query(context, radius, *pins):
+    return CensusQuery(context, radius,
+                       tuple(context.element(p) for p in pins))
+
+
+_Z, _Z2, _Z3 = (GroupContext.free_abelian(k) for k in (1, 2, 3))
+_KLEIN, _B3 = GroupContext.klein_bottle(), GroupContext.braid(3)
+
+
+def test_census_z2_brute_force():
+    """The census list equals the brute-force enumeration, as a set and
+    in order, on small balls of every family, pinned ones included."""
+    queries = [_query(_Z, r) for r in range(1, 7)]
+    queries += [_query(_Z2, r) for r in range(1, 4)]
+    queries += [_query(_Z3, r) for r in range(1, 3)]
+    queries += [_query(_KLEIN, r) for r in range(1, 4)]
+    queries += [_query(_B3, r) for r in range(1, 3)]
+    queries += [_query(_Z, 4, "-1"), _query(_Z2, 3, "1,0"),
+                _query(_Z2, 3, "1,-1", "0,1"), _query(_Z3, 2, "0,0,1"),
+                _query(_KLEIN, 3, "0,1"), _query(_B3, 2, "s1 s2"),
+                # Contradictory pins: (1,0) + (0,1) forces (-1,-1) negative.
+                _query(_Z2, 3, "1,0", "0,1", "-1,-1"),
+                _query(_B3, 2, "s1", "S1")]
+    for query in queries:
+        got = [v.signs for v in census(query)]
+        assert got == census_brute_force(query), query
 
 
 def test_census_pins(z2):
@@ -145,7 +152,7 @@ def test_census_contains_constructed_lattice_cones(z2):
 
 
 def test_census_budget():
-    with pytest.raises(Exception, match="census budget"):
+    with pytest.raises(BudgetExceededError, match="census budget"):
         census(CensusQuery(GroupContext.free_abelian(2), 7))
 
 
@@ -163,8 +170,53 @@ def test_census_braid_radius_two_contains_constructed(b3):
         assert sign_vector(cone, 2) in vectors
 
 
+def _braid_census_scope(radius):
+    return budget_scope(current_budget().with_overrides(
+        {"census_braid_radius": radius}))
+
+
+@pytest.mark.parametrize("n, radius", [(3, 2), (3, 3), (3, 4), (4, 3)])
+def test_pinned_census_isolates_the_dd_cone(n, radius):
+    """The DD cone is finitely generated, so it is isolated: pinning its
+    generators leaves one census vector.  Census propagation, the
+    handle-reduction DD sign and the semigroup BFS agree on it."""
+    dd = DubrovinaDubrovinCone(n)
+    with _braid_census_scope(radius):
+        vectors = census(CensusQuery(dd.context, radius,
+                                     tuple(dd.generators())))
+    assert vectors == [sign_vector(dd, radius)]
+    witnesses = dd_isolation_witnesses(n, radius, 16)
+    assert ([g.text() for g in vectors[0].positives()]
+            == [w.element for w in witnesses])
+
+
+@pytest.mark.parametrize("n, radius, count", [
+    (3, 2, 4), (3, 3, 26), (3, 4, 118), (4, 3, 2084)])
+def test_pinned_census_does_not_isolate_dehornoy(n, radius, count):
+    """Pinning s_1 ... s_{n-1} positive leaves many census vectors, the
+    Dehornoy ordering's among them: it is not isolated."""
+    context = GroupContext.braid(n)
+    pins = tuple(context.element(f"s{i}") for i in range(1, n))
+    with _braid_census_scope(radius):
+        vectors = census(CensusQuery(context, radius, pins))
+    assert len(vectors) == count
+    assert sign_vector(DehornoyCone(n), radius) in vectors
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4, 5])
+def test_pinned_census_isolates_each_klein_order(klein, radius):
+    """Each of the four Klein orders is the only census vector with its
+    signs of x and y pinned."""
+    for cone in klein_tararin_cones():
+        pins = tuple(g for g in map(klein.element,
+                                    ("1,0", "-1,0", "0,1", "0,-1"))
+                     if cone.sign(g) == 1)
+        vectors = census(CensusQuery(klein, radius, pins))
+        assert vectors == [sign_vector(cone, radius)]
+
+
 def test_dd_witness_max_len_failure_lists_elements():
-    with pytest.raises(Exception, match="no semigroup witness.*s1"):
+    with pytest.raises(BudgetExceededError, match="no semigroup witness.*s1"):
         dd_isolation_witnesses(3, 2, 1)
 
 
@@ -190,7 +242,7 @@ def test_dd_witnesses_cover_and_replay():
 
 def test_dd_witness_budget():
     with budget_scope(current_budget().with_overrides({"bfs_frontier": 4})):
-        with pytest.raises(Exception, match="frontier budget"):
+        with pytest.raises(BudgetExceededError, match="frontier budget"):
             dd_isolation_witnesses(3, 3, 12)
 
 
