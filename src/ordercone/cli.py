@@ -7,13 +7,15 @@ output.  CSV is available only for tabular results.
 
 Exit codes: 0 success / property holds, 1 property violation found
 (the report carries the certificate), 2 usage error, 3 budget
-exhaustion.
+exhaustion, 4 internal error (an exact verdict and its independent
+cross-check disagreed).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -24,7 +26,8 @@ from .certificates import ConvexityCertificate
 from .cones import (ConeOracle, DehornoyCone, DubrovinaDubrovinCone,
                     LatticeCone, compare, cone_from_json, predicate_from_json,
                     sign_text)
-from .errors import BudgetExceededError, OrderconeError, UsageError
+from .errors import (BudgetExceededError, CrossCheckError, OrderconeError,
+                     UsageError)
 from .groups import GroupContext, ball
 from .lattices import (LexConeSpec, classify_density, perturb_dense)
 from .lospace import CensusQuery, census, distance
@@ -101,150 +104,123 @@ def report_emit(result, fmt: str) -> bytes:
     raise UsageError(f"unknown output format {fmt!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the report")
-    parser.add_argument("--budget", help="JSON budget overrides")
-    parser.add_argument("--config", help="JSON file with argument defaults")
+# Each flag's argparse options, stated once: a flag means the same in every
+# command that takes it.  Defaults live in _DEFAULTS, applied after --config.
+_FLAGS = {
+    "cone": {},
+    "word": {"aliases": ("--element",)},
+    "left": {},
+    "right": {},
+    "group": {},
+    "radius": {"type": int},
+    "radii": {"help": "range a..b for a CSV count table"},
+    "pin": {"action": "append",
+            "help": "element required positive (repeatable)"},
+    "cone_a": {},
+    "cone_b": {},
+    "resolution": {"type": int},
+    "conjugator_radius": {"type": int},
+    "target_radius": {"type": int},
+    "n": {"type": int},
+    "max_len": {"type": int},
+    "predicate": {"help": "predicate JSON"},
+    "spec": {"help": "spec JSON or @file"},
+    "require": {"action": "append",
+                "help": "vector that must stay positive (repeatable)"},
+    "chain": {"help": "JSON list of predicate descriptors"},
+    "n_max": {"type": int},
+    "out": {"help": "output path (default stdout)"},
+    "format": {"choices": ("json", "csv")},
+    "seed": {"type": int, "help": "seed recorded in the report"},
+    "budget": {"help": "JSON budget overrides"},
+    "config": {"help": "JSON file with argument defaults"},
+}
 
+_DEFAULTS = {"pin": (), "require": (), "n_max": 4, "format": "json",
+             "seed": 0}
 
-_REQUIRED = {
-    "sign": ("cone", "word"),
-    "compare": ("cone", "left", "right"),
-    "ball": ("group", "radius"),
-    "census": ("group",),
-    "distance": ("cone_a", "cone_b", "resolution"),
-    "orbit-scan": ("cone", "conjugator_radius", "target_radius"),
-    "dd-witness": ("n", "radius", "max_len"),
-    "convexity": ("cone", "predicate", "radius"),
-    "classify": ("spec",),
-    "perturb": ("spec",),
-    "soul": ("cone", "chain", "radius"),
-    "props": ("cone", "radius"),
+_COMMON = ("out", "format", "seed", "budget", "config")
+
+# command: (help, required flags, optional flags); every command also takes
+# the _COMMON flags.
+_COMMANDS = {
+    "sign": ("sign of one element under a cone", ("cone", "word"), ()),
+    "compare": ("compare two elements under a cone",
+                ("cone", "left", "right"), ()),
+    "ball": ("enumerate a Cayley ball", ("group", "radius"), ()),
+    "census": ("consistent sign vectors on a ball", ("group",),
+               ("radius", "radii", "pin")),
+    "distance": ("ultrametric distance of two cones",
+                 ("cone_a", "cone_b", "resolution"), ()),
+    "orbit-scan": ("search conjugates accumulating at a cone",
+                   ("cone", "conjugator_radius", "target_radius"),
+                   ("resolution",)),
+    "dd-witness": ("semigroup witnesses for DD-positive ball elements",
+                   ("n", "radius", "max_len"), ()),
+    "convexity": ("sorted-ball convexity check of a candidate subgroup",
+                  ("cone", "predicate", "radius"), ()),
+    "classify": ("dense/discrete verdict for a lex spec", ("spec",), ()),
+    "perturb": ("dense perturbation of a lex spec", ("spec",), ("require",)),
+    "soul": ("soul estimate along a convex chain",
+             ("cone", "chain", "radius"), ("n_max",)),
+    "props": ("Conradian/bi-order violation scan", ("cone", "radius"),
+              ("n_max",)),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built once per process; parsing does
+    not mutate it, and every flag it fills defaults to None."""
     parser = argparse.ArgumentParser(
         prog="ordercone",
         description="finite-resolution experiments on spaces of left orderings")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("sign", help="sign of one element under a cone")
-    p.add_argument("--cone")
-    p.add_argument("--word", "--element", dest="word")
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="compare two elements under a cone")
-    p.add_argument("--cone")
-    p.add_argument("--left")
-    p.add_argument("--right")
-    _add_common(p)
-
-    p = sub.add_parser("ball", help="enumerate a Cayley ball")
-    p.add_argument("--group")
-    p.add_argument("--radius", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("census", help="consistent sign vectors on a ball")
-    p.add_argument("--group")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--radii", help="range a..b for a CSV count table")
-    p.add_argument("--pin", action="append", default=[],
-                   help="element required positive (repeatable)")
-    _add_common(p)
-
-    p = sub.add_parser("distance", help="ultrametric distance of two cones")
-    p.add_argument("--cone-a")
-    p.add_argument("--cone-b")
-    p.add_argument("--resolution", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("orbit-scan",
-                       help="search conjugates accumulating at a cone")
-    p.add_argument("--cone")
-    p.add_argument("--conjugator-radius", type=int)
-    p.add_argument("--target-radius", type=int)
-    p.add_argument("--resolution", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("dd-witness",
-                       help="semigroup witnesses for DD-positive ball elements")
-    p.add_argument("--n", type=int)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--max-len", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("convexity", help="sorted-ball convexity check of a candidate subgroup")
-    p.add_argument("--cone")
-    p.add_argument("--predicate", help="predicate JSON")
-    p.add_argument("--radius", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("classify", help="dense/discrete verdict for a lex spec")
-    p.add_argument("--spec", help="spec JSON or @file")
-    _add_common(p)
-
-    p = sub.add_parser("perturb", help="dense perturbation of a lex spec")
-    p.add_argument("--spec")
-    p.add_argument("--require", action="append", default=[],
-                   help="vector that must stay positive (repeatable)")
-    _add_common(p)
-
-    p = sub.add_parser("soul", help="soul estimate along a convex chain")
-    p.add_argument("--cone")
-    p.add_argument("--chain", help="JSON list of predicate descriptors")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--n-max", type=int, default=4)
-    _add_common(p)
-
-    p = sub.add_parser("props", help="Conradian/bi-order violation scan")
-    p.add_argument("--cone")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--n-max", type=int, default=4)
-    _add_common(p)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, required, optional) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in required + optional + _COMMON:
+            options = dict(_FLAGS[name])
+            aliases = options.pop("aliases", ())
+            p.add_argument("--" + name.replace("_", "-"), *aliases, **options)
     return parser
 
 
-def _config_value_ok(action: argparse.Action, value) -> bool:
+def _config_value_ok(name: str, value) -> bool:
     """Whether a config value has the JSON type its flag would produce."""
-    if isinstance(action, argparse._AppendAction):
+    if _FLAGS[name].get("action") == "append":
         return type(value) is list and all(type(v) is str for v in value)
-    return type(value) is (action.type or str)
+    return type(value) is _FLAGS[name].get("type", str)
 
 
-def _apply_config(parser: argparse.ArgumentParser,
-                  args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the ``--config`` object; its values bypass
-    argparse, so each must already have its flag's type."""
-    if getattr(args, "config", None):
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill unset flags from the ``--config`` object, then from _DEFAULTS;
+    config values bypass argparse, so each must already have its flag's
+    type.  Config keys may spell a flag with ``-`` or ``_``."""
+    config = {}
+    if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            defaults = json.load(handle)
-        if not isinstance(defaults, dict):
+            config = json.load(handle)
+        if not isinstance(config, dict):
             raise UsageError("--config must hold a JSON object")
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a
-                   for a in subparsers.choices[args.command]._actions}
-        for key, value in defaults.items():
-            action = actions.get(key.replace("-", "_"))
-            if (action is None
-                    or getattr(args, action.dest, None) not in (None, [])):
-                continue
-            if not _config_value_ok(action, value):
+        config = {key.replace("-", "_"): (key, value)
+                  for key, value in config.items()}
+    _, required, optional = _COMMANDS[args.command]
+    for name in required + optional + _COMMON:
+        if getattr(args, name) is not None:
+            continue
+        if name in config:
+            key, value = config[name]
+            if not _config_value_ok(name, value):
                 raise UsageError(f"--config value for {key!r} has the "
                                  f"wrong type: {value!r}")
-            setattr(args, action.dest, value)
-    missing = [name for name in _REQUIRED.get(args.command, ())
-               if getattr(args, name, None) is None]
+            setattr(args, name, value)
+        else:
+            setattr(args, name, _DEFAULTS.get(name))
+    missing = [name for name in required if getattr(args, name) is None]
     if missing:
         raise UsageError(f"{args.command} is missing: "
                          + ", ".join("--" + m.replace("_", "-")
                                      for m in missing))
-    return args
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
@@ -266,9 +242,11 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
                 "elements": [e.text() for e in b.elements]}, 0
 
     if args.command == "census":
+        if (args.radius is None) == (args.radii is None):
+            raise UsageError("census takes one of --radius and --radii")
         context = parse_group(args.group)
         pins = tuple(context.element(p) for p in args.pin)
-        if args.radii:
+        if args.radii is not None:
             lo, dots, hi = args.radii.partition("..")
             if not (dots and lo.isdecimal() and hi.isdecimal()
                     and int(lo) <= int(hi)):
@@ -277,8 +255,6 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             rows = [[r, len(census(CensusQuery(context, r, pins)))]
                     for r in range(int(lo), int(hi) + 1)]
             return {"columns": ["radius", "count"], "rows": rows}, 0
-        if args.radius is None:
-            raise UsageError("census needs --radius or --radii")
         vectors = census(CensusQuery(context, args.radius, pins))
         return {"count": len(vectors),
                 "vectors": [v.to_json() for v in vectors]}, 0
@@ -341,20 +317,16 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         violated = scan.conradian_violations or scan.biorder_violations
         return scan.to_json(), 1 if violated else 0
 
-    raise UsageError(f"unknown command {args.command!r}")
-
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        args = _apply_config(parser, args)
-        budget = getattr(args, "budget", None)
+        _apply_config(args)
         with budget_scope(current_budget().with_overrides(
-                json.loads(budget) if budget else {})):
+                json.loads(args.budget) if args.budget else {})):
             report, code = _run(args)
         report["seed"] = args.seed
         emit(report, args.format, args.out)
@@ -362,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except CrossCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (UsageError, OrderconeError, OSError, json.JSONDecodeError,
             ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

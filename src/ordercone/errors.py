@@ -1,8 +1,8 @@
 """Shared exception types, and the JSON field readers that raise them.
 
-The CLI maps these onto its exit codes: usage problems exit 2, budget
-exhaustion exits 3.  A property violation discovered by a scan is not an
-exception; it is a certificate in the report, and the CLI exits 1.
+The CLI's exit codes: usage problems 2, budget exhaustion 3, a failed
+cross-check (CrossCheckError) 4.  A property violation found by a scan
+is no exception but a certificate in the report, and the CLI exits 1.
 """
 
 

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
+from ordercone import lattices
 from ordercone.braids import clear_caches
-from ordercone.cli import main, report_emit
+from ordercone.cli import build_parser, main, report_emit
 from ordercone.errors import UsageError
 
 
@@ -58,7 +59,8 @@ def test_census_csv_table(capsys):
     (("--radii", "3..1"), "range a..b"),
     (("--radii", "3"), "range a..b"),
     (("--radii", "1..3", "--pin", "2,0"), "outside the ball"),
-], ids=["descending", "no-range", "pin-outside-row"])
+    (("--radius", "2", "--radii", "1..3"), "one of --radius and --radii"),
+], ids=["descending", "no-range", "pin-outside-row", "radius-and-radii"])
 def test_census_radii_usage_errors(capsys, argv, message):
     code = main(["census", "--group", "z2", *argv, "--format", "csv"])
     captured = capsys.readouterr()
@@ -286,6 +288,59 @@ def test_config_file(tmp_path, capsys):
                         "--radius", "3", "--config", str(config))
     assert code == 0
     assert json.loads(out)["best_biorder_level"] == 0
+    # Keys may spell a flag with "-" or "_".
+    config.write_text(json.dumps({"cone-a": "klein:++", "cone_b": "klein:+-"}))
+    code, out = run_cli(capsys, "distance", "--resolution", "4",
+                        "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["distance"] == "2^-0"
+
+
+def test_config_fills_flags_that_have_defaults(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 7, "n_max": 1}))
+    argv = ("props", "--cone", "dehornoy:3", "--radius", "2",
+            "--config", str(config))
+    _, out = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert (report["seed"], report["n_max"]) == (7, 1)
+    _, out = run_cli(capsys, *argv, "--seed", "3")
+    assert json.loads(out)["seed"] == 3  # an explicit flag beats the config
+    config.write_text(json.dumps({"format": "csv"}))
+    code, out = run_cli(capsys, "census", "--group", "z", "--radii", "1..3",
+                        "--config", str(config))
+    assert code == 0
+    assert out == "radius,count\n1,2\n2,2\n3,2\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 7, "format": "csv"}))
+    plain = [("census", "--group", "z2", "--radius", "2"),
+             ("perturb", "--spec", _LATTICE_SPEC),
+             ("census", "--group", "z", "--radii", "1..3")]
+    flagged = [(*plain[0], "--pin", "1,0"),
+               (*plain[1], "--require", "0,1", "--require=-6,1"),
+               (*plain[2], "--config", str(config))]
+    # Each run comes both before and after runs of the other kind.
+    runs = [run_cli(capsys, *argv) for argv in plain + flagged + plain + flagged]
+    assert runs[:6] == runs[6:]
+    assert all(runs[i] != runs[i + 3] for i in range(3))
+
+
+def test_missing_command_is_usage_error(capsys):
+    assert main([]) == 2
+    assert "required: command" in capsys.readouterr().err
+
+
+def test_cross_check_disagreement_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(lattices, "least_positive_in_ball",
+                        lambda spec, radius: (5, 5))
+    code = main(["classify", "--spec", _LATTICE_SPEC])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("internal error: ")
 
 
 @pytest.mark.parametrize("config, argv, named", [
