@@ -29,13 +29,17 @@ results are memoized as words, keyed by the input's letter tuple.
 
 Equality and hashing use an exact key instead, ``fingerprint``: the
 Garside left normal form (Epstein et al., *Word Processing in Groups*,
-ch. 9), with each simple factor stored as its permutation.
+ch. 9), with each simple factor stored as the lexicographic rank of its
+permutation.  The ranks, the letters' simples, tau-flips and left-weighted
+pairs sit in one lazily filled table per ``n``; a rank depends only on
+the braid, so keys do not depend on what the memos held.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import factorial
 
 from .budgets import current_budget
 from .errors import BudgetExceededError, ContextMismatchError, UsageError
@@ -45,16 +49,13 @@ _TOKEN = re.compile(r"^([sS])([1-9][0-9]*)$")
 # Reduction memo: (n, letters) of a word and of its result -> the result.
 _reduce_cache: dict[tuple[int, tuple[int, ...]], "BraidWord"] = {}
 
-# Normal-form memos: interned simple factors, and left-weighted pairs.
-Simple = tuple[int, ...]
-_simples: dict[Simple, Simple] = {}
-_left_weighted: dict[tuple[Simple, Simple], tuple[Simple, Simple]] = {}
+# Normal-form memos: the simples of B_n, by n.
+_tables: dict[int, _Simples] = {}
 
 
 def clear_caches() -> None:
     _reduce_cache.clear()
-    _left_weighted.clear()
-    _simples.clear()
+    _tables.clear()
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,19 +239,58 @@ def shift_embed(r: int, word: BraidWord, n: int) -> BraidWord:
     return BraidWord(n, shifted)
 
 
-def _simple(perm) -> Simple:
-    """The interned tuple of a permutation: equal factors share memory."""
-    perm = tuple(perm)
-    return _simples.setdefault(perm, perm)
+class _Simples:
+    """The simples of B_n, each named by the lexicographic rank of its
+    permutation (identity 0, Delta n! - 1), with lazily filled memos.
 
+    ``perm`` and ``rank`` translate between a rank and its strand labels
+    by position; ``letter[parity][l]`` is the simple of letter ``l`` at
+    that parity of the Delta power; ``flip`` holds tau-flips, and
+    ``weighted`` left-weighted pairs keyed ``(a << shift) | b``.
+    """
 
-def _left_weight(a: Simple, b: Simple) -> tuple[Simple, Simple]:
-    """Simples (a', b') with a' b' = a b, left-weighted: while some s_j
-    starts b (value j + 1 before j) but does not finish a (a[j] < a[j+1]),
-    move it over: swap positions j, j + 1 of a and values j, j + 1 of b."""
-    pair = _left_weighted.get((a, b))
-    if pair is None:
-        x, y = list(a), list(b)
+    def __init__(self, n: int) -> None:
+        self.n, self.delta = n, factorial(n) - 1
+        self.shift = self.delta.bit_length()
+        self.perm: dict[int, tuple[int, ...]] = {}
+        self.rank: dict[tuple[int, ...], int] = {}
+        self.flip: dict[int, int] = {}
+        self.weighted: dict[int, tuple[int, int]] = {}
+        identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
+        self.letter = ({}, {})
+        for parity, table in enumerate(self.letter):
+            for i in range(1, n):
+                j = i - 1 if parity == 0 else n - 1 - i
+                for letter, base in ((i, identity), (-i, delta)):
+                    # s_j, or Delta s_j^{-1}: swap positions j, j + 1
+                    table[letter] = self.intern(
+                        base[:j] + (base[j + 1], base[j]) + base[j + 2:])
+
+    def intern(self, perm: tuple[int, ...]) -> int:
+        """The rank of ``perm``, by its Lehmer code, recorded both ways."""
+        rank = self.rank.get(perm)
+        if rank is None:
+            rank = 0
+            for k, v in enumerate(perm):
+                rank = rank * (self.n - k) + sum(u < v for u in perm[k + 1:])
+            self.rank[perm], self.perm[rank] = rank, perm
+        return rank
+
+    def tau(self, a: int) -> int:
+        """The rank of the tau-flip of ``a``: s_i -> s_{n-i}."""
+        flipped = self.flip.get(a)
+        if flipped is None:
+            n = self.n
+            flipped = self.flip[a] = self.intern(
+                tuple(n - 1 - v for v in reversed(self.perm[a])))
+        return flipped
+
+    def left_weight(self, a: int, b: int) -> tuple[int, int]:
+        """Simples (a', b') with a' b' = a b, left-weighted: while some s_j
+        starts b (value j + 1 before j) but does not finish a (a[j] < a[j+1]),
+        move it over: swap positions j, j + 1 of a and values j, j + 1 of b.
+        Memoized in ``weighted``."""
+        x, y = list(self.perm[a]), list(self.perm[b])
         where = sorted(range(len(y)), key=y.__getitem__)  # value -> position
         j = 0
         while j < len(x) - 1:
@@ -261,36 +301,46 @@ def _left_weight(a: Simple, b: Simple) -> tuple[Simple, Simple]:
                 j = max(j - 1, 0)
             else:
                 j += 1
-        pair = _left_weighted[(a, b)] = _simple(x), _simple(y)
-    return pair
+        pair = self.weighted[(a << self.shift) | b] = (
+            self.intern(tuple(x)), self.intern(tuple(y)))
+        return pair
 
 
-def fingerprint(word: BraidWord) -> tuple[int, tuple[Simple, ...]]:
+def fingerprint(word: BraidWord) -> tuple[int, tuple[int, ...]]:
     """Exact key ``(p, (A_1, ..., A_r))`` of the left normal form
     Delta^p A_1 ... A_r: equal exactly when the braids are equal.
 
-    A simple is its strand labels by position.  ``s_i^{-1}`` is Delta^{-1}
-    (Delta s_i^{-1}), and moving Delta^{-1} to the front flips the simples
-    it passes by tau: s_i -> s_{n-i}; factors are kept flipped by tau^p and
-    restored at the end.  Each new simple is left-weighted against its
-    predecessors from the right, up to the first pair that does not change.
+    A simple is stored as the lexicographic rank of its permutation (its
+    strand labels by position), a pure function of the braid: keys do not
+    depend on what the memos held, so they stay valid across
+    ``clear_caches``.  ``s_i^{-1}`` is Delta^{-1} (Delta s_i^{-1}), and
+    moving Delta^{-1} to the front flips the simples it passes by tau:
+    s_i -> s_{n-i}; factors are kept flipped by tau^p and restored at the
+    end.  Each new simple is left-weighted against its predecessors from
+    the right, up to the first pair that does not change.
     """
     n = word.n
-    identity, delta = _simple(range(n)), _simple(range(n - 1, -1, -1))
+    table = _tables.get(n)
+    if table is None:
+        table = _tables[n] = _Simples(n)
+    of_letter, weighted = table.letter, table.weighted.get
+    shift = table.shift
     p, factors = 0, []
     for letter in word.letters:
         p -= letter < 0
-        j = abs(letter) - 1 if p % 2 == 0 else n - 1 - abs(letter)
-        base = identity if letter > 0 else delta  # s_j, or Delta s_j^{-1}
-        factors.append(_simple(base[:j] + (base[j + 1], base[j]) + base[j + 2:]))
-        for k in range(len(factors) - 1, 0, -1):
-            a, b = _left_weight(factors[k - 1], factors[k])
-            if a == factors[k - 1]:
+        b = of_letter[p & 1][letter]
+        k = len(factors)
+        factors.append(b)
+        while k:  # left-weight b against the factors before it
+            a = factors[k - 1]
+            a2, b2 = weighted((a << shift) | b) or table.left_weight(a, b)
+            if a2 == a:
                 break
-            factors[k - 1], factors[k] = a, b
-        if factors[-1] == identity:
+            factors[k], b, k = b2, a2, k - 1
+        factors[k] = b
+        if not factors[-1]:  # the identity
             factors.pop()
-    if p % 2:
-        factors = [_simple(n - 1 - v for v in reversed(a)) for a in factors]
-    lead = factors.count(delta)  # Delta factors only lead a normal form
+    if p & 1:
+        factors = [table.tau(a) for a in factors]
+    lead = factors.count(table.delta)  # Delta factors only lead a normal form
     return p + lead, tuple(factors[lead:])

@@ -168,6 +168,26 @@ _COMMANDS = {
 }
 
 
+def _flag_strings(name: str) -> tuple[str, ...]:
+    return ("--" + name.replace("_", "-"), *_FLAGS[name].get("aliases", ()))
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1,0`` into ``--flag=-1,0`` for every flag of _FLAGS:
+    a value that starts with ``-`` and a digit is never an option here,
+    but argparse's own test for negative numbers differs across Python
+    versions and refuses ``-1,0``."""
+    flags = {s for name in _FLAGS for s in _flag_strings(name)}
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in flags and token[:1] == "-"
+                and token[1:2].isdecimal()):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser for every command, built once per process; parsing does
@@ -180,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for name in required + optional + _COMMON:
             options = dict(_FLAGS[name])
-            aliases = options.pop("aliases", ())
-            p.add_argument("--" + name.replace("_", "-"), *aliases, **options)
+            options.pop("aliases", None)
+            p.add_argument(*_flag_strings(name), **options)
     return parser
 
 
@@ -321,7 +341,8 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser().parse_args(_attach_negative_values(
+                sys.argv[1:] if argv is None else argv))
         except SystemExit as exc:
             return int(exc.code or 0)
         _apply_config(args)

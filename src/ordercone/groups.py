@@ -151,7 +151,9 @@ class GroupElement:
 
     Equality, hashing and ``is_identity`` read one cached key: the
     payload for Z^k and Klein, the normal-form key ``braids.fingerprint``
-    for braids, so different words for the same braid are equal.
+    (a Delta power and a tuple of int ranks) for braids, so different
+    words for the same braid are equal, before and after
+    ``braids.clear_caches``.
     """
 
     context: GroupContext

@@ -1,5 +1,7 @@
 """Braid-word machinery, verified against the exact Burau oracle for B_3."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -330,14 +332,86 @@ def test_key_invariant_under_relator_insertion(pair, data):
     assert fingerprint(u) == fingerprint(v)
 
 
+def _inversions(perm) -> int:
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
+def _finishing_set(perm) -> set[int]:
+    """The j with perm = B s_j, B shorter: s_j on the right swaps
+    positions j, j + 1."""
+    def swapped(j):
+        return perm[:j] + (perm[j + 1], perm[j]) + perm[j + 2:]
+    return {j for j in range(len(perm) - 1)
+            if _inversions(swapped(j)) < _inversions(perm)}
+
+
+def _starting_set(perm) -> set[int]:
+    """The j with perm = s_j B, B shorter: s_j on the left swaps values
+    j, j + 1."""
+    def swapped(j):
+        return tuple({j: j + 1, j + 1: j}.get(v, v) for v in perm)
+    return {j for j in range(len(perm) - 1)
+            if _inversions(swapped(j)) < _inversions(perm)}
+
+
+@functools.cache
+def _perms_by_rank(n: int) -> list[tuple[int, ...]]:
+    return list(itertools.permutations(range(n)))  # lexicographic order
+
+
+@settings(deadline=None)
+@given(reduction_words())
+def test_key_is_a_left_normal_form(case):
+    # Each factor rank decodes, independently of the module's tables, to a
+    # permutation; the factors are proper simples, each adjacent pair is
+    # left-weighted, and Delta^p A_1 ... A_r has the word's permutation.
+    n, letters = case
+    p, factors = fingerprint(BraidWord(n, letters))
+    perms = [_perms_by_rank(n)[a] for a in factors]
+    identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
+    assert identity not in perms and delta not in perms
+    for a, b in zip(perms, perms[1:]):
+        assert _starting_set(b) <= _finishing_set(a)
+    image = delta if p % 2 else identity
+    for perm in perms:
+        image = tuple(image[v] for v in perm)
+    expected = list(identity)
+    for letter in letters:
+        j = abs(letter) - 1
+        expected[j], expected[j + 1] = expected[j + 1], expected[j]
+    assert image == tuple(expected)
+
+
+def test_keys_do_not_depend_on_cache_state():
+    rng = random.Random(1313)
+    words = [random_word(rng, n, 60, 20) for n in (3, 4, 5, 6) * 5]
+    others = [random_word(rng, n, 60, 20) for n in (6, 5, 4, 3) * 5]
+    b4 = GroupContext.braid(4)
+    u = BraidWord(4, (1, 2, 1, -3, 2, 3, -1))
+    v = BraidWord(4, (2, 1, 2, -3, 2, 3, -1))  # s1 s2 s1 = s2 s1 s2
+    clear_caches()
+    keys = [fingerprint(w) for w in words]
+    before = b4.element(u)
+    hash(before)  # caches its key
+    clear_caches()
+    for w in others:  # the simples are met in another order
+        fingerprint(w)
+    assert [fingerprint(w) for w in reversed(words)] == keys[::-1]
+    after = b4.element(v)
+    assert after == before and hash(after) == hash(before)
+
+
 def test_clear_caches_resets_every_braid_memo():
     word = BraidWord(4, (1, -2, 3, 2, -1, -3, 2))
     handle_reduce(word)
     fingerprint(word)
-    memos = (braids._reduce_cache, braids._left_weighted, braids._simples)
-    assert all(memos)
+    table = braids._tables[4]
+    assert table.perm and table.rank and table.flip and table.weighted
+    assert braids._reduce_cache
     clear_caches()
-    assert not any(memos)
+    assert not braids._reduce_cache and not braids._tables
+    fingerprint(word)
+    assert braids._tables[4] is not table
 
 
 def test_subword_property_sample():

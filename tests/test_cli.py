@@ -329,6 +329,21 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert all(runs[i] != runs[i + 3] for i in range(3))
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("census", "--group", "z2", "--radius", "1"), "--pin", "-1,0"),
+    (("perturb", "--spec", _LATTICE_SPEC), "--require", "-2,1"),
+    (("compare", "--cone", "klein:++", "--right", "1,0"), "--left", "-1,0"),
+    (("compare", "--cone", "klein:++", "--left", "1,0"), "--right", "-1,0"),
+    (("sign", "--cone", "klein:++"), "--word", "-1,0"),
+    (("sign", "--cone", "klein:++"), "--element", "-1,1"),
+], ids=["pin", "require", "left", "right", "word", "element"])
+def test_spaced_negative_values_match_the_equals_form(capsys, argv, flag,
+                                                      value):
+    spaced = run_cli(capsys, *argv, flag, value)
+    assert spaced[0] == 0
+    assert spaced == run_cli(capsys, *argv, f"{flag}={value}")
+
+
 def test_missing_command_is_usage_error(capsys):
     assert main([]) == 2
     assert "required: command" in capsys.readouterr().err
