@@ -23,9 +23,10 @@ class BudgetExceededError(OrderconeError):
 
 
 class PerturbationError(BudgetExceededError):
-    """No admissible perturbation passed the exact checks at the configured
-    precision floor.  A subclass of the budget error: the delta schedule is a
-    precision budget, and returning an unverified spec is forbidden."""
+    """No admissible perturbation passed the exact checks before the delta
+    schedule's precision floor or within the difference-witness radius.  A
+    subclass of the budget error: both are fixed search limits, and
+    returning an unverified spec is forbidden."""
 
 
 class CertificateError(OrderconeError):

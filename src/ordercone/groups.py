@@ -15,13 +15,15 @@ Balls are enumerated breadth first over the standard generators and
 their inverses in a fixed letter order, deduplicating by each
 element's exact key, so members carry shortest (for braids,
 BFS-first canonical) representatives and appear in a deterministic
-order: by word length, then by discovery.
+order: by word length, then by discovery.  The BFS steps on bare
+payloads, and ``ball`` wraps each member in an element once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import braids
 from .braids import BraidWord
@@ -149,11 +151,11 @@ class GroupElement:
     checked at construction: a tuple of k (Z^k) or 2 (Klein) ints, or a
     ``BraidWord`` on the context's n strands.
 
-    Equality, hashing and ``is_identity`` read one cached key: the
-    payload for Z^k and Klein, the normal-form key ``braids.fingerprint``
-    (a Delta power and a tuple of int ranks) for braids, so different
-    words for the same braid are equal, before and after
-    ``braids.clear_caches``.
+    Equality, hashing and ``is_identity`` read one key: the payload for
+    Z^k and Klein (hashed with its coordinates doubled), the cached
+    normal-form key ``braids.fingerprint`` (a Delta power and a tuple of
+    int ranks) for braids, so different words for the same braid are
+    equal, before and after ``braids.clear_caches``.
     """
 
     context: GroupContext
@@ -189,13 +191,7 @@ class GroupElement:
         return out
 
     def inverse(self) -> "GroupElement":
-        ctx = self.context
-        if ctx.family == FREE_ABELIAN:
-            return GroupElement(ctx, tuple(-c for c in self.payload))
-        if ctx.family == KLEIN_BOTTLE:
-            a, b = self.payload
-            return GroupElement(ctx, (-a, -b if a % 2 == 0 else b))
-        return GroupElement(ctx, self.payload.inverse())
+        return GroupElement(self.context, _inverse(self.context, self.payload))
 
     def is_identity(self) -> bool:
         # The identity's key is all zeros: (0, ()) for braids.
@@ -219,10 +215,7 @@ class GroupElement:
             return self.payload
         key = self.__dict__.get("key")
         if key is None:
-            p, factors = braids.fingerprint(self.payload)
-            # p zigzagged onto 0, 1, 2, ...: CPython hashes -1 like -2.
-            key = (2 * p if p >= 0 else -2 * p - 1, factors)
-            self.__dict__["key"] = key
+            key = self.__dict__["key"] = _payload_key(self.context, self.payload)
         return key
 
     def __eq__(self, other) -> bool:
@@ -231,7 +224,10 @@ class GroupElement:
         return self.context == other.context and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.context, self._key))
+        if self.context.family == BRAID:
+            return hash(self._key)
+        # Doubled coordinates are never -1, which CPython hashes like -2.
+        return hash(tuple([2 * c for c in self.payload]))
 
     def text(self) -> str:
         if self.context.family == BRAID:
@@ -246,17 +242,40 @@ class GroupElement:
         return f"<{self.context!r}: {self.text() or '1'}>"
 
 
+def _product(context: GroupContext, p, q):
+    """The product of two payloads of the context's family."""
+    if context.family == FREE_ABELIAN:
+        return tuple(map(add, p, q))
+    if context.family == KLEIN_BOTTLE:
+        (a1, b1), (a2, b2) = p, q
+        return (a1 + a2, (b1 if a2 % 2 == 0 else -b1) + b2)
+    return p * q
+
+
+def _inverse(context: GroupContext, p):
+    """The inverse of a payload of the context's family."""
+    if context.family == FREE_ABELIAN:
+        return tuple(-c for c in p)
+    if context.family == KLEIN_BOTTLE:
+        a, b = p
+        return (-a, -b if a % 2 == 0 else b)
+    return p.inverse()
+
+
+def _payload_key(context: GroupContext, p):
+    """The exact equality key of a payload: itself for Z^k and Klein;
+    for braids the normal-form key with its Delta power zigzagged onto
+    0, 1, 2, ..., since CPython hashes -1 like -2."""
+    if context.family != BRAID:
+        return p
+    power, factors = braids.fingerprint(p)
+    return (2 * power if power >= 0 else -2 * power - 1, factors)
+
+
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     if g.context != h.context:
         raise ContextMismatchError("incompatible groups")
-    ctx = g.context
-    if ctx.family == FREE_ABELIAN:
-        return GroupElement(ctx, tuple(a + b for a, b in zip(g.payload, h.payload)))
-    if ctx.family == KLEIN_BOTTLE:
-        a1, b1 = g.payload
-        a2, b2 = h.payload
-        return GroupElement(ctx, (a1 + a2, (b1 if a2 % 2 == 0 else -b1) + b2))
-    return GroupElement(ctx, g.payload * h.payload)
+    return GroupElement(g.context, _product(g.context, g.payload, h.payload))
 
 
 class Ball:
@@ -267,16 +286,21 @@ class Ball:
     identity being absent: an identity product finds no index entry.
     """
 
-    def __init__(self, context: GroupContext, radius: int,
-                 elements: list[GroupElement]):
+    def __init__(self, context: GroupContext, radius: int):
         self.context = context
         self.radius = radius
+        payloads, positions = ball_payloads(context, radius)
+        elements = [GroupElement(context, p) for p in payloads]
+        if context.family == BRAID:  # the BFS keyed every member already
+            for e, key in zip(elements, positions):
+                e.__dict__["key"] = key
         self.elements: tuple[GroupElement, ...] = tuple(elements)
         self.index: dict[GroupElement, int] = {
             e: i for i, e in enumerate(self.elements)}
         self.lengths: tuple[int, ...] = tuple(e.word_length() for e in self.elements)
         self.inverse_position: tuple[int, ...] = tuple(
-            self.index[e.inverse()] for e in self.elements)
+            positions[_payload_key(context, _inverse(context, p))]
+            for p in payloads)
         self._triples: list[tuple[int, int, int]] | None = None
 
     def __len__(self) -> int:
@@ -325,29 +349,33 @@ def ball(context: GroupContext, radius: int) -> Ball:
                 f"ball budget exceeded: radius {radius} > limit {limit} "
                 f"for B_{context.n}")
     cached = _ball_cache.get((context, radius))
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _ball_cache[(context, radius)] = Ball(context, radius)
+    return cached
 
-    gens = context.generators_with_inverses()
-    elements: list[GroupElement] = []
-    seen: dict[GroupElement, int] = {}
-    frontier = [context.identity()]
-    identity = context.identity()
-    seen[identity] = -1
+
+def ball_payloads(context: GroupContext, radius: int) -> tuple[list, dict]:
+    """The BFS of ``ball`` on bare payloads: the nontrivial members in
+    ball order (int tuples for Z^k and Klein; braid words, deduplicated
+    by normal-form key) and each member's exact key mapped to its
+    position, in the same order.  Nothing is cached or budgeted."""
+    gens = [g.payload for g in context.generators_with_inverses()]
+    frontier = [context.identity().payload]
+    identity_key = _payload_key(context, frontier[0])
+    members: list = []
+    positions: dict = {identity_key: -1}
     for _layer in range(radius):
-        next_frontier: list[GroupElement] = []
+        start = len(members)
         for parent in frontier:
             for g in gens:
-                candidate = parent * g
-                if candidate in seen:
-                    continue
-                seen[candidate] = len(elements)
-                elements.append(candidate)
-                next_frontier.append(candidate)
-        frontier = next_frontier
-    result = Ball(context, radius, elements)
-    _ball_cache[(context, radius)] = result
-    return result
+                candidate = _product(context, parent, g)
+                key = _payload_key(context, candidate)
+                if key not in positions:
+                    positions[key] = len(members)
+                    members.append(candidate)
+        frontier = members[start:]
+    del positions[identity_key]
+    return members, positions
 
 
 def clear_ball_cache() -> None:

@@ -30,7 +30,7 @@ from . import intlinalg
 from .budgets import current_budget
 from .errors import (CrossCheckError, PerturbationError, UsageError,
                      _field, _int_field)
-from .groups import GroupContext, ball
+from .groups import GroupContext, ball_payloads
 from .quadratic import QuadScalar, quad, sqrt2_sign
 
 Vector = tuple[int, ...]
@@ -151,21 +151,6 @@ class DensityReport:
                 "method": self.method}
 
 
-def _restrict_normals(normals: tuple[Normal, ...],
-                      basis: intlinalg.IntMatrix) -> tuple[Normal, ...]:
-    """Express normals in the dual coordinates of a sublattice basis."""
-    restricted = []
-    for normal in normals:
-        row = []
-        for basis_vec in basis:
-            total = quad(0, 0)
-            for entry, coord in zip(normal, basis_vec):
-                total = total + entry * coord
-            row.append(total)
-        restricted.append(tuple(row))
-    return tuple(restricted)
-
-
 def _classify(k: int, int_normals) -> Vector | None:
     """Least positive element in basis coordinates, or None when dense,
     for the order given by integer (rational, sqrt-2) row pairs."""
@@ -276,15 +261,24 @@ def perturb_dense(spec: LexConeSpec, required_positive) -> PerturbationResult:
     for higher dimensions the schedule runs out and the error says so;
     dense orders there are built by composing ``saturate`` and
     ``extend_by_quotient`` instead.
+
+    For fixed j, halving delta only shrinks the set of vectors on which
+    the candidate disagrees with the input.  With alpha = n1 . v, it
+    disagrees exactly when delta*sqrt(2)*|v_j| >= |alpha| with the
+    opposite sign (alpha != 0), or when sign(v_j) differs from the
+    input's sign, whatever delta is (alpha = 0).  So a scan of the probe
+    that finds no witness ends the search at that j.
     """
     required = [_as_vector(g, spec.k) for g in required_positive]
     for g in required:
         if spec._sign(g) != 1:
             raise UsageError(f"required vector {g} is not positive under the spec")
     first = spec.normals[0]
+    radius = _WITNESS_RADIUS.get(spec.k, 6)
     # Difference-witness probe, built at the first candidate that needs
     # it: ball vectors in ball order, each signed once under the input.
     probe = None
+    witness_free = False
     for j in range(spec.k):
         if any(first[p].b != 0 for p in range(spec.k) if p != j):
             continue  # another entry is already irrational; j cannot work
@@ -304,14 +298,19 @@ def perturb_dense(spec: LexConeSpec, required_positive) -> PerturbationResult:
             if (all(candidate._sign(g) == 1 for g in required)
                     and classify_density(candidate).verdict == "dense"):
                 if probe is None:
-                    probe = [(e.payload, spec._sign(e.payload)) for e in ball(
-                        GroupContext.free_abelian(spec.k),
-                        _WITNESS_RADIUS.get(spec.k, 6))]
+                    probe = [(v, spec._sign(v)) for v in ball_payloads(
+                        GroupContext.free_abelian(spec.k), radius)[0]]
                 witness = next((v for v, s in probe
                                 if candidate._sign(v) != s), None)
                 if witness is not None:
                     return PerturbationResult(candidate, witness, j + 1, delta)
+                witness_free = True
+                break  # smaller deltas disagree on fewer vectors
             delta /= 2
+    if witness_free:
+        raise PerturbationError(
+            "perturbation failed: no admissible tilt has a difference "
+            f"witness within radius {radius} (k = {spec.k})")
     raise PerturbationError(
         "perturbation failed: no admissible tilt at the configured precision "
         f"(k = {spec.k}; dense single-normal specs over Q(sqrt 2) need k = 2)")
@@ -384,29 +383,19 @@ def extend_by_quotient(inner: LexConeSpec | None, basis,
         raise UsageError(
             f"outer spec has dimension {outer.k}, quotient rank is {k - r}")
     u, v = _completed_transforms(basis, k)
-    lifted: list[Normal] = []
-    for normal in outer.normals:
-        entries = []
-        for row in range(k):
-            total = quad(0, 0)
-            for l, scalar in enumerate(normal):
-                total = total + scalar * v[row][r + l]
-            entries.append(total)
-        lifted.append(tuple(entries))
-    for normal in inner.normals:
-        # inner coordinates of w are (w . V)[:r] . U
-        entries = []
-        for row in range(k):
-            total = quad(0, 0)
-            for s, scalar in enumerate(normal):
-                for t in range(r):
-                    total = total + scalar * (v[row][t] * u[t][s])
-            entries.append(total)
-        lifted.append(tuple(entries))
-    return LexConeSpec(k, tuple(lifted))
+    # Row e of Z^k has quotient coordinates (e . V)[r:] and inner
+    # coordinates (e . V)[:r] . U.
+    quotient = [v[row][r:] for row in range(k)]
+    inside = [[sum(v[row][t] * u[t][s] for t in range(r)) for s in range(r)]
+              for row in range(k)]
+    return LexConeSpec(k, tuple(
+        tuple(order.dot(i, coords[row]) for row in range(k))
+        for order, coords in ((outer, quotient), (inner, inside))
+        for i in range(len(order.normals))))
 
 
 def restrict_to_sublattice(spec: LexConeSpec, basis) -> LexConeSpec:
     """The order induced on a sublattice, in its basis coordinates."""
-    basis = [list(_as_vector(b, spec.k)) for b in basis]
-    return LexConeSpec(len(basis), _restrict_normals(spec.normals, basis))
+    basis = [_as_vector(b, spec.k) for b in basis]
+    return LexConeSpec(len(basis), tuple(
+        tuple(spec.dot(i, b) for b in basis) for i in range(len(spec.normals))))

@@ -19,6 +19,16 @@ earliest-closing handle and free-reduces the whole word after every
 rewrite; it is the reference for ``braids.handle_reduce``, which
 resumes at the rewrite junction instead.
 
+The element ball search runs the breadth-first search on
+``GroupElement`` products, deduplicated by element equality; it is the
+reference for ``groups.ball_payloads``, which steps on bare payloads,
+and for the order, lengths and inverse positions of ``groups.ball``.
+
+The full-schedule perturbation walks every delta of the schedule at
+every coordinate, rescanning the whole witness probe each time; it is
+the reference for ``lattices.perturb_dense``, which stops at a
+coordinate once a probe scan finds no witness.
+
 The census brute force tries every antisymmetric +/- assignment on a
 ball and keeps the product-closed ones that honour the pins; it is the
 reference for the propagating search in ``lospace.census``.  The library
@@ -39,11 +49,14 @@ import ordercone
 from ordercone import BraidWord, GroupContext, UsageError, ball, cli, lospace
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
-from ordercone.errors import ContextMismatchError
+from ordercone.errors import ContextMismatchError, PerturbationError
 from ordercone.groups import GroupElement
-from ordercone.lattices import (DensityReport, LexConeSpec, Vector,
-                                compare_vectors, iter_lattice_shell,
-                                least_positive_in_ball)
+from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, _WITNESS_RADIUS,
+                                DensityReport, LexConeSpec,
+                                PerturbationResult, Vector,
+                                classify_density, compare_vectors,
+                                iter_lattice_shell, least_positive_in_ball)
+from ordercone.quadratic import quad
 
 Laurent = dict[int, int]
 
@@ -232,6 +245,72 @@ def convexity_triple_scan(cone, predicate, radius):
                         cone.to_json(), predicate.to_json(), radius,
                         f.to_json(), g.to_json(), h.to_json())
     return ConvexityCertificate(cone.to_json(), predicate.to_json(), radius)
+
+
+def element_ball_search(context: GroupContext, radius: int):
+    """(payloads, word lengths, inverse positions) of the nontrivial
+    radius ball, by BFS over element products deduplicated by element
+    equality, in ``generators_with_inverses`` order."""
+    gens = context.generators_with_inverses()
+    identity = context.identity()
+    seen = {identity: -1}
+    members: list[GroupElement] = []
+    frontier = [identity]
+    for _ in range(radius):
+        next_frontier = []
+        for parent in frontier:
+            for g in gens:
+                candidate = parent * g
+                if candidate not in seen:
+                    seen[candidate] = len(members)
+                    members.append(candidate)
+                    next_frontier.append(candidate)
+        frontier = next_frontier
+    return ([e.payload for e in members], [e.word_length() for e in members],
+            [seen[e.inverse()] for e in members])
+
+
+@functools.cache
+def _witness_probe(k: int) -> tuple[Vector, ...]:
+    context = GroupContext.free_abelian(k)
+    return tuple(element_ball_search(context, _WITNESS_RADIUS.get(k, 6))[0])
+
+
+def full_schedule_perturbation(spec: LexConeSpec,
+                               required_positive) -> PerturbationResult:
+    """``perturb_dense`` without its early exit: every delta from 1/8
+    down to the floor is tried at every coordinate, and each admissible
+    candidate rescans the whole probe from ``element_ball_search``."""
+    required = [tuple(g) for g in required_positive]
+    for g in required:
+        if spec.sign(g) != 1:
+            raise UsageError(f"required vector {g} is not positive")
+    first = spec.normals[0]
+    probe = [(v, spec.sign(v)) for v in _witness_probe(spec.k)]
+    for j in range(spec.k):
+        if any(first[p].b != 0 for p in range(spec.k) if p != j):
+            continue
+        if any(g[j] <= 0 for g in required if spec.dot(0, g).is_zero()):
+            continue
+        delta = _DELTA_START
+        while delta >= _DELTA_FLOOR:
+            entries = list(first)
+            entries[j] = entries[j] + quad(0, delta)
+            if entries[j].b == 0:
+                delta /= 2
+                continue
+            try:
+                candidate = LexConeSpec(spec.k, (tuple(entries),))
+            except UsageError:
+                break
+            if (all(candidate.sign(g) == 1 for g in required)
+                    and classify_density(candidate).verdict == "dense"):
+                witness = next((v for v, s in probe
+                                if candidate._sign(v) != s), None)
+                if witness is not None:
+                    return PerturbationResult(candidate, witness, j + 1, delta)
+            delta /= 2
+    raise PerturbationError("perturbation failed")
 
 
 def census_brute_force(query) -> list[tuple[int, ...]]:

@@ -25,7 +25,8 @@ from ordercone.certificates import (ConvexityCertificate,
 from ordercone.errors import PerturbationError
 from ordercone.lattices import least_positive_in_ball
 
-from conftest import ball_search_density, random_positive_word, random_word
+from conftest import (ball_search_density, full_schedule_perturbation,
+                      random_positive_word, random_word)
 
 
 @contextmanager
@@ -281,6 +282,36 @@ def test_perturbation_witness_is_first_ball_disagreement():
             e.payload for e in z2_ball
             if spec.sign(e.payload) != result.spec.sign(e.payload))
         checked += 1
+
+
+def _perturbation_outcome(perturb, spec, required):
+    try:
+        return perturb(spec, required).to_json()
+    except (PerturbationError, UsageError) as exc:
+        return type(exc)
+
+
+def test_perturb_dense_matches_full_schedule_oracle():
+    # The early exit changes no result and no error class: the first 200
+    # criterion-11 inputs, then seeded Z^3 specs, then seeded Z^2 specs
+    # whose longer pins force tilts below the first delta.
+    _, perturbation_inputs = _criterion_11_inputs()
+    inputs = [next(perturbation_inputs) for _ in range(200)]
+    rng = random.Random(0x3D)
+    for k, count, reach in ((3, 30, 2), (2, 150, 6)):
+        for _ in range(count):
+            spec = _seeded_spec(rng, k, irrational_share=0.2)
+            pins = [tuple(rng.randint(-reach, reach) for _ in range(k))
+                    for _ in range(2)]
+            inputs.append((spec, [g for g in pins if spec.sign(g) == 1]))
+    outcomes = set()
+    for spec, required in inputs:
+        outcome = _perturbation_outcome(perturb_dense, spec, required)
+        assert outcome == _perturbation_outcome(full_schedule_perturbation,
+                                                spec, required)
+        outcomes.add(outcome if isinstance(outcome, type)
+                     else outcome["delta"] == "1/8")
+    assert outcomes == {True, False, PerturbationError}
 
 
 def _cone_pools(rng):

@@ -208,6 +208,26 @@ def test_classify_and_perturb(capsys):
     assert report["witness"]
 
 
+def test_perturb_error_names_the_witness_radius(capsys):
+    # delta = 1/16 keeps (-6, 1) positive and is dense, but its witnesses
+    # need |x| >= 12 and |y| >= 1, outside the radius-12 probe.
+    code = main(["perturb", "--spec", _LATTICE_SPEC, "--require=-6,1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "perturbation failed" in err
+    assert "difference witness within radius 12" in err
+    assert "precision" not in err
+
+
+def test_perturb_small_pin_keeps_first_delta(capsys):
+    code, out = run_cli(capsys, "perturb", "--spec", _LATTICE_SPEC,
+                        "--require=-5,1")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["coordinate"], report["delta"], report["witness"]) == (
+        1, "1/8", [6, -1])
+
+
 def test_orbit_scan(capsys):
     code, out = run_cli(capsys, "orbit-scan", "--cone", "dehornoy:3",
                         "--conjugator-radius", "3", "--target-radius", "1",

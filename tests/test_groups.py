@@ -14,7 +14,9 @@ from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
                        GroupContext, GroupElement, UsageError, ball,
                        budget_scope, current_budget, multiply)
 
-from conftest import burau_exact
+from ordercone.groups import ball_payloads
+
+from conftest import burau_exact, element_ball_search
 
 small_ints = st.integers(min_value=-6, max_value=6)
 klein_pairs = st.tuples(small_ints, small_ints)
@@ -147,6 +149,40 @@ def test_ball_invariants():
             assert b.elements[b.inverse_position[i]] == e.inverse()
             assert e.word_length() <= radius
         assert len(set(b.elements)) == len(b)
+
+
+_ORDER_BALLS = [(GroupContext.free_abelian(1), 6),
+                (GroupContext.free_abelian(2), 12),
+                (GroupContext.free_abelian(3), 6),
+                (GroupContext.klein_bottle(), 5),
+                (GroupContext.braid(3), 4),
+                (GroupContext.braid(4), 3)]
+
+
+@pytest.mark.parametrize("ctx, radius", _ORDER_BALLS,
+                         ids=[f"{c!r}-r{r}" for c, r in _ORDER_BALLS])
+def test_payload_bfs_matches_element_ball_search(ctx, radius):
+    for r in range(radius + 1):
+        payloads, lengths, inverses = element_ball_search(ctx, r)
+        members, positions = ball_payloads(ctx, r)
+        assert members == payloads
+        assert list(positions.values()) == list(range(len(payloads)))
+        b = ball(ctx, r)
+        assert [e.payload for e in b] == payloads
+        assert list(b.lengths) == lengths
+        assert list(b.inverse_position) == inverses
+
+
+@pytest.mark.parametrize("ctx, radius", _ORDER_BALLS,
+                         ids=[f"{c!r}-r{r}" for c, r in _ORDER_BALLS])
+def test_ball_members_have_distinct_hashes(ctx, radius):
+    # CPython hashes -1 like -2, so raw coordinate tuples collide.
+    b = ball(ctx, radius)
+    assert len({hash(e) for e in b}) == len(b)
+    # Braid members carry the key their BFS computed: it must be the
+    # key a fresh element computes.
+    fresh = [ctx.element(e.payload) for e in b]
+    assert fresh == list(b) and [hash(e) for e in fresh] == [hash(e) for e in b]
 
 
 def test_ball_word_lengths_are_geodesic(b3):

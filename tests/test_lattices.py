@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given
@@ -17,6 +18,7 @@ from ordercone import (GroupContext, LatticeCone, LexConeSpec,
 from ordercone.certificates import ConvexityCertificate
 from ordercone.cones import LatticeSublatticePredicate
 from ordercone.lattices import compare_vectors, iter_lattice_shell
+from ordercone.quadratic import sqrt2_sign
 
 from conftest import ball_search_density
 
@@ -266,6 +268,34 @@ def test_perturb_seeded_specs():
         assert classify_density(result.spec).verdict == "dense"
         assert spec.sign(result.witness) != result.spec.sign(result.witness)
         done += 1
+
+
+def test_disagreement_sets_nest_as_delta_halves():
+    # The lemma behind perturb_dense's early exit: for fixed j, the probe
+    # vectors on which n1 + delta*sqrt(2)*e_j disagrees with the spec
+    # only shrink as delta = 2^-t halves.  Scaled by c * 2^t, with c
+    # clearing the denominators of alpha = n1 . v, the candidate's dot
+    # is a*2^t + (b*2^t + c*v_j)*sqrt(2) for integers a, b.
+    probe = [e.payload for e in ball(GroupContext.free_abelian(2), 12)]
+    rng = random.Random(14)
+    shrank = 0
+    for _ in range(30):
+        spec = random_spec(rng, 2)
+        rows = []
+        for v in probe:
+            alpha = spec.dot(0, v)
+            c = lcm(alpha.a.denominator, alpha.b.denominator)
+            rows.append((v, int(alpha.a * c), int(alpha.b * c), c, spec.sign(v)))
+        for j in range(2):
+            previous = None
+            for t in range(3, 40):
+                disagree = {v for v, a, b, c, s in rows
+                            if sqrt2_sign(a << t, (b << t) + c * v[j]) != s}
+                if previous is not None:
+                    assert disagree <= previous
+                    shrank += disagree < previous
+                previous = disagree
+    assert shrank > 0
 
 
 def test_saturate_examples():
