@@ -4,9 +4,12 @@ A word in the Artin generators of the braid group on ``n`` strands is a
 tuple of signed integers: ``+i`` encodes the generator ``s_i`` and
 ``-i`` its inverse, for ``1 <= i <= n - 1``.  Text form uses tokens
 ``s<i>`` and ``S<i>`` separated by whitespace, e.g. ``"s1 S2"``.  A
-``BraidWord`` is canonical at construction: it validates its letters and
-cancels adjacent inverse pairs, keeping the input tuple itself when
-nothing cancels, so every word is free-reduced.
+``BraidWord`` is canonical at construction: the public constructor
+validates its letters and cancels adjacent inverse pairs, keeping the
+input tuple itself when nothing cancels, so every word is free-reduced.
+Words made from canonical words skip those checks through the private
+``_canonical``: a product cancels only at its junction, and an inverse
+or a reduction result is assembled as it is.
 
 The reduction engine rewrites *handles*: a handle is a subword
 ``s_i^e  u  s_i^{-e}`` whose interior ``u`` only mentions indices above
@@ -94,6 +97,14 @@ class BraidWord:
         object.__setattr__(self, "letters", letters)
 
     @classmethod
+    def _canonical(cls, n: int, letters: tuple[int, ...]) -> "BraidWord":
+        """The word of valid, free-reduced letters, built unchecked."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "n", n)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @classmethod
     def from_text(cls, n: int, text: str) -> "BraidWord":
         return cls(n, parse_letters(text))
 
@@ -106,10 +117,14 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
             raise ContextMismatchError("incompatible groups")
-        return BraidWord(self.n, self.letters + other.letters)
+        left, right = self.letters, other.letters
+        k, stop = 0, min(len(left), len(right))
+        while k < stop and left[-1 - k] == -right[k]:
+            k += 1
+        return self._canonical(self.n, left[:len(left) - k] + right[k:])
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
+        return self._canonical(self.n, tuple([-l for l in self.letters[::-1]]))
 
     def __repr__(self) -> str:
         return f"BraidWord({self.n}, {self.to_text()!r})"
@@ -156,7 +171,7 @@ def handle_reduce(word: BraidWord) -> BraidWord:
     cached = _reduce_cache.get(key)
     if cached is not None:
         return cached
-    limit = current_budget().handle_steps
+    limit = 0  # the budget is read at the first rewrite
     letters = list(word.letters)
     unset: list[int | None] = [None] * n
     last = unset[:]
@@ -171,7 +186,7 @@ def handle_reduce(word: BraidWord) -> BraidWord:
             q += 1
             continue
         steps += 1
-        if steps > limit:
+        if steps > (limit := limit or current_budget().handle_steps):
             raise BudgetExceededError(
                 f"reduction budget exceeded after {limit} steps")
         e = -1 if letter > 0 else 1  # the opener is s_i^e
@@ -206,7 +221,7 @@ def handle_reduce(word: BraidWord) -> BraidWord:
                 if i == 1:
                     break
         q = low
-    result = BraidWord(n, tuple(letters)) if steps else word
+    result = BraidWord._canonical(n, tuple(letters)) if steps else word
     _reduce_cache[key] = result
     _reduce_cache[(n, result.letters)] = result
     return result
@@ -217,9 +232,11 @@ def main_sign(word: BraidWord) -> MainSignReport:
     reduced = handle_reduce(word)
     if not reduced.letters:
         return MainSignReport(None, 0, reduced)
-    index = min(abs(l) for l in reduced.letters)
-    sign = 1 if next(l for l in reduced.letters if abs(l) == index) > 0 else -1
-    return MainSignReport(index, sign, reduced)
+    index, lowest = word.n, 0
+    for letter in reduced.letters:  # the first letter of the lowest index
+        if -index < letter < index:
+            index, lowest = abs(letter), letter
+    return MainSignReport(index, 1 if lowest > 0 else -1, reduced)
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:

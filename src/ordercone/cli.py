@@ -7,8 +7,8 @@ output.  CSV is available only for tabular results.
 
 Exit codes: 0 success / property holds, 1 property violation found
 (the report carries the certificate), 2 usage error, 3 budget
-exhaustion, 4 internal error (an exact verdict and its independent
-cross-check disagreed).
+exhaustion or a declined perturbation, 4 internal error (an exact
+verdict and its independent cross-check disagreed).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .cones import (ConeOracle, DehornoyCone, DubrovinaDubrovinCone,
                     LatticeCone, compare, cone_from_json, predicate_from_json,
                     sign_text)
 from .errors import (BudgetExceededError, CrossCheckError, OrderconeError,
-                     UsageError)
+                     PerturbationError, UsageError)
 from .groups import GroupContext, ball
 from .lattices import (LexConeSpec, classify_density, perturb_dense)
 from .lospace import CensusQuery, census, distance
@@ -352,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
         report["seed"] = args.seed
         emit(report, args.format, args.out)
         return code
+    except PerturbationError as exc:  # a fixed search limit, no budget
+        print(exc, file=sys.stderr)
+        return 3
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

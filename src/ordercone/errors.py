@@ -1,8 +1,8 @@
 """Shared exception types, and the JSON field readers that raise them.
 
-The CLI's exit codes: usage problems 2, budget exhaustion 3, a failed
-cross-check (CrossCheckError) 4.  A property violation found by a scan
-is no exception but a certificate in the report, and the CLI exits 1.
+The CLI's exit codes: usage problems 2, budget exhaustion or a declined
+perturbation 3, a failed cross-check (CrossCheckError) 4.  A scan's
+property violation is a certificate in the report, and the CLI exits 1.
 """
 
 
@@ -25,8 +25,8 @@ class BudgetExceededError(OrderconeError):
 class PerturbationError(BudgetExceededError):
     """No admissible perturbation passed the exact checks before the delta
     schedule's precision floor or within the difference-witness radius.  A
-    subclass of the budget error: both are fixed search limits, and
-    returning an unverified spec is forbidden."""
+    subclass of the budget error, exiting 3 on the CLI, but printed with no
+    ``budget exhausted:`` prefix: no budget field raises these limits."""
 
 
 class CertificateError(OrderconeError):

@@ -273,9 +273,13 @@ def _payload_key(context: GroupContext, p):
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    if g.context != h.context:
+    context = g.context
+    if context is not h.context and context != h.context:
         raise ContextMismatchError("incompatible groups")
-    return GroupElement(g.context, _product(g.context, g.payload, h.payload))
+    product = object.__new__(GroupElement)  # the payload fits: unchecked
+    product.__dict__.update(context=context, payload=_product(
+        context, g.payload, h.payload))
+    return product
 
 
 class Ball:

@@ -445,40 +445,46 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
                         restrict_to: ConvexPredicate | None = None
                         ) -> OrderPropertyReport:
     """Scan a ball for Conradian failures, bi-order failures, and
-    cone-stabilizing elements; optionally restricted to a subgroup."""
-    b = ball(cone.context, radius)
-    elements = [g for g in b
-                if restrict_to is None or restrict_to.contains(g)]
-    positives = [g for g in elements if cone.sign(g) == 1]
+    cone-stabilizing elements; optionally restricted to a subgroup.
+
+    One table answers all three: ``rows[g][h]`` is the sign of g h g^-1
+    for each scanned g and each positive h of the whole ball.  Bi-order
+    failures are its -1 entries; the Conradian chain g^-1 h g^m reads m = 1
+    from ``rows[g^-1][h]``.  As the ball and the subgroup are closed under
+    inverses, antisymmetry makes g stabilize the cone on the ball exactly
+    when ``rows[g^-1]`` holds no -1.
+    """
+    if n_max < 1:
+        raise UsageError("n_max must be at least 1")
+    vector = sign_vector(cone, radius)
+    elements, inverse = vector.ball.elements, vector.ball.inverse_position
+    signs = vector.signs
+    columns = [j for j, s in enumerate(signs) if s == 1]
+    scanned = [i for i, g in enumerate(elements)
+               if restrict_to is None or restrict_to.contains(g)]
+    positives = [i for i in scanned if signs[i] == 1]
+    rows: dict[int, dict[int, int]] = {}
+    for i in scanned:
+        g, g_inverse = elements[i], elements[i].inverse()
+        rows[i] = {j: cone.sign(g * elements[j] * g_inverse) for j in columns}
 
     conradian = []
-    for g in positives:
-        g_inverse = g.inverse()
-        for h in positives:
-            ok = False
-            power = g_inverse * h
-            for _ in range(n_max):
+    for i in positives:
+        g, g_inverse = elements[i], elements[i].inverse()
+        first = rows[inverse[i]]  # the signs of g^-1 h g
+        for j in (j for j in positives if first[j] != 1):
+            power = g_inverse * elements[j] * g
+            for _ in range(n_max - 1):
                 power = power * g
                 if cone.sign(power) == 1:
-                    ok = True
                     break
-            if not ok:
-                conradian.append((g.to_json(), h.to_json()))
+            else:
+                conradian.append((g.to_json(), elements[j].to_json()))
 
-    biorder = []
-    for g in elements:
-        g_inverse = g.inverse()
-        for h in positives:
-            if cone.sign(g * h * g_inverse) == -1:
-                biorder.append((g.to_json(), h.to_json()))
-
-    base_signs = sign_vector(cone, radius).signs
-    stabilizers = []
-    for g in elements:
-        if _first_disagreement(ConjugateCone(cone, g), b.elements,
-                               base_signs) is None:
-            stabilizers.append(g.to_json())
-
+    biorder = [(elements[i].to_json(), elements[j].to_json())
+               for i in scanned for j in positives if rows[i][j] == -1]
+    stabilizers = [elements[i].to_json() for i in scanned
+                   if -1 not in rows[inverse[i]].values()]
     return OrderPropertyReport(radius, n_max, tuple(conradian),
                                tuple(biorder), tuple(stabilizers))
 

@@ -19,6 +19,12 @@ earliest-closing handle and free-reduces the whole word after every
 rewrite; it is the reference for ``braids.handle_reduce``, which
 resumes at the rewrite junction instead.
 
+The three-loop order-property scan signs every pair separately: each
+Conradian chain g^-1 h g^m from m = 1, each conjugate g h g^-1, and the
+conjugate cone of each scanned element over the whole ball; it is the
+reference for ``lospace.order_property_scan``, which reads all three
+answers from one conjugation table.
+
 The element ball search runs the breadth-first search on
 ``GroupElement`` products, deduplicated by element equality; it is the
 reference for ``groups.ball_payloads``, which steps on bare payloads,
@@ -49,6 +55,7 @@ import ordercone
 from ordercone import BraidWord, GroupContext, UsageError, ball, cli, lospace
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
+from ordercone.cones import ConjugateCone
 from ordercone.errors import ContextMismatchError, PerturbationError
 from ordercone.groups import GroupElement
 from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, _WITNESS_RADIUS,
@@ -245,6 +252,45 @@ def convexity_triple_scan(cone, predicate, radius):
                         cone.to_json(), predicate.to_json(), radius,
                         f.to_json(), g.to_json(), h.to_json())
     return ConvexityCertificate(cone.to_json(), predicate.to_json(), radius)
+
+
+def order_property_scan_oracle(cone, radius, n_max=4, restrict_to=None):
+    """``order_property_scan`` as three independent loops of sign calls."""
+    b = ball(cone.context, radius)
+    elements = [g for g in b
+                if restrict_to is None or restrict_to.contains(g)]
+    positives = [g for g in elements if cone.sign(g) == 1]
+
+    conradian = []
+    for g in positives:
+        g_inverse = g.inverse()
+        for h in positives:
+            ok = False
+            power = g_inverse * h
+            for _ in range(n_max):
+                power = power * g
+                if cone.sign(power) == 1:
+                    ok = True
+                    break
+            if not ok:
+                conradian.append((g.to_json(), h.to_json()))
+
+    biorder = []
+    for g in elements:
+        g_inverse = g.inverse()
+        for h in positives:
+            if cone.sign(g * h * g_inverse) == -1:
+                biorder.append((g.to_json(), h.to_json()))
+
+    base_signs = lospace.sign_vector(cone, radius).signs
+    stabilizers = []
+    for g in elements:
+        if lospace._first_disagreement(ConjugateCone(cone, g), b.elements,
+                                       base_signs) is None:
+            stabilizers.append(g.to_json())
+
+    return lospace.OrderPropertyReport(radius, n_max, tuple(conradian),
+                                       tuple(biorder), tuple(stabilizers))
 
 
 def element_ball_search(context: GroupContext, radius: int):

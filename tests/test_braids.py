@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercone import (BraidWord, BudgetExceededError, GroupContext,
-                       UsageError, braid_equal, budget_scope, current_budget,
-                       handle_reduce, main_sign, shift_embed)
+from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
+                       GroupContext, UsageError, braid_equal, budget_scope,
+                       current_budget, handle_reduce, main_sign, shift_embed)
 from ordercone import braids
 from ordercone.braids import clear_caches, fingerprint, parse_letters
 
@@ -99,6 +99,54 @@ def test_braid_word_is_free_reduced_against_oracle(case):
     assert BraidWord(n, u).letters == tuple(_free_reduce(u))
     product = BraidWord(n, u) * BraidWord(n, v)
     assert product.letters == tuple(_free_reduce(u + v))
+
+
+@st.composite
+def valid_word_pairs(draw):
+    """(u, v): two valid words in B_n, n in [3, 5], each canonical."""
+    n = draw(st.integers(3, 5))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    u, v = (BraidWord(n, draw(st.lists(letter, max_size=24)))
+            for _ in range(2))
+    return u, v
+
+
+def _main_sign_two_pass(reduced: BraidWord) -> tuple[int | None, int]:
+    """The lowest index, then the sign of its first occurrence."""
+    if not reduced.letters:
+        return None, 0
+    index = min(abs(l) for l in reduced.letters)
+    first = next(l for l in reduced.letters if abs(l) == index)
+    return index, 1 if first > 0 else -1
+
+
+@given(valid_word_pairs())
+@settings(max_examples=200, deadline=None)
+def test_trusted_words_equal_validated_ones(case):
+    # Products, inverses and reduction results skip the constructor's
+    # checks; each must equal the word the public constructor builds.
+    u, v = case
+    n = u.n
+    assert (u * v).letters == BraidWord(n, u.letters + v.letters).letters
+    assert u.inverse().letters == BraidWord(
+        n, tuple(-l for l in reversed(u.letters))).letters
+    for word in (u, v, u * v):
+        reduced = handle_reduce(word)
+        assert BraidWord(n, reduced.letters).letters == reduced.letters
+        report = main_sign(word)
+        assert report.reduced is reduced
+        assert (report.index, report.sign) == _main_sign_two_pass(reduced)
+
+
+def test_public_constructor_still_checks():
+    # Only words made from canonical words skip the checks.
+    with pytest.raises(UsageError):
+        BraidWord(3, (1, 3))
+    with pytest.raises(UsageError):
+        BraidWord(3, (1, 2)).inverse() * BraidWord(3, (0,))
+    with pytest.raises(ContextMismatchError):
+        BraidWord(3, (1,)) * BraidWord(4, (1,))
+    assert BraidWord(3, (1, 2, -2, -1, 2)).letters == (2,)
 
 
 def test_handle_reduce_cancelling_pair():

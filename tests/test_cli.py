@@ -217,6 +217,9 @@ def test_perturb_error_names_the_witness_radius(capsys):
     assert "perturbation failed" in err
     assert "difference witness within radius 12" in err
     assert "precision" not in err
+    # Neither limit is a budget field, so no --budget retry is suggested.
+    assert err.startswith("perturbation failed: ")
+    assert "budget" not in err
 
 
 def test_perturb_small_pin_keeps_first_delta(capsys):
@@ -262,6 +265,22 @@ def test_props_exit_code(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["biorder_violations"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("props", "--cone", "dehornoy:3", "--radius", "2"),
+    ("soul", "--cone", "dehornoy:3", "--radius", "2", "--chain",
+     '[{"type": "braid_shift", "n": 3, "r": 1}]'),
+], ids=["props", "soul"])
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_n_max_below_one_is_usage_error(capsys, argv, n_max):
+    # With no power g^m to test, every positive pair would "fail".
+    for flag in (("--n-max", n_max), (f"--n-max={n_max}",)):
+        code = main([*argv, *flag])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "n_max must be at least 1" in captured.err
 
 
 def test_soul_command(capsys):

@@ -91,7 +91,14 @@ def test_braid_elements(b3):
 def test_context_mismatch(b3, z2):
     with pytest.raises(ContextMismatchError):
         multiply(b3.element("s1"), GroupContext.braid(4).element("s1"))
+    with pytest.raises(ContextMismatchError):
+        multiply(z2.element((1, 0)), GroupContext.free_abelian(3).element(
+            (1, 0, 0)))
     assert b3.element("s1") != z2.element((1, 0))
+    # An equal context that is not the interned one still multiplies.
+    twin = GroupElement(GroupContext("braid", n=3), BraidWord(3, (2,)))
+    product = multiply(b3.element("s1"), twin)
+    assert product == b3.element("s1 s2") and product.context == b3
 
 
 def test_contexts_are_interned():

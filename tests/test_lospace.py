@@ -27,7 +27,8 @@ from ordercone.certificates import (ConvexityCertificate,
                                     DiscretenessPass)
 from ordercone.groups import clear_ball_cache
 
-from conftest import census_brute_force, convexity_triple_scan
+from conftest import (census_brute_force, convexity_triple_scan,
+                      order_property_scan_oracle)
 
 
 def lat(k, *normals):
@@ -522,6 +523,51 @@ def test_stabilizer_scan_matches_full_vectors(cone, restrict_to):
     report = order_property_scan(cone, 3, n_max=1, restrict_to=restrict_to)
     expected = stabilizers_oracle(cone, 3, restrict_to)
     assert report.stabilizer_elements == expected
+
+
+_B4 = GroupContext.braid(4)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 4])
+@pytest.mark.parametrize("cone, radius, restrict_to", [
+    (DehornoyCone(3), 3, None),
+    (DubrovinaDubrovinCone(3), 3, None),
+    (ConjugateCone(DehornoyCone(3), _B3.element("s1 S2")), 2, None),
+    (ConjugateCone(DubrovinaDubrovinCone(4), _B4.element("s2 S1 s3")), 2,
+     None),
+    (KleinTararinCone(1, -1), 4, None),
+    (KleinTararinCone(1, 1), 4, KleinYPredicate()),
+    (DehornoyCone(3), 3, BraidShiftPredicate(3, 1)),
+    (DehornoyCone(3), 3, CyclicBraidPredicate(3, "s1 s2")),
+], ids=["dehornoy3", "dd3", "conjugate-dehornoy3", "conjugate-dd4",
+        "klein+-", "klein-y", "dehornoy3-shift", "dehornoy3-cyclic"])
+def test_property_scan_matches_three_loop_oracle(cone, radius, restrict_to,
+                                                 n_max):
+    report = order_property_scan(cone, radius, n_max, restrict_to)
+    expected = order_property_scan_oracle(cone, radius, n_max, restrict_to)
+    assert report == expected
+    assert report.to_json() == expected.to_json()
+
+
+def test_property_scan_oracle_cases_hit_every_branch():
+    # The oracle comparison above is only evidence if its cases contain
+    # violations of each kind, Conradian pairs decided at m >= 2, and both
+    # stabilizing and moving elements.
+    pd = DehornoyCone(3)
+    for n_max in (1, 4):
+        report = order_property_scan(pd, 3, n_max)
+        assert report.conradian_violations and report.biorder_violations
+        assert 0 < len(report.stabilizer_elements) < len(ball(_B3, 3))
+    assert (len(order_property_scan(pd, 3, 1).conradian_violations)
+            > len(order_property_scan(pd, 3, 2).conradian_violations))
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_property_scans_refuse_n_max_below_one(b3, n_max):
+    with pytest.raises(UsageError, match="n_max must be at least 1"):
+        order_property_scan(DehornoyCone(3), 2, n_max)
+    with pytest.raises(UsageError, match="n_max must be at least 1"):
+        soul_estimate(DehornoyCone(3), [WholePredicate(b3)], 2, n_max)
 
 
 @pytest.mark.parametrize("cone", [
