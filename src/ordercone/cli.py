@@ -90,8 +90,9 @@ def emit(report, fmt: str, out_path: str | None) -> None:
 def report_emit(result, fmt: str) -> bytes:
     """Render a report: canonical JSON, or CSV for tabular results."""
     if fmt == "json":
-        return (json.dumps(result, sort_keys=True, separators=(",", ":"))
-                + "\n").encode("utf-8")
+        # Reports are trees the library builds: no cycle to look for.
+        return (json.dumps(result, sort_keys=True, separators=(",", ":"),
+                           check_circular=False) + "\n").encode("utf-8")
     if fmt == "csv":
         rows = result.get("rows") if isinstance(result, dict) else None
         if rows is None:

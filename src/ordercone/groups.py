@@ -287,7 +287,7 @@ class Ball:
 
     Closed under inversion, free of duplicates, ordered by word length
     and then by BFS discovery order.  ``product_triples`` relies on the
-    identity being absent: an identity product finds no index entry.
+    identity being absent: an identity product finds no position.
     """
 
     def __init__(self, context: GroupContext, radius: int):
@@ -305,7 +305,9 @@ class Ball:
         self.inverse_position: tuple[int, ...] = tuple(
             positions[_payload_key(context, _inverse(context, p))]
             for p in payloads)
+        self._positions = positions
         self._triples: list[tuple[int, int, int]] | None = None
+        self._element_json: list | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -323,16 +325,27 @@ class Ball:
             raise UsageError(f"{element!r} is not in the radius-{self.radius} ball")
 
     def product_triples(self) -> list[tuple[int, int, int]]:
-        """All (i, j, k) with element_i * element_j = element_k, cached."""
+        """All (i, j, k) with element_i * element_j = element_k, cached.
+        Products and their keys are taken on bare payloads."""
         if self._triples is None:
+            context, positions = self.context, self._positions
+            payloads = [e.payload for e in self.elements]
             triples = []
-            for i, g in enumerate(self.elements):
-                for j, h in enumerate(self.elements):
-                    k = self.index.get(g * h)
+            for i, p in enumerate(payloads):
+                for j, q in enumerate(payloads):
+                    k = positions.get(
+                        _payload_key(context, _product(context, p, q)))
                     if k is not None:
                         triples.append((i, j, k))
             self._triples = triples
         return self._triples
+
+    def element_json(self) -> list:
+        """Each element's ``to_json``, in ball order, built once and
+        shared by every sign vector on the ball: read, never mutate."""
+        if self._element_json is None:
+            self._element_json = [e.to_json() for e in self.elements]
+        return self._element_json
 
 
 _ball_cache: dict[tuple[GroupContext, int], Ball] = {}

@@ -11,11 +11,12 @@ in-ball products) plus optional positivity pins.  Finite-radius census
 vectors are necessary conditions for genuine left orders, so counts are
 "consistent cylinder classes at radius r"; when constructed orders
 match the count, the count is certified.  Enumeration is an iterative
-backtracking search with unit propagation over inverse-paired variables:
-it branches on the first unset ball position, + before -, so the sign
-tuples come out in decreasing lexicographic order.  Propagation checks
-every product triple once its last sign is set; the test suite keeps a
-brute-force enumeration as the oracle for the whole output list.
+backtracking search with unit propagation on one literal per inverse
+pair, over the fact sets that product triples forbid (see ``census``).
+It branches on the first unset ball position, + before -, so the sign
+tuples come out in decreasing lexicographic order.  The test suite
+keeps a brute-force enumeration and a position search over product
+triples as oracles for the whole output list.
 
 The remaining operations are experiment drivers: semigroup witnesses
 for the Dubrovina-Dubrovin cone, conjugate-orbit accumulation scans,
@@ -77,8 +78,8 @@ class SignVector:
 
     def to_json(self) -> dict:
         return {"radius": self.ball.radius,
-                "signs": [[e.to_json(), sign_text(s)]
-                          for e, s in zip(self.ball.elements, self.signs)]}
+                "signs": [[e, sign_text(s)] for e, s in
+                          zip(self.ball.element_json(), self.signs)]}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignVector):
@@ -170,7 +171,17 @@ class CensusQuery:
 def census(query: CensusQuery) -> list[SignVector]:
     """All consistent sign vectors on the ball matching the pins.
 
-    Complete and duplicate-free.  The search branches on the first unset
+    Complete and duplicate-free.  A fact ``2p + (v < 0)`` says that the
+    lower position p of an inverse pair has sign v; the upper position
+    q has sign v when the fact ``(inverse[q], -v)`` holds.  A product
+    triple (i, j, k) forbids the fact set {i +, j +, k -}.  The six
+    triples of one relation g h = k give two such sets, and in Z^k the
+    commuted triples repeat them, so each set is kept once.  ``watch[f]``
+    holds the other facts of every set containing f, padded with a fact
+    that always holds.  Setting f finds a conflict when a set's other
+    facts all hold, and forces the negation of the one still unset when
+    the rest hold.  Unit propagation reaches the same fixpoint, or a
+    conflict, in any order.  The search branches on the first unset
     position in ball order and tries + before -, so the sign tuples come
     out in decreasing lexicographic order.
     """
@@ -183,53 +194,64 @@ def census(query: CensusQuery) -> list[SignVector]:
         if pin not in b:
             raise UsageError(f"pinned element {pin!r} is outside the ball")
     inverse = b.inverse_position
-    by_element: list[list[tuple[int, int, int]]] = [[] for _ in range(len(b))]
-    for triple in b.product_triples():
-        for slot in triple:
-            by_element[slot].append(triple)
+
+    def fact(pos: int, value: int) -> int:
+        """s_pos = value, as a fact on the lower position of its pair."""
+        upper = pos > inverse[pos]
+        return 2 * min(pos, inverse[pos]) + ((value < 0) ^ upper)
+
+    true = 2 * len(b)  # a fact that always holds, padding short sets
+    truth = [0] * true + [1]  # per fact: 1 true, -1 false, 0 unset
+    watch: list[list[tuple[int, int]]] = [[] for _ in range(true)]
+    for forbidden in {frozenset((fact(i, 1), fact(j, 1), fact(k, -1)))
+                      for i, j, k in b.product_triples()}:
+        for f in forbidden:
+            watch[f].append((*(forbidden - {f}), true, true)[:2])
     signs = [0] * len(b)
     trail: list[int] = []
 
-    def assign(pos: int, value: int) -> bool:
-        """Set a sign and its inverse's, then every pair that product
-        closure forces; False on a conflict."""
-        queue = [(pos, value)]
+    def assign(f: int) -> bool:
+        """Make a fact true, then every fact unit propagation forces;
+        False on a conflict."""
+        queue = [f]
         while queue:
-            pos, value = queue.pop()
-            if signs[pos] == value:
-                continue
-            if signs[pos] == -value:
+            f = queue.pop()
+            if truth[f]:
+                if truth[f] == 1:
+                    continue
                 return False
-            for target, v in ((pos, value), (inverse[pos], -value)):
-                signs[target] = v
-                trail.append(target)
-                for i, j, k in by_element[target]:
-                    si, sj, sk = signs[i], signs[j], signs[k]
-                    if si == 1 and sj == 1:
-                        queue.append((k, 1))
-                    elif si == 1 and sk == -1:
-                        queue.append((j, -1))
-                    elif sj == 1 and sk == -1:
-                        queue.append((i, -1))
+            truth[f], truth[f ^ 1] = 1, -1
+            pos, value = f >> 1, -1 if f & 1 else 1
+            signs[pos], signs[inverse[pos]] = value, -value
+            trail.append(f)
+            for a, c in watch[f]:
+                ta, tc = truth[a], truth[c]
+                if ta == 1:
+                    if tc == 1:
+                        return False
+                    if tc == 0:
+                        queue.append(c ^ 1)
+                elif ta == 0 and tc == 1:
+                    queue.append(a ^ 1)
         return True
 
     solutions: list[SignVector] = []
-    stack: list[tuple[int, int, int]] = []
-    feasible = all(assign(b.position(pin), 1)
+    stack: list[tuple[int, int]] = []
+    feasible = all(assign(fact(b.position(pin), 1))
                    for pin in query.required_positive)
     while True:
         if feasible and 0 in signs:
-            pos = signs.index(0)
-            stack += ((pos, -1, len(trail)), (pos, 1, len(trail)))
+            pos = signs.index(0)  # a lower position: pairs are set together
+            stack += ((2 * pos + 1, len(trail)), (2 * pos, len(trail)))
         elif feasible:
             solutions.append(SignVector(b, tuple(signs)))
         if not stack:
             return solutions
-        pos, value, mark = stack.pop()
-        for touched in trail[mark:]:
-            signs[touched] = 0
+        f, mark = stack.pop()
+        for t in trail[mark:]:
+            truth[t] = truth[t ^ 1] = signs[t >> 1] = signs[inverse[t >> 1]] = 0
         del trail[mark:]
-        feasible = assign(pos, value)
+        feasible = assign(f)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +554,8 @@ class SoulEstimate:
 def soul_estimate(cone: ConeOracle, chain: list[ConvexPredicate], radius: int,
                   n_max: int = 4) -> SoulEstimate:
     """Scan an inclusion-ordered chain of candidate convex subgroups."""
+    if n_max < 1:  # also when the chain is empty and no scan checks it
+        raise UsageError("n_max must be at least 1")
     levels = []
     best_conradian = -1
     best_biorder = -1

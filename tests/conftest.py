@@ -35,12 +35,21 @@ every coordinate, rescanning the whole witness probe each time; it is
 the reference for ``lattices.perturb_dense``, which stops at a
 coordinate once a probe scan finds no witness.
 
+The product-triple oracle multiplies every pair of ball elements as
+``GroupElement`` values and looks the product up in the ball's element
+index; it is the reference for ``Ball.product_triples``, which works on
+bare payloads and their keys.
+
 The census brute force tries every antisymmetric +/- assignment on a
-ball and keeps the product-closed ones that honour the pins; it is the
-reference for the propagating search in ``lospace.census``.  The library
-does not re-check its census output, so this module wraps ``census``
-(also where ``ordercone`` and its CLI bind it) so that every vector a
-test obtains from it passes ``SignVector.validate``.
+ball and keeps the product-closed ones that honour the pins.  The
+census search oracle is a backtracking search over ball positions that
+sets both members of an inverse pair and scans every product triple at
+a newly set position.  Both read the product-triple oracle, and both are
+references for ``lospace.census``, which propagates on one literal per
+inverse pair.  The library does not re-check its census output, so this
+module wraps ``census`` (also where ``ordercone`` and its CLI bind it)
+so that every vector a test obtains from it passes
+``SignVector.validate``.
 """
 
 from __future__ import annotations
@@ -359,6 +368,18 @@ def full_schedule_perturbation(spec: LexConeSpec,
     raise PerturbationError("perturbation failed")
 
 
+def product_triples_oracle(b) -> list[tuple[int, int, int]]:
+    """Every (i, j, k) with element_i * element_j = element_k, by
+    ``GroupElement`` products looked up in the ball's element index."""
+    triples = []
+    for i, g in enumerate(b.elements):
+        for j, h in enumerate(b.elements):
+            k = b.index.get(g * h)
+            if k is not None:
+                triples.append((i, j, k))
+    return triples
+
+
 def census_brute_force(query) -> list[tuple[int, ...]]:
     """Every antisymmetric, product-closed sign tuple on the query's ball
     with the pins positive, in decreasing lexicographic order."""
@@ -366,7 +387,7 @@ def census_brute_force(query) -> list[tuple[int, ...]]:
     inverse = b.inverse_position
     reps = [i for i in range(len(b)) if inverse[i] > i]
     pins = [b.position(pin) for pin in query.required_positive]
-    triples = b.product_triples()
+    triples = product_triples_oracle(b)
     found = []
     for bits in product((1, -1), repeat=len(reps)):
         signs = [0] * len(b)
@@ -378,6 +399,60 @@ def census_brute_force(query) -> list[tuple[int, ...]]:
                         for i, j, k in triples)):
             found.append(tuple(signs))
     return sorted(found, reverse=True)
+
+
+def census_search_oracle(query) -> list[tuple[int, ...]]:
+    """The census sign tuples, in the order found, by a backtracking
+    search over ball positions: both members of an inverse pair are set
+    together, and every product triple at a newly set position is
+    scanned for a forced sign."""
+    b = ball(query.context, query.radius)
+    inverse = b.inverse_position
+    by_element: list[list[tuple[int, int, int]]] = [[] for _ in range(len(b))]
+    for triple in product_triples_oracle(b):
+        for slot in triple:
+            by_element[slot].append(triple)
+    signs = [0] * len(b)
+    trail: list[int] = []
+
+    def assign(pos: int, value: int) -> bool:
+        queue = [(pos, value)]
+        while queue:
+            pos, value = queue.pop()
+            if signs[pos] == value:
+                continue
+            if signs[pos] == -value:
+                return False
+            for target, v in ((pos, value), (inverse[pos], -value)):
+                signs[target] = v
+                trail.append(target)
+                for i, j, k in by_element[target]:
+                    si, sj, sk = signs[i], signs[j], signs[k]
+                    if si == 1 and sj == 1:
+                        queue.append((k, 1))
+                    elif si == 1 and sk == -1:
+                        queue.append((j, -1))
+                    elif sj == 1 and sk == -1:
+                        queue.append((i, -1))
+        return True
+
+    solutions: list[tuple[int, ...]] = []
+    stack: list[tuple[int, int, int]] = []
+    feasible = all(assign(b.position(pin), 1)
+                   for pin in query.required_positive)
+    while True:
+        if feasible and 0 in signs:
+            pos = signs.index(0)
+            stack += ((pos, -1, len(trail)), (pos, 1, len(trail)))
+        elif feasible:
+            solutions.append(tuple(signs))
+        if not stack:
+            return solutions
+        pos, value, mark = stack.pop()
+        for touched in trail[mark:]:
+            signs[touched] = 0
+        del trail[mark:]
+        feasible = assign(pos, value)
 
 
 def _validated(census):

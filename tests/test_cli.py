@@ -271,7 +271,8 @@ def test_props_exit_code(capsys):
     ("props", "--cone", "dehornoy:3", "--radius", "2"),
     ("soul", "--cone", "dehornoy:3", "--radius", "2", "--chain",
      '[{"type": "braid_shift", "n": 3, "r": 1}]'),
-], ids=["props", "soul"])
+    ("soul", "--cone", "dehornoy:3", "--radius", "2", "--chain", "[]"),
+], ids=["props", "soul", "soul-empty-chain"])
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_n_max_below_one_is_usage_error(capsys, argv, n_max):
     # With no power g^m to test, every positive pair would "fail".

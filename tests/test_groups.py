@@ -16,7 +16,7 @@ from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
 
 from ordercone.groups import ball_payloads
 
-from conftest import burau_exact, element_ball_search
+from conftest import burau_exact, element_ball_search, product_triples_oracle
 
 small_ints = st.integers(min_value=-6, max_value=6)
 klein_pairs = st.tuples(small_ints, small_ints)
@@ -190,6 +190,22 @@ def test_ball_members_have_distinct_hashes(ctx, radius):
     # key a fresh element computes.
     fresh = [ctx.element(e.payload) for e in b]
     assert fresh == list(b) and [hash(e) for e in fresh] == [hash(e) for e in b]
+
+
+_TRIPLE_BALLS = [(GroupContext.free_abelian(1), 6),
+                 (GroupContext.free_abelian(2), 4),
+                 (GroupContext.free_abelian(3), 3),
+                 (GroupContext.klein_bottle(), 5),
+                 (GroupContext.braid(3), 4),
+                 (GroupContext.braid(4), 3)]
+
+
+@pytest.mark.parametrize("ctx, radius", _TRIPLE_BALLS,
+                         ids=[f"{c!r}-r{r}" for c, r in _TRIPLE_BALLS])
+def test_product_triples_match_element_oracle(ctx, radius):
+    """Payload products give the triples of element products, in order."""
+    b = ball(ctx, radius)
+    assert b.product_triples() == product_triples_oracle(b)
 
 
 def test_ball_word_lengths_are_geodesic(b3):

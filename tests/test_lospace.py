@@ -27,8 +27,8 @@ from ordercone.certificates import (ConvexityCertificate,
                                     DiscretenessPass)
 from ordercone.groups import clear_ball_cache
 
-from conftest import (census_brute_force, convexity_triple_scan,
-                      order_property_scan_oracle)
+from conftest import (census_brute_force, census_search_oracle,
+                      convexity_triple_scan, order_property_scan_oracle)
 
 
 def lat(k, *normals):
@@ -132,6 +132,27 @@ def test_census_z2_brute_force():
     for query in queries:
         got = [v.signs for v in census(query)]
         assert got == census_brute_force(query), query
+
+
+_B4 = GroupContext.braid(4)
+_DD3 = tuple(DubrovinaDubrovinCone(3).generators())
+_SEARCH_QUERIES = [
+    _query(_Z3, 3), _query(_Z3, 4), _query(_KLEIN, 5),
+    _query(_B3, 3), _query(_B3, 4), _query(_B4, 2),
+    CensusQuery(_B3, 3, _DD3), _query(_B3, 3, "s1 s2"),
+    # Contradictory pins: (1,0) + (0,1) forces (-1,-1) negative.
+    _query(_Z2, 3, "1,0", "0,1", "-1,-1"), _query(_B3, 2, "s1", "S1")]
+
+
+@pytest.mark.parametrize("query", _SEARCH_QUERIES, ids=[
+    "z3-r3", "z3-r4", "klein-r5", "b3-r3", "b3-r4", "b4-r2", "b3-r3-dd",
+    "b3-r3-s1s2", "z2-r3-contradictory", "b3-r2-contradictory"])
+def test_census_matches_search_oracle(query):
+    """The literal-per-pair propagation gives the whole list, in order,
+    of the position search that scans product triples."""
+    with _braid_census_scope(4):
+        got = [v.signs for v in census(query)]
+    assert got == census_search_oracle(query)
 
 
 def test_census_pins(z2):
