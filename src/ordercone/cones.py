@@ -287,7 +287,8 @@ def predicate_from_json(data: dict) -> ConvexPredicate:
 
 
 class ConeOracle:
-    """A total sign function satisfying the positive-cone axioms."""
+    """A total sign function satisfying the positive-cone axioms;
+    ``order_property_scan`` infers most conjugate signs from them."""
 
     context: GroupContext
 
@@ -451,7 +452,8 @@ class ConjugateCone(ConeOracle):
 @dataclass(frozen=True)
 class FlipCone(ConeOracle):
     """The base cone with its sign negated exactly on a certified convex
-    subgroup: the flipped restriction glued to the untouched outside."""
+    subgroup: the flipped restriction glued to the untouched outside.
+    A cone by convexity, certified only up to the certificate's radius."""
 
     base: ConeOracle
     predicate: ConvexPredicate
@@ -480,7 +482,8 @@ class FlipCone(ConeOracle):
 @dataclass(frozen=True)
 class ReplaceCone(ConeOracle):
     """The base cone with its restriction to a certified convex subgroup
-    replaced by an arbitrary order of that subgroup."""
+    replaced by an arbitrary order of that subgroup.  A cone by
+    convexity, certified only up to the certificate's radius."""
 
     base: ConeOracle
     predicate: ConvexPredicate

@@ -307,6 +307,7 @@ class Ball:
             for p in payloads)
         self._positions = positions
         self._triples: list[tuple[int, int, int]] | None = None
+        self._cuts: list[tuple[tuple[int, int], ...]] | None = None
         self._element_json: list | None = None
 
     def __len__(self) -> int:
@@ -339,6 +340,28 @@ class Ball:
                         triples.append((i, j, k))
             self._triples = triples
         return self._triples
+
+    def cuts(self) -> list[tuple[tuple[int, int], ...]]:
+        """Per member of length l, each (i, j) with element_i * element_j
+        equal to it, one factor a generator and the other of length l - 1
+        (none for the generators), once each; cached."""
+        if self._cuts is None:
+            context, positions, lengths = (self.context, self._positions,
+                                           self.lengths)
+            letters = [(t, self.elements[self.inverse_position[t]].payload)
+                       for t, length in enumerate(lengths) if length == 1]
+            self._cuts = []
+            for e, length in zip(self.elements, lengths):
+                found = []
+                for t, s_inverse in letters if length > 1 else ():
+                    j = positions.get(_payload_key(
+                        context, _product(context, s_inverse, e.payload)))
+                    i = positions.get(_payload_key(
+                        context, _product(context, e.payload, s_inverse)))
+                    found += [pair for pair, f in (((t, j), j), ((i, t), i))
+                              if f is not None and lengths[f] == length - 1]
+                self._cuts.append(tuple(dict.fromkeys(found)))
+        return self._cuts
 
     def element_json(self) -> list:
         """Each element's ``to_json``, in ball order, built once and

@@ -463,32 +463,50 @@ class OrderPropertyReport:
                 "stabilizer_elements": list(self.stabilizer_elements)}
 
 
+def _conjugation_row(cone: ConeOracle, b: Ball, g: GroupElement) -> list[int]:
+    """The sign of g h g^-1 for every h of the ball, in ball order.
+
+    h -> sign(g h g^-1) is the sign function of the cone g^-1 P g, so it
+    is antisymmetric and product closed: an entry takes the common sign
+    of a cut (i, j) when they agree, and fixes its inverse's.  Only the
+    rest call the cone, shortest first, so every cut is already set."""
+    g_inverse, inverse, cuts = g.inverse(), b.inverse_position, b.cuts()
+    row = [0] * len(b)
+    for k, h in enumerate(b.elements):
+        if not row[k]:
+            s = next((row[i] for i, j in cuts[k] if row[i] == row[j]), 0)
+            s = s or cone.sign(g * h * g_inverse)
+            row[k], row[inverse[k]] = s, -s
+    return row
+
+
 def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
                         restrict_to: ConvexPredicate | None = None
                         ) -> OrderPropertyReport:
     """Scan a ball for Conradian failures, bi-order failures, and
-    cone-stabilizing elements; optionally restricted to a subgroup.
+    cone-stabilizing elements; optionally restricted to a subgroup of
+    the cone's group.  ``cone`` must satisfy the positive-cone axioms,
+    from which ``_conjugation_row`` infers most table entries.
 
     One table answers all three: ``rows[g][h]`` is the sign of g h g^-1
-    for each scanned g and each positive h of the whole ball.  Bi-order
-    failures are its -1 entries; the Conradian chain g^-1 h g^m reads m = 1
-    from ``rows[g^-1][h]``.  As the ball and the subgroup are closed under
-    inverses, antisymmetry makes g stabilize the cone on the ball exactly
-    when ``rows[g^-1]`` holds no -1.
+    for each scanned g and each h of the whole ball.  Bi-order
+    failures are its -1 entries at positive h; the Conradian chain
+    g^-1 h g^m reads m = 1 from ``rows[g^-1][h]``.  As the subgroup is
+    closed under inverses, g stabilizes the cone on the ball exactly when
+    ``rows[g^-1]`` is the cone's sign vector.
     """
     if n_max < 1:
         raise UsageError("n_max must be at least 1")
+    if restrict_to is not None and restrict_to.context != cone.context:
+        raise ContextMismatchError("incompatible groups")
     vector = sign_vector(cone, radius)
     elements, inverse = vector.ball.elements, vector.ball.inverse_position
-    signs = vector.signs
-    columns = [j for j, s in enumerate(signs) if s == 1]
+    signs = list(vector.signs)
     scanned = [i for i, g in enumerate(elements)
                if restrict_to is None or restrict_to.contains(g)]
     positives = [i for i in scanned if signs[i] == 1]
-    rows: dict[int, dict[int, int]] = {}
-    for i in scanned:
-        g, g_inverse = elements[i], elements[i].inverse()
-        rows[i] = {j: cone.sign(g * elements[j] * g_inverse) for j in columns}
+    rows = {i: _conjugation_row(cone, vector.ball, elements[i])
+            for i in scanned}
 
     conradian = []
     for i in positives:
@@ -506,7 +524,7 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
     biorder = [(elements[i].to_json(), elements[j].to_json())
                for i in scanned for j in positives if rows[i][j] == -1]
     stabilizers = [elements[i].to_json() for i in scanned
-                   if -1 not in rows[inverse[i]].values()]
+                   if rows[inverse[i]] == signs]
     return OrderPropertyReport(radius, n_max, tuple(conradian),
                                tuple(biorder), tuple(stabilizers))
 

@@ -182,6 +182,31 @@ def test_payload_bfs_matches_element_ball_search(ctx, radius):
 
 @pytest.mark.parametrize("ctx, radius", _ORDER_BALLS,
                          ids=[f"{c!r}-r{r}" for c, r in _ORDER_BALLS])
+def test_cuts_factor_each_member_through_a_generator(ctx, radius):
+    b = ball(ctx, radius)
+    generators = set(ctx.generators_with_inverses())
+    cuts = b.cuts()
+    assert len(cuts) == len(b)
+    for k, (e, length) in enumerate(zip(b.elements, b.lengths)):
+        assert bool(cuts[k]) == (length >= 2)
+        for i, j in cuts[k]:
+            assert b.elements[i] * b.elements[j] == e
+            lengths = sorted((b.lengths[i], b.lengths[j]))
+            assert lengths == [1, length - 1]
+            assert (b.elements[i] in generators if b.lengths[i] == 1
+                    else b.elements[j] in generators)
+    # Every factorization of that shape is listed, once.
+    for k, e in enumerate(b.elements):
+        expected = {(i, j) for i, f in enumerate(b.elements)
+                    for j in [b.index.get(f.inverse() * e)]
+                    if j is not None and 1 in (b.lengths[i], b.lengths[j])
+                    and b.lengths[i] + b.lengths[j] == b.lengths[k]}
+        assert sorted(cuts[k]) == sorted(expected)
+        assert len(set(cuts[k])) == len(cuts[k])
+
+
+@pytest.mark.parametrize("ctx, radius", _ORDER_BALLS,
+                         ids=[f"{c!r}-r{r}" for c, r in _ORDER_BALLS])
 def test_ball_members_have_distinct_hashes(ctx, radius):
     # CPython hashes -1 like -2, so raw coordinate tuples collide.
     b = ball(ctx, radius)

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercone import (BraidShiftPredicate, BudgetExceededError,
-                       CensusQuery, ConjugateCone,
+                       CensusQuery, ConeOracle, ConjugateCone,
+                       ContextMismatchError,
                        CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
-                       LatticeSublatticePredicate, LexConeSpec, UsageError,
-                       WholePredicate,
+                       LatticeSublatticePredicate, LexConeSpec,
+                       ReplaceCone, UsageError, WholePredicate,
                        accumulation_scan, ball, budget_scope, census,
                        certificate_from_json, convexity_check,
                        current_budget, dd_isolation_witnesses,
@@ -26,6 +27,7 @@ from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DensityWitness,
                                     DiscretenessPass)
 from ordercone.groups import clear_ball_cache
+from ordercone.lospace import _conjugation_row
 
 from conftest import (census_brute_force, census_search_oracle,
                       convexity_triple_scan, order_property_scan_oracle)
@@ -549,6 +551,19 @@ def test_stabilizer_scan_matches_full_vectors(cone, restrict_to):
 _B4 = GroupContext.braid(4)
 
 
+def _on_shift(base, predicate, radius, inner=None):
+    """A flip, or with ``inner`` a replacement, on a shifted strand
+    subgroup, certified convex at the radius."""
+    cert = certified(base, predicate, radius)
+    return (FlipCone(base, predicate, cert) if inner is None
+            else ReplaceCone(base, predicate, inner, cert))
+
+
+_FLIP_SHIFT = _on_shift(DehornoyCone(3), BraidShiftPredicate(3, 1), 3)
+_REPLACE_SHIFT = _on_shift(DehornoyCone(4), BraidShiftPredicate(4, 1), 3,
+                           DubrovinaDubrovinCone(3))
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 4])
 @pytest.mark.parametrize("cone, radius, restrict_to", [
     (DehornoyCone(3), 3, None),
@@ -560,8 +575,11 @@ _B4 = GroupContext.braid(4)
     (KleinTararinCone(1, 1), 4, KleinYPredicate()),
     (DehornoyCone(3), 3, BraidShiftPredicate(3, 1)),
     (DehornoyCone(3), 3, CyclicBraidPredicate(3, "s1 s2")),
+    (_FLIP_SHIFT, 3, None),
+    (_REPLACE_SHIFT, 2, None),
 ], ids=["dehornoy3", "dd3", "conjugate-dehornoy3", "conjugate-dd4",
-        "klein+-", "klein-y", "dehornoy3-shift", "dehornoy3-cyclic"])
+        "klein+-", "klein-y", "dehornoy3-shift", "dehornoy3-cyclic",
+        "flip-shift", "replace-shift"])
 def test_property_scan_matches_three_loop_oracle(cone, radius, restrict_to,
                                                  n_max):
     report = order_property_scan(cone, radius, n_max, restrict_to)
@@ -581,6 +599,50 @@ def test_property_scan_oracle_cases_hit_every_branch():
         assert 0 < len(report.stabilizer_elements) < len(ball(_B3, 3))
     assert (len(order_property_scan(pd, 3, 1).conradian_violations)
             > len(order_property_scan(pd, 3, 2).conradian_violations))
+
+
+@pytest.mark.parametrize("cone, radius", [
+    (DehornoyCone(3), 4),
+    (DubrovinaDubrovinCone(4), 3),
+    (ConjugateCone(DehornoyCone(3), _B3.element("s1 S2")), 3),
+    (KleinTararinCone(1, -1), 4),
+    (_FLIP_SHIFT, 3),
+    (_REPLACE_SHIFT, 3),
+], ids=["dehornoy3", "dd4", "conjugate", "klein+-", "flip-shift",
+        "replace-shift"])
+def test_conjugation_row_matches_direct_signs(cone, radius):
+    b = ball(cone.context, radius)
+    for g in b:
+        g_inverse = g.inverse()
+        assert _conjugation_row(cone, b, g) == [
+            cone.sign(g * h * g_inverse) for h in b]
+
+
+class CountingCone(ConeOracle):
+    """A base cone that counts its sign calls."""
+
+    def __init__(self, base):
+        self.base, self.context, self.calls = base, base.context, 0
+
+    def _sign(self, g):
+        self.calls += 1
+        return self.base.sign(g)
+
+
+def test_conjugation_table_infers_most_entries():
+    # 130 conjugators times 65 inverse pairs is 8,450 direct signs; the
+    # cuts decide all but 2,448 of them.
+    cone = CountingCone(DubrovinaDubrovinCone(4))
+    b = ball(cone.context, 3)
+    for g in b:
+        _conjugation_row(cone, b, g)
+    assert cone.calls <= 3000
+
+
+def test_property_scan_refuses_a_predicate_on_another_group():
+    for predicate in (KleinYPredicate(), BraidShiftPredicate(4, 1)):
+        with pytest.raises(ContextMismatchError, match="incompatible groups"):
+            order_property_scan(DehornoyCone(3), 3, restrict_to=predicate)
 
 
 @pytest.mark.parametrize("n_max", [0, -3])
