@@ -31,18 +31,16 @@ trivial; the Dehornoy and Dubrovina-Dubrovin signs read it.  Reduction
 results are memoized as words, keyed by the input's letter tuple.
 
 Equality and hashing use an exact key instead, ``fingerprint``: the
-Garside left normal form (Epstein et al., *Word Processing in Groups*,
-ch. 9), with each simple factor stored as the lexicographic rank of its
-permutation.  The ranks, the letters' simples, tau-flips and left-weighted
-pairs sit in one lazily filled table per ``n``; a rank depends only on
-the braid, so keys do not depend on what the memos held.
+braid's Dynnikov coordinates, a vector of ``2n`` ints on which each
+letter acts by a piecewise-linear map (Dynnikov, *Russian Math. Surveys*
+57, 2002).  It needs no reduction, budget or memo, and it depends only
+on the braid.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import factorial
 
 from .budgets import current_budget
 from .errors import BudgetExceededError, ContextMismatchError, UsageError
@@ -52,13 +50,9 @@ _TOKEN = re.compile(r"^([sS])([1-9][0-9]*)$")
 # Reduction memo: (n, letters) of a word and of its result -> the result.
 _reduce_cache: dict[tuple[int, tuple[int, ...]], "BraidWord"] = {}
 
-# Normal-form memos: the simples of B_n, by n.
-_tables: dict[int, _Simples] = {}
-
 
 def clear_caches() -> None:
     _reduce_cache.clear()
-    _tables.clear()
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,108 +250,37 @@ def shift_embed(r: int, word: BraidWord, n: int) -> BraidWord:
     return BraidWord(n, shifted)
 
 
-class _Simples:
-    """The simples of B_n, each named by the lexicographic rank of its
-    permutation (identity 0, Delta n! - 1), with lazily filled memos.
-
-    ``perm`` and ``rank`` translate between a rank and its strand labels
-    by position; ``letter[parity][l]`` is the simple of letter ``l`` at
-    that parity of the Delta power; ``flip`` holds tau-flips, and
-    ``weighted`` left-weighted pairs keyed ``(a << shift) | b``.
+def fingerprint(word: BraidWord) -> tuple[int, ...]:
+    """Exact key: the braid's Dynnikov coordinates less the identity's, a
+    flat ``2n``-tuple of ints, equal exactly for equal braids and all
+    zeros for the identity.  The letters act left to right on
+    ``(0,1, ..., 0,1)``.  With p+ = max(p, 0) and p- = min(p, 0), ``s_i``
+    maps (x1, y1, x2, y2) = (a_i, b_i, a_{i+1}, b_{i+1}), with
+    z = x1 - y1- - x2 + y2+, to (x1 + y1+ + (y2+ - z)+, y2 - z+,
+    x2 + y2- + (y1- + z)-, y1 + z+); ``s_i^-1`` acts by the inverse map.
+    Locals and conditional expressions stand in for ``max`` and ``min``,
+    whose calls cost several times as much.
     """
-
-    def __init__(self, n: int) -> None:
-        self.n, self.delta = n, factorial(n) - 1
-        self.shift = self.delta.bit_length()
-        self.perm: dict[int, tuple[int, ...]] = {}
-        self.rank: dict[tuple[int, ...], int] = {}
-        self.flip: dict[int, int] = {}
-        self.weighted: dict[int, tuple[int, int]] = {}
-        identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
-        self.letter = ({}, {})
-        for parity, table in enumerate(self.letter):
-            for i in range(1, n):
-                j = i - 1 if parity == 0 else n - 1 - i
-                for letter, base in ((i, identity), (-i, delta)):
-                    # s_j, or Delta s_j^{-1}: swap positions j, j + 1
-                    table[letter] = self.intern(
-                        base[:j] + (base[j + 1], base[j]) + base[j + 2:])
-
-    def intern(self, perm: tuple[int, ...]) -> int:
-        """The rank of ``perm``, by its Lehmer code, recorded both ways."""
-        rank = self.rank.get(perm)
-        if rank is None:
-            rank = 0
-            for k, v in enumerate(perm):
-                rank = rank * (self.n - k) + sum(u < v for u in perm[k + 1:])
-            self.rank[perm], self.perm[rank] = rank, perm
-        return rank
-
-    def tau(self, a: int) -> int:
-        """The rank of the tau-flip of ``a``: s_i -> s_{n-i}."""
-        flipped = self.flip.get(a)
-        if flipped is None:
-            n = self.n
-            flipped = self.flip[a] = self.intern(
-                tuple(n - 1 - v for v in reversed(self.perm[a])))
-        return flipped
-
-    def left_weight(self, a: int, b: int) -> tuple[int, int]:
-        """Simples (a', b') with a' b' = a b, left-weighted: while some s_j
-        starts b (value j + 1 before j) but does not finish a (a[j] < a[j+1]),
-        move it over: swap positions j, j + 1 of a and values j, j + 1 of b.
-        Memoized in ``weighted``."""
-        x, y = list(self.perm[a]), list(self.perm[b])
-        where = sorted(range(len(y)), key=y.__getitem__)  # value -> position
-        j = 0
-        while j < len(x) - 1:
-            if x[j] < x[j + 1] and where[j] > where[j + 1]:
-                x[j], x[j + 1] = x[j + 1], x[j]
-                y[where[j]], y[where[j + 1]] = j + 1, j
-                where[j], where[j + 1] = where[j + 1], where[j]
-                j = max(j - 1, 0)
-            else:
-                j += 1
-        pair = self.weighted[(a << self.shift) | b] = (
-            self.intern(tuple(x)), self.intern(tuple(y)))
-        return pair
-
-
-def fingerprint(word: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """Exact key ``(p, (A_1, ..., A_r))`` of the left normal form
-    Delta^p A_1 ... A_r: equal exactly when the braids are equal.
-
-    A simple is stored as the lexicographic rank of its permutation (its
-    strand labels by position), a pure function of the braid: keys do not
-    depend on what the memos held, so they stay valid across
-    ``clear_caches``.  ``s_i^{-1}`` is Delta^{-1} (Delta s_i^{-1}), and
-    moving Delta^{-1} to the front flips the simples it passes by tau:
-    s_i -> s_{n-i}; factors are kept flipped by tau^p and restored at the
-    end.  Each new simple is left-weighted against its predecessors from
-    the right, up to the first pair that does not change.
-    """
-    n = word.n
-    table = _tables.get(n)
-    if table is None:
-        table = _tables[n] = _Simples(n)
-    of_letter, weighted = table.letter, table.weighted.get
-    shift = table.shift
-    p, factors = 0, []
+    c = [0, 1] * word.n
     for letter in word.letters:
-        p -= letter < 0
-        b = of_letter[p & 1][letter]
-        k = len(factors)
-        factors.append(b)
-        while k:  # left-weight b against the factors before it
-            a = factors[k - 1]
-            a2, b2 = weighted((a << shift) | b) or table.left_weight(a, b)
-            if a2 == a:
-                break
-            factors[k], b, k = b2, a2, k - 1
-        factors[k] = b
-        if not factors[-1]:  # the identity
-            factors.pop()
-    if p & 1:
-        factors = [table.tau(a) for a in factors]
-    lead = factors.count(table.delta)  # Delta factors only lead a normal form
-    return p + lead, tuple(factors[lead:])
+        j = 2 * letter - 2 if letter > 0 else -2 * letter - 2
+        x1, y1, x2, y2 = c[j], c[j + 1], c[j + 2], c[j + 3]
+        y1m = y1 if y1 < 0 else 0
+        y2p = y2 if y2 > 0 else 0
+        if letter > 0:
+            z = x1 - y1m - x2 + y2p
+            zp = z if z > 0 else 0
+            t, u = y2p - z, y1m + z
+            c[j] = x1 + y1 - y1m + (t if t > 0 else 0)
+            c[j + 1] = y2 - zp
+            c[j + 2] = x2 + y2 - y2p + (u if u < 0 else 0)
+            c[j + 3] = y1 + zp
+        else:
+            z = x1 + y1m - x2 - y2p
+            zm = z if z < 0 else 0
+            t, u = y2p + z, y1m - z
+            c[j] = x1 - y1 + y1m - (t if t > 0 else 0)
+            c[j + 1] = y2 + zm
+            c[j + 2] = x2 - y2 + y2p - (u if u < 0 else 0)
+            c[j + 3] = y1 - zm
+    return tuple([x - (k & 1) for k, x in enumerate(c)])

@@ -4,8 +4,8 @@ Three group families are supported:
 
 * free abelian lattices Z^k, elements stored as integer vectors;
 * Artin braid groups B_n, elements carrying a ``BraidWord`` (free-reduced
-  by its constructor) and compared through the exact key of its Garside
-  left normal form;
+  by its constructor) and compared through its Dynnikov coordinates, an
+  exact key;
 * the Klein-bottle group <x, y | x y x^-1 = y^-1>, elements in the
   normal form x^a y^b with the multiplication law
   (a1, b1)(a2, b2) = (a1 + a2, (-1)^a2 b1 + b2), derived once from the
@@ -151,11 +151,11 @@ class GroupElement:
     checked at construction: a tuple of k (Z^k) or 2 (Klein) ints, or a
     ``BraidWord`` on the context's n strands.
 
-    Equality, hashing and ``is_identity`` read one key: the payload for
-    Z^k and Klein (hashed with its coordinates doubled), the cached
-    normal-form key ``braids.fingerprint`` (a Delta power and a tuple of
-    int ranks) for braids, so different words for the same braid are
-    equal, before and after ``braids.clear_caches``.
+    Equality, hashing and ``is_identity`` read one key, a tuple of ints
+    that is all zeros for the identity and is hashed with its entries
+    doubled: the payload for Z^k and Klein, and for braids the cached
+    Dynnikov key ``braids.fingerprint``, so different words for the same
+    braid are equal.
     """
 
     context: GroupContext
@@ -194,7 +194,7 @@ class GroupElement:
         return GroupElement(self.context, _inverse(self.context, self.payload))
 
     def is_identity(self) -> bool:
-        # The identity's key is all zeros: (0, ()) for braids.
+        # The identity's key is all zeros.
         return not any(self._key)
 
     def word_length(self) -> int:
@@ -224,10 +224,8 @@ class GroupElement:
         return self.context == other.context and self._key == other._key
 
     def __hash__(self) -> int:
-        if self.context.family == BRAID:
-            return hash(self._key)
-        # Doubled coordinates are never -1, which CPython hashes like -2.
-        return hash(tuple([2 * c for c in self.payload]))
+        # Doubled entries are never -1, which CPython hashes like -2.
+        return hash(tuple([2 * c for c in self._key]))
 
     def text(self) -> str:
         if self.context.family == BRAID:
@@ -263,13 +261,10 @@ def _inverse(context: GroupContext, p):
 
 
 def _payload_key(context: GroupContext, p):
-    """The exact equality key of a payload: itself for Z^k and Klein;
-    for braids the normal-form key with its Delta power zigzagged onto
-    0, 1, 2, ..., since CPython hashes -1 like -2."""
-    if context.family != BRAID:
-        return p
-    power, factors = braids.fingerprint(p)
-    return (2 * power if power >= 0 else -2 * power - 1, factors)
+    """The exact equality key of a payload, a tuple of ints: itself for
+    Z^k and Klein, ``braids.fingerprint`` (the Dynnikov coordinates less
+    the identity's) for braids."""
+    return braids.fingerprint(p) if context.family == BRAID else p
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -378,7 +373,7 @@ def ball(context: GroupContext, radius: int) -> Ball:
     """Enumerate the Cayley ball of the given radius.
 
     Braid balls are capped by the budget because they grow exponentially
-    and every candidate computes its normal-form key.
+    and every candidate computes its Dynnikov key.
     """
     if radius < 0:
         raise UsageError("ball radius must be nonnegative")
@@ -397,7 +392,7 @@ def ball(context: GroupContext, radius: int) -> Ball:
 def ball_payloads(context: GroupContext, radius: int) -> tuple[list, dict]:
     """The BFS of ``ball`` on bare payloads: the nontrivial members in
     ball order (int tuples for Z^k and Klein; braid words, deduplicated
-    by normal-form key) and each member's exact key mapped to its
+    by Dynnikov key) and each member's exact key mapped to its
     position, in the same order.  Nothing is cached or budgeted."""
     gens = [g.payload for g in context.generators_with_inverses()]
     frontier = [context.identity().payload]

@@ -124,13 +124,6 @@ class LexConeSpec:
             raise UsageError(f"bad lex spec payload: {exc}") from exc
 
 
-def compare_vectors(spec: LexConeSpec, u, v) -> int:
-    """Sign of v - u: positive when u < v in the order."""
-    u = _as_vector(u, spec.k)
-    v = _as_vector(v, spec.k)
-    return spec._sign(tuple(b - a for a, b in zip(u, v)))
-
-
 @dataclass(frozen=True)
 class DensityReport:
     """Outcome of a density classification: discrete orders carry their

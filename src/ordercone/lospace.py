@@ -39,7 +39,8 @@ from .certificates import (AccumulationWitness, ConvexityCertificate,
                            SemigroupWitness)
 from .cones import (ConeOracle, ConjugateCone, ConvexPredicate,
                     DubrovinaDubrovinCone, sign_text)
-from .errors import (BudgetExceededError, ContextMismatchError, UsageError)
+from .errors import (BudgetExceededError, CertificateError,
+                     ContextMismatchError, UsageError)
 from .groups import Ball, GroupContext, GroupElement, ball
 
 
@@ -53,9 +54,6 @@ class SignVector:
     def __post_init__(self) -> None:
         if len(self.signs) != len(self.ball):
             raise UsageError("sign vector length must match the ball")
-
-    def sign_of(self, g: GroupElement) -> int:
-        return self.signs[self.ball.position(g)]
 
     def positives(self) -> list[GroupElement]:
         return [e for e, s in zip(self.ball.elements, self.signs) if s == 1]
@@ -480,6 +478,25 @@ def _conjugation_row(cone: ConeOracle, b: Ball, g: GroupElement) -> list[int]:
     return row
 
 
+def _check_certified_to(cone: ConeOracle, radius: int) -> None:
+    """Refuse ``cone`` when it, or a cone it is built on, carries a
+    convexity certificate of radius below ``radius``.
+
+    Only a necessary condition: the conjugation table signs elements up
+    to three times the radius, and the Conradian powers go further."""
+    stack = [cone]
+    while stack:
+        current = stack.pop()
+        certificate = getattr(current, "certificate", None)
+        if certificate is not None and certificate.radius < radius:
+            raise CertificateError(
+                f"{current.describe()} is certified convex only to radius "
+                f"{certificate.radius}, below the scan radius {radius}")
+        stack += [getattr(current, name)
+                  for name in ("base", "inner", "quotient")
+                  if isinstance(getattr(current, name, None), ConeOracle)]
+
+
 def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
                         restrict_to: ConvexPredicate | None = None
                         ) -> OrderPropertyReport:
@@ -494,9 +511,13 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
     g^-1 h g^m reads m = 1 from ``rows[g^-1][h]``.  As the subgroup is
     closed under inverses, g stabilizes the cone on the ball exactly when
     ``rows[g^-1]`` is the cone's sign vector.
+
+    A flip or replacement, here or inside the cone, whose certificate
+    radius is below ``radius`` raises ``CertificateError``.
     """
     if n_max < 1:
         raise UsageError("n_max must be at least 1")
+    _check_certified_to(cone, radius)
     if restrict_to is not None and restrict_to.context != cone.context:
         raise ContextMismatchError("incompatible groups")
     vector = sign_vector(cone, radius)

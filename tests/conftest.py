@@ -2,9 +2,18 @@
 
 The exact Burau matrix over Z[t, 1/t] is a faithful representation of
 the 3-strand braid group, so it decides equality there without touching
-the normal-form keys or the reduction machinery under test.  Laurent
+the Dynnikov keys or the reduction machinery under test.  Laurent
 polynomials are dicts degree -> coefficient with zero coefficients
 dropped.
+
+The Garside key oracle computes the left normal form Delta^p A_1 ... A_r
+(Epstein et al., *Word Processing in Groups*, ch. 9), each simple factor
+stored as the lexicographic rank of its permutation; it decides equality
+in every B_n and is the reference for ``braids.fingerprint``, the
+Dynnikov coordinates.
+
+``compare_vectors`` compares two lattice vectors under a lex spec; the
+ball-search density oracle reads it.
 
 The lattice ball-search density oracle decides dense/discrete by
 enumerating lattice shells, independently of the exact recursion in
@@ -57,6 +66,7 @@ from __future__ import annotations
 import functools
 import random
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -69,9 +79,9 @@ from ordercone.errors import ContextMismatchError, PerturbationError
 from ordercone.groups import GroupElement
 from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, _WITNESS_RADIUS,
                                 DensityReport, LexConeSpec,
-                                PerturbationResult, Vector,
-                                classify_density, compare_vectors,
-                                iter_lattice_shell, least_positive_in_ball)
+                                PerturbationResult, Vector, _as_vector,
+                                classify_density, iter_lattice_shell,
+                                least_positive_in_ball)
 from ordercone.quadratic import quad
 
 Laurent = dict[int, int]
@@ -191,6 +201,121 @@ def handle_reduce_oracle(n: int, letters) -> tuple[tuple[int, ...], int]:
                 replacement.append(letter)
         word = _free_reduce(word[:p] + replacement + word[q + 1:])
     return tuple(word), steps
+
+
+class _Simples:
+    """The simples of B_n, each named by the lexicographic rank of its
+    permutation (identity 0, Delta n! - 1), with lazily filled memos.
+
+    ``perm`` and ``rank`` translate between a rank and its strand labels
+    by position; ``letter[parity][l]`` is the simple of letter ``l`` at
+    that parity of the Delta power; ``flip`` holds tau-flips, and
+    ``weighted`` left-weighted pairs keyed ``(a << shift) | b``.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n, self.delta = n, factorial(n) - 1
+        self.shift = self.delta.bit_length()
+        self.perm: dict[int, tuple[int, ...]] = {}
+        self.rank: dict[tuple[int, ...], int] = {}
+        self.flip: dict[int, int] = {}
+        self.weighted: dict[int, tuple[int, int]] = {}
+        identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
+        self.letter = ({}, {})
+        for parity, table in enumerate(self.letter):
+            for i in range(1, n):
+                j = i - 1 if parity == 0 else n - 1 - i
+                for letter, base in ((i, identity), (-i, delta)):
+                    # s_j, or Delta s_j^{-1}: swap positions j, j + 1
+                    table[letter] = self.intern(
+                        base[:j] + (base[j + 1], base[j]) + base[j + 2:])
+
+    def intern(self, perm: tuple[int, ...]) -> int:
+        """The rank of ``perm``, by its Lehmer code, recorded both ways."""
+        rank = self.rank.get(perm)
+        if rank is None:
+            rank = 0
+            for k, v in enumerate(perm):
+                rank = rank * (self.n - k) + sum(u < v for u in perm[k + 1:])
+            self.rank[perm], self.perm[rank] = rank, perm
+        return rank
+
+    def tau(self, a: int) -> int:
+        """The rank of the tau-flip of ``a``: s_i -> s_{n-i}."""
+        flipped = self.flip.get(a)
+        if flipped is None:
+            n = self.n
+            flipped = self.flip[a] = self.intern(
+                tuple(n - 1 - v for v in reversed(self.perm[a])))
+        return flipped
+
+    def left_weight(self, a: int, b: int) -> tuple[int, int]:
+        """Simples (a', b') with a' b' = a b, left-weighted: while some s_j
+        starts b (value j + 1 before j) but does not finish a (a[j] < a[j+1]),
+        move it over: swap positions j, j + 1 of a and values j, j + 1 of b.
+        Memoized in ``weighted``."""
+        x, y = list(self.perm[a]), list(self.perm[b])
+        where = sorted(range(len(y)), key=y.__getitem__)  # value -> position
+        j = 0
+        while j < len(x) - 1:
+            if x[j] < x[j + 1] and where[j] > where[j + 1]:
+                x[j], x[j + 1] = x[j + 1], x[j]
+                y[where[j]], y[where[j + 1]] = j + 1, j
+                where[j], where[j + 1] = where[j + 1], where[j]
+                j = max(j - 1, 0)
+            else:
+                j += 1
+        pair = self.weighted[(a << self.shift) | b] = (
+            self.intern(tuple(x)), self.intern(tuple(y)))
+        return pair
+
+
+@functools.cache
+def _simples(n: int) -> _Simples:
+    return _Simples(n)
+
+
+def garside_key_oracle(word: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """Exact key ``(p, (A_1, ..., A_r))`` of the left normal form
+    Delta^p A_1 ... A_r: equal exactly when the braids are equal.
+
+    A simple is stored as the lexicographic rank of its permutation (its
+    strand labels by position).  ``s_i^{-1}`` is Delta^{-1} (Delta
+    s_i^{-1}), and moving Delta^{-1} to the front flips the simples it
+    passes by tau: s_i -> s_{n-i}; factors are kept flipped by tau^p and
+    restored at the end.  Each new simple is left-weighted against its
+    predecessors from the right, up to the first pair that does not
+    change.
+    """
+    n = word.n
+    table = _simples(n)
+    of_letter, weighted = table.letter, table.weighted.get
+    shift = table.shift
+    p, factors = 0, []
+    for letter in word.letters:
+        p -= letter < 0
+        b = of_letter[p & 1][letter]
+        k = len(factors)
+        factors.append(b)
+        while k:  # left-weight b against the factors before it
+            a = factors[k - 1]
+            a2, b2 = weighted((a << shift) | b) or table.left_weight(a, b)
+            if a2 == a:
+                break
+            factors[k], b, k = b2, a2, k - 1
+        factors[k] = b
+        if not factors[-1]:  # the identity
+            factors.pop()
+    if p & 1:
+        factors = [table.tau(a) for a in factors]
+    lead = factors.count(table.delta)  # Delta factors only lead a normal form
+    return p + lead, tuple(factors[lead:])
+
+
+def compare_vectors(spec: LexConeSpec, u, v) -> int:
+    """Sign of v - u: positive when u < v in the order."""
+    u, v = _as_vector(u, spec.k), _as_vector(v, spec.k)
+    return spec.sign(tuple(b - a for a, b in zip(u, v)))
 
 
 def _positive_below(spec: LexConeSpec, bound: Vector,

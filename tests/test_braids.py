@@ -14,7 +14,7 @@ from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
 from ordercone import braids
 from ordercone.braids import clear_caches, fingerprint, parse_letters
 
-from conftest import (_free_reduce, braids_equal_oracle,
+from conftest import (_free_reduce, braids_equal_oracle, garside_key_oracle,
                       handle_reduce_oracle, random_positive_word, random_word)
 
 
@@ -371,6 +371,46 @@ def test_key_decides_equality_against_reduction(pair):
     assert (fingerprint(u) == fingerprint(v)) == trivial
 
 
+@st.composite
+def long_word_pairs(draw, max_size: int):
+    """(u, v) in B_n, n in [2, 8], u of up to ``max_size`` letters: v is u
+    with relators inserted (the same braid), and then sometimes a letter
+    or a commutator s_i s_{i+1} s_i^-1 s_{i+1}^-1 (a different braid)."""
+    n = draw(st.integers(2, 8))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    u = tuple(draw(st.lists(letter, max_size=max_size)))
+    v = u
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(v)))
+        v = v[:at] + _relator(draw, n) + v[at:]
+    kind = draw(st.sampled_from(("same", "letter", "commutator")))
+    if kind != "same":
+        at = draw(st.integers(0, len(v)))
+        i = draw(st.integers(1, n - 2)) if n > 2 else 1
+        extra = ((i,) if kind == "letter" or n == 2
+                 else (i, i + 1, -i, -(i + 1)))
+        v = v[:at] + extra + v[at:]
+    return BraidWord(n, u), BraidWord(n, v)
+
+
+@settings(deadline=None)
+@given(long_word_pairs(300))
+def test_key_decides_equality_against_garside_oracle(pair):
+    u, v = pair
+    assert ((fingerprint(u) == fingerprint(v))
+            == (garside_key_oracle(u) == garside_key_oracle(v)))
+
+
+@settings(deadline=None)
+@given(long_word_pairs(100))
+def test_key_is_zero_exactly_on_trivial_braids(pair):
+    u, v = pair
+    word = u * v.inverse()
+    key = fingerprint(word)
+    assert len(key) == 2 * word.n
+    assert (not any(key)) == (not handle_reduce(word).letters)
+
+
 @given(word_pairs(2, 6), st.data())
 def test_key_invariant_under_relator_insertion(pair, data):
     u, _ = pair
@@ -410,11 +450,12 @@ def _perms_by_rank(n: int) -> list[tuple[int, ...]]:
 @settings(deadline=None)
 @given(reduction_words())
 def test_key_is_a_left_normal_form(case):
-    # Each factor rank decodes, independently of the module's tables, to a
-    # permutation; the factors are proper simples, each adjacent pair is
-    # left-weighted, and Delta^p A_1 ... A_r has the word's permutation.
+    # The Garside oracle's factor ranks decode, independently of its
+    # tables, to permutations; the factors are proper simples, each
+    # adjacent pair is left-weighted, and Delta^p A_1 ... A_r has the
+    # word's permutation.
     n, letters = case
-    p, factors = fingerprint(BraidWord(n, letters))
+    p, factors = garside_key_oracle(BraidWord(n, letters))
     perms = [_perms_by_rank(n)[a] for a in factors]
     identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
     assert identity not in perms and delta not in perms
@@ -442,7 +483,7 @@ def test_keys_do_not_depend_on_cache_state():
     before = b4.element(u)
     hash(before)  # caches its key
     clear_caches()
-    for w in others:  # the simples are met in another order
+    for w in others:  # other words are keyed in between
         fingerprint(w)
     assert [fingerprint(w) for w in reversed(words)] == keys[::-1]
     after = b4.element(v)
@@ -450,16 +491,15 @@ def test_keys_do_not_depend_on_cache_state():
 
 
 def test_clear_caches_resets_every_braid_memo():
+    # The reduction memo is the one braid memo; keys are not memoized.
     word = BraidWord(4, (1, -2, 3, 2, -1, -3, 2))
-    handle_reduce(word)
-    fingerprint(word)
-    table = braids._tables[4]
-    assert table.perm and table.rank and table.flip and table.weighted
-    assert braids._reduce_cache
+    reduced = handle_reduce(word)
+    assert braids._reduce_cache[(4, word.letters)] is reduced
     clear_caches()
-    assert not braids._reduce_cache and not braids._tables
+    assert not braids._reduce_cache
     fingerprint(word)
-    assert braids._tables[4] is not table
+    assert not braids._reduce_cache
+    assert handle_reduce(word) is not reduced
 
 
 def test_subword_property_sample():

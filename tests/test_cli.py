@@ -267,6 +267,27 @@ def test_props_exit_code(capsys):
     assert report["biorder_violations"] == []
 
 
+_FLIP_CYCLIC_R1 = json.dumps({"type": "flip_on_convex",
+                              "base": {"type": "dehornoy", "n": 3},
+                              "predicate": {"type": "cyclic_braid", "n": 3,
+                                            "word": "s1 s2"},
+                              "radius": 1})
+
+
+@pytest.mark.parametrize("command", [
+    ("props",), ("soul", "--chain", '[{"type": "braid_shift", "n": 3, "r": 1}]'),
+], ids=["props", "soul"])
+def test_scan_refuses_a_cone_certified_below_its_radius(capsys, command):
+    # The subgroup <s1 s2> is not convex at radius 3, yet a certificate of
+    # radius 1 loads; a scan at radius 3 is refused, not reported.
+    code = main([*command, "--cone", _FLIP_CYCLIC_R1, "--radius", "3"])
+    assert code == 2
+    assert "below the scan radius 3" in capsys.readouterr().err
+    code, _ = run_cli(capsys, *command, "--cone", _FLIP_CYCLIC_R1,
+                      "--radius", "1")
+    assert code in (0, 1)
+
+
 @pytest.mark.parametrize("argv", [
     ("props", "--cone", "dehornoy:3", "--radius", "2"),
     ("soul", "--cone", "dehornoy:3", "--radius", "2", "--chain",

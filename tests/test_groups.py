@@ -121,8 +121,7 @@ def test_ball_counts():
 
 
 def test_braid_ball_hashes_are_distinct(b3):
-    # Keys differing only in p = -1 against p = -2 once shared a hash,
-    # because CPython hashes -1 like -2.
+    # CPython hashes -1 like -2, so key entries are doubled before hashing.
     b = ball(b3, 4)
     assert len(b) == 114
     assert len({hash(e) for e in b}) == 114

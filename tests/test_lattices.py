@@ -17,10 +17,10 @@ from ordercone import (GroupContext, LatticeCone, LexConeSpec,
                        restrict_to_sublattice, saturate, sign_vector)
 from ordercone.certificates import ConvexityCertificate
 from ordercone.cones import LatticeSublatticePredicate
-from ordercone.lattices import compare_vectors, iter_lattice_shell
+from ordercone.lattices import iter_lattice_shell
 from ordercone.quadratic import sqrt2_sign
 
-from conftest import ball_search_density
+from conftest import ball_search_density, compare_vectors
 
 
 def spec_of(k, *normals):

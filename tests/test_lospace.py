@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercone import (BraidShiftPredicate, BudgetExceededError,
-                       CensusQuery, ConeOracle, ConjugateCone,
-                       ContextMismatchError,
+                       CensusQuery, CertificateError, ConeOracle,
+                       ConjugateCone, ContextMismatchError,
                        CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec,
-                       ReplaceCone, UsageError, WholePredicate,
+                       LexExtensionCone, ReplaceCone, UsageError,
+                       WholePredicate,
                        accumulation_scan, ball, budget_scope, census,
                        certificate_from_json, convexity_check,
                        current_budget, dd_isolation_witnesses,
@@ -163,7 +164,8 @@ def test_census_pins(z2):
     pinned = census(CensusQuery(z2, 2, (e1, e2)))
     assert len(pinned) == 2
     for vector in pinned:
-        assert vector.sign_of(e1) == 1 and vector.sign_of(e2) == 1
+        b = vector.ball
+        assert vector.signs[b.position(e1)] == vector.signs[b.position(e2)] == 1
     with pytest.raises(UsageError):
         census(CensusQuery(z2, 2, (z2.element((5, 5)),)))
 
@@ -552,8 +554,8 @@ _B4 = GroupContext.braid(4)
 
 
 def _on_shift(base, predicate, radius, inner=None):
-    """A flip, or with ``inner`` a replacement, on a shifted strand
-    subgroup, certified convex at the radius."""
+    """A flip, or with ``inner`` a replacement, on a subgroup (a shifted
+    strand subgroup, say), certified convex at the radius."""
     cert = certified(base, predicate, radius)
     return (FlipCone(base, predicate, cert) if inner is None
             else ReplaceCone(base, predicate, inner, cert))
@@ -599,6 +601,26 @@ def test_property_scan_oracle_cases_hit_every_branch():
         assert 0 < len(report.stabilizer_elements) < len(ball(_B3, 3))
     assert (len(order_property_scan(pd, 3, 1).conradian_violations)
             > len(order_property_scan(pd, 3, 2).conradian_violations))
+
+
+_LOW = _on_shift(DehornoyCone(3), BraidShiftPredicate(3, 1), 2)
+_Z_LOW = _on_shift(lat(1, (1,)), LatticeSublatticePredicate(1, ((1,),)), 2)
+
+
+@pytest.mark.parametrize("cone", [
+    _LOW,
+    ConjugateCone(_LOW, _B3.element("s1 S2")),
+    ReplaceCone(_REPLACE_SHIFT.base, _REPLACE_SHIFT.predicate, _LOW,
+                _REPLACE_SHIFT.certificate),
+    LexExtensionCone(KleinYPredicate(), lat(1, (1,)), _Z_LOW),
+], ids=["flip", "conjugate-of-flip", "replace-with-flip-inside",
+        "lex-extension-over-flip"])
+def test_property_scan_refuses_certificates_below_its_radius(cone):
+    with pytest.raises(CertificateError, match="only to radius 2"):
+        order_property_scan(cone, 3)
+    with pytest.raises(CertificateError, match="only to radius 2"):
+        soul_estimate(cone, [WholePredicate(cone.context)], 3)
+    assert order_property_scan(cone, 2).radius == 2
 
 
 @pytest.mark.parametrize("cone, radius", [
