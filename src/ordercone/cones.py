@@ -535,19 +535,16 @@ class LexExtensionCone(ConeOracle):
         if isinstance(self.convex, KleinYPredicate):
             qk = 1
         elif isinstance(self.convex, LatticeSublatticePredicate):
-            rows = [list(b) for b in self.convex.basis]
-            if rows and intlinalg.elementary_divisors(rows) != [1] * len(rows):
-                raise UsageError("sublattice is not saturated "
-                                 "(quotient has torsion)")
             qk = self.convex.k - len(self.convex.basis)
+            if qk < 1:
+                raise UsageError("quotient is trivial; nothing to extend by")
+            self._transform  # the Smith completion raises on a torsion quotient
         else:
             raise UsageError(
                 f"lex extension is not implemented over {self.convex.describe()}")
         if self.inner.context != self.convex.subgroup_context():
             raise ContextMismatchError("inner cone lives on the wrong group")
-        expected = GroupContext.free_abelian(qk) if qk >= 1 else None
-        if expected is None:
-            raise UsageError("quotient is trivial; nothing to extend by")
+        expected = GroupContext.free_abelian(qk)
         if self.quotient.context != expected:
             raise ContextMismatchError(
                 f"quotient cone must live on {expected!r}")

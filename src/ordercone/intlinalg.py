@@ -1,16 +1,14 @@
 """Exact integer linear algebra at desk sizes.
 
-Row-style Hermite reduction with a tracked unimodular transform gives
-integer kernels (which are automatically saturated sublattices), and a
-Smith decomposition with both transforms gives saturation tests, basis
-completion, and membership solving.  Matrices are lists of lists of
-Python ints; everything here is exact and intended for dimensions of at
-most half a dozen.
+One elimination, a Smith decomposition U m V = D with both unimodular
+transforms, answers every question asked here: ranks (the nonzero
+divisors), integer kernels (the columns of V past the rank, which span
+a saturated sublattice), saturation and membership solving.  Matrices
+are lists of int rows (tuples are read as rows too); everything here is
+exact and intended for dimensions of at most half a dozen.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 IntMatrix = list[list[int]]
 
@@ -24,52 +22,14 @@ def matvec_left(v: list[int], m: IntMatrix) -> list[int]:
     return [sum(v[i] * m[i][c] for i in range(len(v))) for c in range(len(m[0]))]
 
 
-def hermite_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row echelon form over Z: returns (H, U) with U m = H, U unimodular."""
-    rows = len(m)
-    h = [row[:] for row in m]
-    u = identity_matrix(rows)
-    pivot_row = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        # Euclid within the column until at most one nonzero entry remains
-        # at or below the pivot row.
-        while True:
-            live = [r for r in range(pivot_row, rows) if h[r][col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda r: abs(h[r][col]))
-            small, other = live[0], live[1]
-            q = h[other][col] // h[small][col]
-            h[other] = [x - q * y for x, y in zip(h[other], h[small])]
-            u[other] = [x - q * y for x, y in zip(u[other], u[small])]
-        live = [r for r in range(pivot_row, rows) if h[r][col] != 0]
-        if not live:
-            continue
-        r = live[0]
-        if r != pivot_row:
-            h[r], h[pivot_row] = h[pivot_row], h[r]
-            u[r], u[pivot_row] = u[pivot_row], u[r]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        for r in range(pivot_row):
-            q = h[r][col] // h[pivot_row][col]
-            if q:
-                h[r] = [x - q * y for x, y in zip(h[r], h[pivot_row])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
-        pivot_row += 1
-    return h, u
-
-
 def kernel_basis(m: IntMatrix, width: int) -> IntMatrix:
     """Z-basis of {x in Z^width : m x = 0} for an integer matrix with
-    ``width`` columns.  The kernel of integer functionals is saturated."""
+    ``width`` columns.  With U m V = D, the columns of the unimodular V
+    past the rank span the kernel, which is saturated."""
     if not m:
         return identity_matrix(width)
-    transposed = [[m[r][c] for r in range(len(m))] for c in range(width)]
-    h, u = hermite_with_transform(transposed)
-    return [u[r] for r in range(width) if not any(h[r])]
+    _, d, v = smith_with_transforms(m)
+    return [[row[c] for row in v] for c in range(_rank(d), width)]
 
 
 def saturation(generators: IntMatrix, width: int) -> IntMatrix:
@@ -85,7 +45,7 @@ def smith_with_transforms(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix
     U and V unimodular, and each diagonal entry dividing the next."""
     rows = len(m)
     cols = len(m[0]) if m else 0
-    d = [row[:] for row in m]
+    d = [list(row) for row in m]
     u = identity_matrix(rows)
     v = identity_matrix(cols)
 
@@ -148,9 +108,9 @@ def smith_with_transforms(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix
     return u, d, v
 
 
-def elementary_divisors(m: IntMatrix) -> list[int]:
-    _, d, _ = smith_with_transforms(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+def _rank(d: IntMatrix) -> int:
+    """Rank of a Smith form: its nonzero divisors, which come first."""
+    return sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
 
 
 def solve_in_row_span(basis: IntMatrix, target: list[int]) -> list[int] | None:
@@ -161,7 +121,7 @@ def solve_in_row_span(basis: IntMatrix, target: list[int]) -> list[int] | None:
     if not basis:
         return [] if not any(target) else None
     u, d, v = smith_with_transforms(basis)
-    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+    rank = _rank(d)
     tv = matvec_left(target, v)
     coeff = [0] * len(basis)
     for i in range(len(tv)):
@@ -174,21 +134,8 @@ def solve_in_row_span(basis: IntMatrix, target: list[int]) -> list[int] | None:
     return matvec_left(coeff, u)
 
 
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination on Fraction rows."""
-    work = [row[:] for row in rows if any(row)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        head = work[rank][col]
-        work[rank] = [x / head for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                work[r] = [x - work[r][col] * y
-                           for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+def rational_rank(m: IntMatrix) -> int:
+    """Rank over Q of integer rows: the number of nonzero Smith divisors."""
+    if not m:
+        return 0
+    return _rank(smith_with_transforms(m)[1])

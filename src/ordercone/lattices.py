@@ -82,9 +82,8 @@ class LexConeSpec:
             int_normals.append((tuple(int(e.a * denom) for e in normal),
                                 tuple(int(e.b * denom) for e in normal)))
         object.__setattr__(self, "_int_normals", tuple(int_normals))
-        rows = [[Fraction(x) for x in row] for pair in int_normals
-                for row in pair]
-        if intlinalg.rational_rank(rows) < self.k:
+        if intlinalg.rational_rank([row for pair in int_normals
+                                    for row in pair]) < self.k:
             raise UsageError(
                 "invalid spec: some nonzero lattice vector is orthogonal "
                 "to every normal")
@@ -150,7 +149,7 @@ def _classify(k: int, int_normals) -> Vector | None:
     if not int_normals:
         raise AssertionError("recursion exhausted normals on a nonzero lattice")
     (a, b), rest = int_normals[0], int_normals[1:]
-    kernel = intlinalg.kernel_basis([row for row in (a, b) if any(row)], k)
+    kernel = intlinalg.kernel_basis((a, b), k)
     rank = len(kernel)
     if rank == 0:
         if k == 1:
@@ -328,7 +327,7 @@ def saturate(k: int, generators) -> SaturationResult:
     by the result is torsion free by construction.
     """
     gens = tuple(_as_vector(g, k) for g in generators)
-    basis = intlinalg.saturation([list(g) for g in gens], k)
+    basis = intlinalg.saturation(gens, k)
     return SaturationResult(gens, tuple(tuple(row) for row in basis))
 
 

@@ -12,6 +12,11 @@ stored as the lexicographic rank of its permutation; it decides equality
 in every B_n and is the reference for ``braids.fingerprint``, the
 Dynnikov coordinates.
 
+The rational rank oracle is Gauss-Jordan elimination on ``Fraction``
+rows; it is the reference for ``intlinalg.rational_rank`` and the
+kernel sizes of ``intlinalg.kernel_basis``, which read a Smith
+decomposition instead.
+
 ``compare_vectors`` compares two lattice vectors under a lex spec; the
 ball-search density oracle reads it.
 
@@ -65,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import random
+from fractions import Fraction
 from itertools import product
 from math import factorial
 
@@ -310,6 +316,26 @@ def garside_key_oracle(word: BraidWord) -> tuple[int, tuple[int, ...]]:
         factors = [table.tau(a) for a in factors]
     lead = factors.count(table.delta)  # Delta factors only lead a normal form
     return p + lead, tuple(factors[lead:])
+
+
+def rational_rank_oracle(rows) -> int:
+    """Rank over Q by Gaussian elimination on Fraction copies of rows."""
+    work = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        head = work[rank][col]
+        work[rank] = [x / head for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                work[r] = [x - work[r][col] * y
+                           for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
 
 
 def compare_vectors(spec: LexConeSpec, u, v) -> int:

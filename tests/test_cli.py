@@ -142,6 +142,7 @@ _LATTICE_SPEC = json.dumps({"k": 2, "normals": [
     ("classify", "--spec", _LATTICE_SPEC.replace('"k": 2', '"k": 2.7')),
     ("classify", "--spec",
      '{"k": true, "normals": [[{"a": "1", "b": "0"}]]}'),
+    ("classify", "--spec", '{"k": 1, "normals": [[{"a": true, "b": "0"}]]}'),
     ("convexity", "--cone", "lattice:" + _LATTICE_SPEC, "--predicate",
      '{"type": "lattice_sublattice", "basis": [[1.9, 0]]}', "--radius", "1"),
     ("ball", "--group", "z", "--radius", "1", "--budget",
@@ -153,7 +154,8 @@ _LATTICE_SPEC = json.dumps({"k": 2, "normals": [
 ], ids=["cone-no-n", "klein-bad-sign", "conjugate-no-g", "predicate-list",
         "chain-object", "whole-no-n", "budget-list", "budget-ball-number",
         "basis-number", "conjugate-g-number", "n-float", "n-string",
-        "r-bool", "g-bool", "spec-k-float", "spec-k-bool", "basis-float",
+        "r-bool", "g-bool", "spec-k-float", "spec-k-bool", "spec-entry-bool",
+        "basis-float",
         "budget-ball-float", "budget-steps-float", "budget-radius-bool"])
 def test_malformed_descriptor_is_usage_error(capsys, argv):
     code = main(list(argv))

@@ -1,12 +1,13 @@
 """Integer linear algebra against brute-force oracles."""
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from ordercone import intlinalg as la
 from ordercone.intlinalg import IntMatrix
+
+from conftest import rational_rank_oracle
 
 # Reference helpers: independent oracles for the decompositions below.
 
@@ -53,16 +54,6 @@ def random_matrix(rng, rows, cols, bound=4):
             for _ in range(rows)]
 
 
-def test_hermite_transform_identity():
-    rng = random.Random(11)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = random_matrix(rng, rows, cols)
-        h, u = la.hermite_with_transform(m)
-        assert matmul(u, m) == h
-        assert determinant(u) in (1, -1)
-
-
 def test_smith_decomposition():
     rng = random.Random(7)
     for _ in range(80):
@@ -98,6 +89,49 @@ def test_kernel_basis_spans_kernel():
                 assert la.solve_in_row_span(kernel, cand) is not None
 
 
+def rank_test_matrix(rng) -> IntMatrix:
+    """A random integer matrix whose rank often falls below both sides:
+    some rows are zero, repeats or sums of earlier rows, and half of the
+    matrices have tuple rows."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    m = random_matrix(rng, rows, cols, bound=3)
+    for r in range(1, rows):
+        roll = rng.random()
+        if roll < 0.15:
+            m[r] = [0] * cols
+        elif roll < 0.3:
+            m[r] = list(m[rng.randrange(r)])
+        elif roll < 0.45:
+            p, q = m[rng.randrange(r)], m[rng.randrange(r)]
+            m[r] = [x + 2 * y for x, y in zip(p, q)]
+    if rng.random() < 0.5:
+        m = [tuple(row) for row in m]
+    return m
+
+
+def test_rank_and_kernel_against_fraction_gauss():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(300):
+        m = rank_test_matrix(rng)
+        width = len(m[0])
+        rank = rational_rank_oracle(m)
+        assert la.rational_rank(m) == rank, m
+        kernel = la.kernel_basis(m, width)
+        assert len(kernel) == width - rank, m
+        for vec in kernel:
+            assert all(sum(x * c for x, c in zip(row, vec)) == 0 for row in m)
+        if kernel:
+            assert maximal_minor_gcd(kernel) == 1, m
+        seen.add((width > len(m), width < len(m), rank < min(width, len(m)),
+                  type(m[0]) is tuple, not all(any(row) for row in m)))
+    # Every shape the docstring promises occurred.
+    for i in range(5):
+        assert {key[i] for key in seen} == {True, False}
+    assert la.rational_rank([]) == 0
+    assert la.kernel_basis([], 3) == la.identity_matrix(3)
+
+
 def test_saturation_examples():
     # {(2,0),(0,3)} saturates to all of Z^2.
     basis = la.saturation([[2, 0], [0, 3]], 2)
@@ -126,36 +160,13 @@ def test_saturation_properties():
             assert _in_rational_span(gens, b)
         # Elementary divisors of a saturated basis are all 1.
         if basis:
-            assert la.elementary_divisors(basis) == [1] * len(basis)
+            _, d, _ = la.smith_with_transforms(basis)
+            assert [d[i][i] for i in range(len(basis))] == [1] * len(basis)
             assert maximal_minor_gcd(basis) == 1
 
 
 def _in_rational_span(gens, target):
-    rows = [[Fraction(x) for x in g] for g in gens]
-    target = [Fraction(x) for x in target]
-    # Gaussian solve target = c . rows.
-    aug = [row[:] + [Fraction(0)] * 0 for row in rows]
-    matrix = list(map(list, zip(*aug))) if aug else []
-    if not matrix:
-        return not any(target)
-    cols = len(rows)
-    system = [[matrix[r][c] for c in range(cols)] + [target[r]]
-              for r in range(len(target))]
-    rank_pos = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank_pos, len(system))
-                      if system[r][col] != 0), None)
-        if pivot is None:
-            continue
-        system[rank_pos], system[pivot] = system[pivot], system[rank_pos]
-        head = system[rank_pos][col]
-        system[rank_pos] = [x / head for x in system[rank_pos]]
-        for r in range(len(system)):
-            if r != rank_pos and system[r][col] != 0:
-                system[r] = [x - system[r][col] * y
-                             for x, y in zip(system[r], system[rank_pos])]
-        rank_pos += 1
-    return all(row[-1] == 0 for row in system[rank_pos:])
+    return rational_rank_oracle(gens + [target]) == rational_rank_oracle(gens)
 
 
 def test_solve_in_row_span():

@@ -20,7 +20,7 @@ from ordercone.cones import LatticeSublatticePredicate
 from ordercone.lattices import iter_lattice_shell
 from ordercone.quadratic import sqrt2_sign
 
-from conftest import ball_search_density, compare_vectors
+from conftest import ball_search_density, compare_vectors, rational_rank_oracle
 
 
 def spec_of(k, *normals):
@@ -74,14 +74,31 @@ _quad_entries = st.builds(quad, _quad_parts, _quad_parts)
 
 
 @st.composite
-def lex_specs(draw):
+def lex_normals(draw):
     k = draw(st.integers(min_value=1, max_value=4))
-    normals = draw(st.lists(st.tuples(*[_quad_entries] * k),
-                            min_size=1, max_size=k))
+    return k, tuple(draw(st.lists(st.tuples(*[_quad_entries] * k),
+                                  min_size=1, max_size=k)))
+
+
+@st.composite
+def lex_specs(draw):
     try:
-        return LexConeSpec(k, tuple(normals))
+        return LexConeSpec(*draw(lex_normals()))
     except UsageError:
         assume(False)
+
+
+@given(lex_normals())
+def test_spec_is_valid_exactly_at_full_rational_rank(drawn):
+    # Oracle: Fraction Gauss on the unscaled rational and sqrt-2 rows.
+    k, normals = drawn
+    rows = [[getattr(e, part) for e in normal]
+            for normal in normals for part in "ab"]
+    if rational_rank_oracle(rows) < k:
+        with pytest.raises(UsageError, match="orthogonal to every normal"):
+            LexConeSpec(k, normals)
+    else:
+        assert LexConeSpec(k, normals).k == k
 
 
 @given(lex_specs())

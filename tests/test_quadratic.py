@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ordercone import QuadScalar, quad
+from ordercone.errors import UsageError
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -28,6 +30,16 @@ def test_string_rationals():
     # (1 - sqrt2)/8: a^2 = 1/64 < 2 b^2 = 2/64, so the sqrt-2 part wins.
     assert quad("1/8", "-1/8").sign() == -1
     assert quad("3/2", "-1").sign() == 1  # 9/4 > 2
+    # Anything fractions.Fraction parses exactly is accepted.
+    assert quad("1.5", "1e0") == quad("3/2", 1)
+
+
+def test_booleans_are_not_rationals():
+    for value in (True, False):
+        with pytest.raises(UsageError, match="cannot coerce"):
+            quad(value, 0)
+        with pytest.raises(UsageError, match="cannot coerce"):
+            QuadScalar.from_json({"a": "1", "b": value})
 
 
 @given(rationals, rationals)
