@@ -27,14 +27,17 @@ rescan from the start would give.
 
 A reduced (handle-free) word has its lowest occurring generator index
 appearing with a single sign, and a nonempty reduced word is never
-trivial; the Dehornoy and Dubrovina-Dubrovin signs read it.  Reduction
-results are memoized as words, keyed by the input's letter tuple.
+trivial; ``main_sign`` reports that index and sign, which the Dehornoy
+and Dubrovina-Dubrovin signs read.  Reduction results are memoized as
+words, keyed by the input's letter tuple.
 
 Equality and hashing use an exact key instead, ``fingerprint``: the
 braid's Dynnikov coordinates, a vector of ``2n`` ints on which each
 letter acts by a piecewise-linear map (Dynnikov, *Russian Math. Surveys*
 57, 2002).  It needs no reduction, budget or memo, and it depends only
-on the braid.
+on the braid.  ``s_i`` touches only coordinate pairs i and i + 1, and a
+nontrivial key first becomes nonzero at the pair of the main index, so
+the first ``2r`` entries vanish exactly on ``<s_{r+1}, ..., s_{n-1}>``.
 """
 
 from __future__ import annotations
@@ -128,13 +131,12 @@ class BraidWord:
 class MainSignReport:
     """Lowest generator index of the reduced form and its constant sign.
 
-    ``sign`` is 0 exactly when ``index`` is None exactly when ``reduced``
-    is the empty word (the braid is trivial).
+    ``sign`` is 0 exactly when ``index`` is None exactly when the braid
+    is trivial.
     """
 
     index: int | None
     sign: int
-    reduced: BraidWord
 
 
 def parse_letters(text: str) -> tuple[int, ...]:
@@ -223,14 +225,14 @@ def handle_reduce(word: BraidWord) -> BraidWord:
 
 def main_sign(word: BraidWord) -> MainSignReport:
     """Lowest-index generator of the reduced form together with its sign."""
-    reduced = handle_reduce(word)
-    if not reduced.letters:
-        return MainSignReport(None, 0, reduced)
+    letters = handle_reduce(word).letters
+    if not letters:
+        return MainSignReport(None, 0)
     index, lowest = word.n, 0
-    for letter in reduced.letters:  # the first letter of the lowest index
+    for letter in letters:  # the first letter of the lowest index
         if -index < letter < index:
             index, lowest = abs(letter), letter
-    return MainSignReport(index, 1 if lowest > 0 else -1, reduced)
+    return MainSignReport(index, 1 if lowest > 0 else -1)
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:

@@ -16,15 +16,14 @@ replays identically (flip and replace re-certify convexity on load).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import intlinalg
-from .braids import BraidWord, main_sign
+from .braids import BraidWord, handle_reduce, main_sign
 from .certificates import ConvexityCertificate
 from .errors import (CertificateError, ContextMismatchError, UsageError,
                      _field, _int_field)
 from .groups import GroupContext, GroupElement
-from .lattices import LexConeSpec, _completed_transforms
+from .lattices import LexConeSpec
 
 _SIGN_TEXT = {1: "+", 0: "0", -1: "-"}
 _TEXT_SIGN = {v: k for k, v in _SIGN_TEXT.items()}
@@ -74,8 +73,9 @@ class ConvexPredicate:
 
 @dataclass(frozen=True)
 class BraidShiftPredicate(ConvexPredicate):
-    """The subgroup of B_n generated by the generators above index r,
-    i.e. the braids whose reduced form only uses indices > r."""
+    """The subgroup of B_n generated by the generators above index r:
+    the braids whose reduced form only uses indices > r, and whose
+    Dynnikov key starts with r zero coordinate pairs."""
 
     n: int
     r: int
@@ -89,18 +89,16 @@ class BraidShiftPredicate(ConvexPredicate):
         return GroupContext.braid(self.n)
 
     def contains(self, g: GroupElement) -> bool:
-        report = main_sign(g.word)
-        return report.index is None or report.index > self.r
+        return not any(g._key[:2 * self.r])
 
     def subgroup_context(self) -> GroupContext:
         return GroupContext.braid(self.n - self.r)
 
     def project(self, g: GroupElement) -> GroupElement:
-        reduced = main_sign(g.word).reduced
-        letters = tuple((abs(l) - self.r) * (1 if l > 0 else -1)
-                        for l in reduced.letters)
-        if any(abs(l) < 1 for l in letters):
+        if not self.contains(g):
             raise UsageError(f"{g!r} is not in the shifted subgroup")
+        letters = tuple(l - self.r if l > 0 else l + self.r
+                        for l in handle_reduce(g.word).letters)
         return self.subgroup_context().element(
             BraidWord(self.n - self.r, letters))
 
@@ -139,7 +137,9 @@ class KleinYPredicate(ConvexPredicate):
 
 @dataclass(frozen=True)
 class LatticeSublatticePredicate(ConvexPredicate):
-    """An explicit sublattice of Z^k given by basis rows."""
+    """An explicit sublattice of Z^k given by independent basis rows B.
+    Membership, ``project`` and lex extensions read one U B V = D taken
+    at construction, whose ``divisors`` refuse dependent rows."""
 
     k: int
     basis: tuple[tuple[int, ...], ...]
@@ -153,6 +153,12 @@ class LatticeSublatticePredicate(ConvexPredicate):
         for b in basis:
             if len(b) != self.k or any(type(c) is not int for c in b):
                 raise UsageError("basis rows must be k integers each")
+        smith = intlinalg.smith_with_transforms([list(b) for b in basis])
+        divisors = [row[i] for i, row in enumerate(smith[1][:self.k])]
+        if len(divisors) < len(basis) or 0 in divisors:
+            raise UsageError("sublattice basis rows are linearly dependent")
+        object.__setattr__(self, "_smith", smith)
+        object.__setattr__(self, "divisors", divisors)
 
     @property
     def context(self) -> GroupContext:
@@ -160,14 +166,13 @@ class LatticeSublatticePredicate(ConvexPredicate):
 
     def contains(self, g: GroupElement) -> bool:
         return intlinalg.solve_in_row_span(
-            [list(b) for b in self.basis], list(g.payload)) is not None
+            self._smith, list(g.payload)) is not None
 
     def subgroup_context(self) -> GroupContext:
         return GroupContext.free_abelian(len(self.basis))
 
     def project(self, g: GroupElement) -> GroupElement:
-        coeff = intlinalg.solve_in_row_span(
-            [list(b) for b in self.basis], list(g.payload))
+        coeff = intlinalg.solve_in_row_span(self._smith, list(g.payload))
         if coeff is None:
             raise UsageError(f"{g!r} is not in the sublattice")
         return self.subgroup_context().element(tuple(coeff))
@@ -182,7 +187,7 @@ class LatticeSublatticePredicate(ConvexPredicate):
 
 @dataclass(frozen=True)
 class CyclicBraidPredicate(ConvexPredicate):
-    """The cyclic subgroup of B_n generated by one braid.
+    """The cyclic subgroup of B_n generated by one braid, parsed once.
 
     When the generator has nonzero exponent sum, the exponent-sum
     homomorphism pins the only possible power exactly.  Otherwise
@@ -193,18 +198,19 @@ class CyclicBraidPredicate(ConvexPredicate):
     n: int
     word_text: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_generator",
+                           self.context.element(self.word_text))
+
     @property
     def context(self) -> GroupContext:
         return GroupContext.braid(self.n)
-
-    def _generator(self) -> GroupElement:
-        return self.context.element(self.word_text)
 
     def contains(self, g: GroupElement) -> bool:
         return self._power_of(g) is not None
 
     def _power_of(self, g: GroupElement) -> int | None:
-        w = self._generator()
+        w = self._generator
         if g.is_identity():
             return 0
         exp_w = sum(1 if l > 0 else -1 for l in w.word.letters)
@@ -524,7 +530,8 @@ class LexExtensionCone(ConeOracle):
     Implemented for the two concrete instantiations with a finite data
     model: the Klein-bottle group over <y> (quotient infinite cyclic in
     the x exponent) and a free abelian group over a saturated sublattice
-    (quotient coordinates through a completed basis).
+    B.  There the predicate's U B V = [I | 0] gives the coordinates g . V
+    in a basis completing B, and the last k - r are the quotient's.
     """
 
     convex: ConvexPredicate
@@ -538,7 +545,10 @@ class LexExtensionCone(ConeOracle):
             qk = self.convex.k - len(self.convex.basis)
             if qk < 1:
                 raise UsageError("quotient is trivial; nothing to extend by")
-            self._transform  # the Smith completion raises on a torsion quotient
+            divisors = self.convex.divisors
+            if any(x != 1 for x in divisors):
+                raise UsageError("basis is not saturated (quotient has "
+                                 f"torsion: divisors {divisors})")
         else:
             raise UsageError(
                 f"lex extension is not implemented over {self.convex.describe()}")
@@ -553,16 +563,11 @@ class LexExtensionCone(ConeOracle):
     def context(self) -> GroupContext:
         return self.convex.context
 
-    @cached_property
-    def _transform(self):
-        """Quotient-coordinate transform of a sublattice convex subgroup."""
-        return _completed_transforms(self.convex.basis, self.convex.k)[1]
-
     def _quotient_image(self, g: GroupElement) -> GroupElement:
         if isinstance(self.convex, KleinYPredicate):
             return self.quotient.context.element((g.payload[0],))
         r = len(self.convex.basis)
-        alpha = intlinalg.matvec_left(list(g.payload), self._transform)
+        alpha = intlinalg.matvec_left(list(g.payload), self.convex._smith[2])
         return self.quotient.context.element(tuple(alpha[r:]))
 
     def _sign(self, g: GroupElement) -> int:

@@ -281,8 +281,10 @@ class Ball:
     """The nontrivial elements of word length at most ``radius``.
 
     Closed under inversion, free of duplicates, ordered by word length
-    and then by BFS discovery order.  ``product_triples`` relies on the
-    identity being absent: an identity product finds no position.
+    and then by BFS discovery order.  One map from each member's exact
+    key to its position answers ``in``, ``position`` and the product
+    lookups.  ``product_triples`` relies on the identity being absent:
+    an identity product finds no position.
     """
 
     def __init__(self, context: GroupContext, radius: int):
@@ -294,8 +296,6 @@ class Ball:
             for e, key in zip(elements, positions):
                 e.__dict__["key"] = key
         self.elements: tuple[GroupElement, ...] = tuple(elements)
-        self.index: dict[GroupElement, int] = {
-            e: i for i, e in enumerate(self.elements)}
         self.lengths: tuple[int, ...] = tuple(e.word_length() for e in self.elements)
         self.inverse_position: tuple[int, ...] = tuple(
             positions[_payload_key(context, _inverse(context, p))]
@@ -312,13 +312,13 @@ class Ball:
         return iter(self.elements)
 
     def __contains__(self, element: GroupElement) -> bool:
-        return element in self.index
+        return (element.context == self.context
+                and element._key in self._positions)
 
     def position(self, element: GroupElement) -> int:
-        try:
-            return self.index[element]
-        except KeyError:
-            raise UsageError(f"{element!r} is not in the radius-{self.radius} ball")
+        if element in self:
+            return self._positions[element._key]
+        raise UsageError(f"{element!r} is not in the radius-{self.radius} ball")
 
     def product_triples(self) -> list[tuple[int, int, int]]:
         """All (i, j, k) with element_i * element_j = element_k, cached.

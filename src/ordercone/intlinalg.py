@@ -3,7 +3,8 @@
 One elimination, a Smith decomposition U m V = D with both unimodular
 transforms, answers every question asked here: ranks (the nonzero
 divisors), integer kernels (the columns of V past the rank, which span
-a saturated sublattice), saturation and membership solving.  Matrices
+a saturated sublattice), saturation and membership solving, which reads
+a decomposition its caller keeps instead of making one.  Matrices
 are lists of int rows (tuples are read as rows too); everything here is
 exact and intended for dimensions of at most half a dozen.
 """
@@ -113,25 +114,22 @@ def _rank(d: IntMatrix) -> int:
     return sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
 
 
-def solve_in_row_span(basis: IntMatrix, target: list[int]) -> list[int] | None:
-    """Integer coefficients c with c . basis = target, or None.
-
+def solve_in_row_span(smith: tuple[IntMatrix, IntMatrix, IntMatrix],
+                      target: list[int]) -> list[int] | None:
+    """Integer coefficients c with c . basis = target, or None, read off
+    ``smith = smith_with_transforms(basis)``: t = target . V must vanish
+    past the rank and be divisible by D before it, and c = (t / D) . U.
     ``basis`` rows need not be independent; any witness is returned.
     """
-    if not basis:
+    u, d, v = smith
+    if not u:
         return [] if not any(target) else None
-    u, d, v = smith_with_transforms(basis)
     rank = _rank(d)
-    tv = matvec_left(target, v)
-    coeff = [0] * len(basis)
-    for i in range(len(tv)):
-        if i < rank:
-            if tv[i] % d[i][i] != 0:
-                return None
-            coeff[i] = tv[i] // d[i][i]
-        elif tv[i] != 0:
-            return None
-    return matvec_left(coeff, u)
+    t = matvec_left(target, v)
+    if any(t[rank:]) or any(t[i] % d[i][i] for i in range(rank)):
+        return None
+    return matvec_left([t[i] // d[i][i] for i in range(rank)]
+                       + [0] * (len(u) - rank), u)
 
 
 def rational_rank(m: IntMatrix) -> int:

@@ -331,25 +331,6 @@ def saturate(k: int, generators) -> SaturationResult:
     return SaturationResult(gens, tuple(tuple(row) for row in basis))
 
 
-def _completed_transforms(basis: tuple[Vector, ...], k: int):
-    """Smith transforms (U, V) for a saturated basis B: U B V = [I | 0].
-
-    The rows of V^-1 complete B to a basis of Z^k, so alpha(w) = w . V
-    are coordinates in that completed basis: the first r locate w inside
-    the sublattice (after mixing by U), the last k - r are the quotient
-    coordinates.  Raises when B is not saturated, since the quotient
-    would then have torsion.
-    """
-    rows = [list(b) for b in basis]
-    u, d, v = intlinalg.smith_with_transforms(rows)
-    r = len(basis)
-    divisors = [d[i][i] for i in range(r)]
-    if any(x != 1 for x in divisors):
-        raise UsageError(
-            f"basis is not saturated (quotient has torsion: divisors {divisors})")
-    return u, v
-
-
 def extend_by_quotient(inner: LexConeSpec | None, basis,
                        outer: LexConeSpec) -> LexConeSpec:
     """Order Z^k by the quotient order first, refined by the inner order.
@@ -374,9 +355,16 @@ def extend_by_quotient(inner: LexConeSpec | None, basis,
     if outer.k != k - r:
         raise UsageError(
             f"outer spec has dimension {outer.k}, quotient rank is {k - r}")
-    u, v = _completed_transforms(basis, k)
-    # Row e of Z^k has quotient coordinates (e . V)[r:] and inner
-    # coordinates (e . V)[:r] . U.
+    # With U B V = [I | 0], the rows of V^-1 complete B to a basis of Z^k:
+    # row e of Z^k has quotient coordinates (e . V)[r:] and inner
+    # coordinates (e . V)[:r] . U.  Other divisors mean torsion.
+    u, d, v = intlinalg.smith_with_transforms(basis)
+    divisors = [d[i][i] for i in range(r)]
+    if 0 in divisors:
+        raise UsageError("basis rows are linearly dependent")
+    if any(x != 1 for x in divisors):
+        raise UsageError(
+            f"basis is not saturated (quotient has torsion: divisors {divisors})")
     quotient = [v[row][r:] for row in range(k)]
     inside = [[sum(v[row][t] * u[t][s] for t in range(r)) for s in range(r)]
               for row in range(k)]

@@ -50,9 +50,9 @@ the reference for ``lattices.perturb_dense``, which stops at a
 coordinate once a probe scan finds no witness.
 
 The product-triple oracle multiplies every pair of ball elements as
-``GroupElement`` values and looks the product up in the ball's element
-index; it is the reference for ``Ball.product_triples``, which works on
-bare payloads and their keys.
+``GroupElement`` values and looks the product up with the ball's ``in``
+and ``position``; it is the reference for ``Ball.product_triples``,
+which works on bare payloads and their keys.
 
 The census brute force tries every antisymmetric +/- assignment on a
 ball and keeps the product-closed ones that honour the pins.  The
@@ -521,13 +521,13 @@ def full_schedule_perturbation(spec: LexConeSpec,
 
 def product_triples_oracle(b) -> list[tuple[int, int, int]]:
     """Every (i, j, k) with element_i * element_j = element_k, by
-    ``GroupElement`` products looked up in the ball's element index."""
+    ``GroupElement`` products looked up with ``in`` and ``position``."""
     triples = []
     for i, g in enumerate(b.elements):
         for j, h in enumerate(b.elements):
-            k = b.index.get(g * h)
-            if k is not None:
-                triples.append((i, j, k))
+            product = g * h
+            if product in b:
+                triples.append((i, j, b.position(product)))
     return triples
 
 

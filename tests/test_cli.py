@@ -151,12 +151,16 @@ _LATTICE_SPEC = json.dumps({"k": 2, "normals": [
      '{"handle_steps": 1.5}'),
     ("ball", "--group", "z", "--radius", "1", "--budget",
      '{"census_braid_radius": true}'),
+    ("convexity", "--cone", "lattice:" + _LATTICE_SPEC, "--predicate",
+     '{"type": "lattice_sublattice", "basis": [[0, 1], [0, 2]]}',
+     "--radius", "1"),
 ], ids=["cone-no-n", "klein-bad-sign", "conjugate-no-g", "predicate-list",
         "chain-object", "whole-no-n", "budget-list", "budget-ball-number",
         "basis-number", "conjugate-g-number", "n-float", "n-string",
         "r-bool", "g-bool", "spec-k-float", "spec-k-bool", "spec-entry-bool",
         "basis-float",
-        "budget-ball-float", "budget-steps-float", "budget-radius-bool"])
+        "budget-ball-float", "budget-steps-float", "budget-radius-bool",
+        "basis-dependent"])
 def test_malformed_descriptor_is_usage_error(capsys, argv):
     code = main(list(argv))
     err = capsys.readouterr().err

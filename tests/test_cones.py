@@ -1,11 +1,15 @@
 """Cone oracles: base families, derived constructions, serialization."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from ordercone import (BraidShiftPredicate, CertificateError, ConjugateCone,
-                       CyclicBraidPredicate, DehornoyCone,
+from ordercone import (BraidShiftPredicate, BraidWord, CertificateError,
+                       ConjugateCone, CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec,
@@ -13,9 +17,11 @@ from ordercone import (BraidShiftPredicate, CertificateError, ConjugateCone,
                        WholePredicate, ball, compare, cone_from_json,
                        convexity_check, predicate_from_json, quad,
                        sign_vector)
+from ordercone import intlinalg
 from ordercone.certificates import ConvexityCertificate
 
-from conftest import random_positive_word, random_word
+from conftest import (handle_reduce_oracle, random_positive_word, random_word,
+                      rational_rank_oracle)
 
 
 def lat(k, *normals):
@@ -247,3 +253,156 @@ def test_lattice_sublattice_round_trip_keeps_k(basis):
     data = predicate.to_json()
     assert data["k"] == 2
     assert predicate_from_json(data) == predicate
+
+
+@st.composite
+def shift_cases(draw):
+    """(r, g, inner): a braid g of B_n, n in [2, 8], r in [0, n - 2], and
+    a letter tuple of B_{n-r} whose shift by r is g, or None when g is a
+    random word.  Members come as shifted words, as delta^r u delta^-r
+    with delta = s1 ... s(n-1) (only letters up to n - 1 - r, so the
+    membership is hidden by conjugation), and as trivial words."""
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(0, n - 2))
+
+    def letters(top, size):
+        letter = st.integers(1, top).flatmap(
+            lambda i: st.sampled_from((i, -i)))
+        return tuple(draw(st.lists(letter, max_size=size)))
+
+    context = GroupContext.braid(n)
+    kind = draw(st.sampled_from(("random", "shifted", "hidden", "trivial")))
+    if kind == "random":
+        return r, context.element(letters(n - 1, 16)), None
+    inner = BraidWord(n - r, letters(n - 1 - r, 10)).letters
+    shifted = BraidWord(n, tuple(l + r if l > 0 else l - r for l in inner))
+    delta = BraidWord(n, tuple(range(1, n)))
+    hidden = context.element(delta) ** r * context.element(inner) \
+        * context.element(delta) ** -r
+    if kind == "shifted":
+        return r, context.element(shifted), inner
+    if kind == "hidden":
+        assert hidden == context.element(shifted)
+        return r, hidden, inner
+    return r, hidden * context.element(shifted).inverse(), ()
+
+
+@given(shift_cases())
+@settings(max_examples=300, deadline=None)
+def test_shift_membership_reads_the_key(case):
+    # Oracle: the lowest index of the full-rescan handle reduction.
+    r, g, inner = case
+    n = g.context.n
+    predicate = BraidShiftPredicate(n, r)
+    reduced, _ = handle_reduce_oracle(n, g.word.letters)
+    member = not reduced or min(abs(l) for l in reduced) > r
+    assert predicate.contains(g) == member
+    if inner is not None:
+        assert member
+        assert predicate.project(g) == GroupContext.braid(n - r).element(inner)
+    elif not member:
+        with pytest.raises(UsageError):
+            predicate.project(g)
+
+
+def _rational_coefficients(basis, target):
+    """The c with c . basis = target over Q for independent rows, or None
+    when target is outside their rational span: Gauss-Jordan on the
+    columns of the augmented system."""
+    r = len(basis)
+    rows = [[Fraction(b[j]) for b in basis] + [Fraction(target[j])]
+            for j in range(len(target))]
+    pivot_row = 0
+    for col in range(r):
+        p = next(i for i in range(pivot_row, len(rows)) if rows[i][col])
+        rows[pivot_row], rows[p] = rows[p], rows[pivot_row]
+        rows[pivot_row] = [x / rows[pivot_row][col] for x in rows[pivot_row]]
+        for i in range(len(rows)):
+            if i != pivot_row and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y
+                           for x, y in zip(rows[i], rows[pivot_row])]
+        pivot_row += 1
+    if any(row[r] for row in rows[r:]):
+        return None
+    return [rows[i][r] for i in range(r)]
+
+
+@st.composite
+def sublattice_cases(draw):
+    """(k, basis, targets): 0 to k independent rows of Z^k, k in [1, 3],
+    with entries in [-3, 3], and up to 20 vectors of [-6, 6]^k."""
+    k = draw(st.integers(1, 3))
+    size = draw(st.integers(0, k))
+    vector = lambda bound: st.lists(st.integers(-bound, bound),
+                                    min_size=k, max_size=k).map(tuple)
+    basis = tuple(draw(st.lists(vector(3), min_size=size, max_size=size)))
+    assume(rational_rank_oracle(basis) == size)
+    return k, basis, draw(st.lists(vector(6), max_size=20))
+
+
+@given(sublattice_cases())
+@example((2, ((1, 2),), [(1, 2), (2, 4), (1, 1)]))  # saturated
+@example((2, ((2, 4),), [(1, 2), (2, 4), (-4, -8)]))  # not saturated
+@example((3, ((1, 0, 0), (0, 2, 2)), [(3, 1, 1), (3, 2, 2), (0, 0, 2)]))
+@example((2, (), [(0, 0), (0, 1)]))  # empty
+@settings(max_examples=150, deadline=None)
+def test_sublattice_membership_against_oracles(case):
+    k, basis, targets = case
+    predicate = LatticeSublatticePredicate(k, basis)
+    context = GroupContext.free_abelian(k)
+    combine = lambda c: tuple(sum(ci * b[j] for ci, b in zip(c, basis))
+                              for j in range(k))
+    # Every combination from a coefficient box is a member, and its
+    # coefficients are the unique ones.
+    for c in itertools.product(range(-2, 3), repeat=len(basis)):
+        g = context.element(combine(c))
+        assert predicate.contains(g)
+        if basis:
+            assert predicate.project(g).payload == c
+    # Other vectors: a member exactly when the rational solution is
+    # integral, and then project(g) . B == g.
+    for target in targets:
+        g = context.element(target)
+        c = _rational_coefficients(basis, target)
+        member = c is not None and all(x.denominator == 1 for x in c)
+        assert predicate.contains(g) == member
+        if member and basis:
+            assert combine(predicate.project(g).payload) == target
+        elif not member:
+            with pytest.raises(UsageError):
+                predicate.project(g)
+
+
+@pytest.mark.parametrize("k, basis", [
+    (2, ((0, 1), (0, 2))), (3, ((0, 0, 1), (0, 0, 2))), (2, ((1, 0), (0, 0))),
+    (2, ((1, 0), (0, 1), (1, 1)))],
+    ids=["plane-repeat", "line-in-z3", "zero-row", "too-many-rows"])
+def test_sublattice_refuses_dependent_rows(k, basis):
+    with pytest.raises(UsageError, match="linearly dependent"):
+        LatticeSublatticePredicate(k, basis)
+    data = {"type": "lattice_sublattice", "k": k,
+            "basis": [list(b) for b in basis]}
+    with pytest.raises(UsageError, match="linearly dependent"):
+        predicate_from_json(data)
+    with pytest.raises(UsageError, match="linearly dependent"):
+        cone_from_json({"type": "lex_extension", "convex": data,
+                        "inner": Z_POS.to_json(), "quotient": Z_POS.to_json()})
+
+
+def test_lex_extension_decomposes_the_basis_once(monkeypatch):
+    calls = []
+    smith = intlinalg.smith_with_transforms
+    monkeypatch.setattr(intlinalg, "smith_with_transforms",
+                        lambda m: calls.append(m) or smith(m))
+    pred = LatticeSublatticePredicate(2, ((0, 1),))
+    vector = sign_vector(LexExtensionCone(pred, Z_POS, Z_POS), 6)
+    vector.validate()
+    assert len(vector.signs) == 84
+    assert calls == [[[0, 1]]]
+
+
+def test_cyclic_generator_is_parsed_on_construction():
+    with pytest.raises(UsageError):
+        predicate_from_json({"type": "cyclic_braid", "n": 3, "word": "s5"})
+    with pytest.raises(UsageError):
+        CyclicBraidPredicate(3, "x1")

@@ -197,8 +197,9 @@ def test_cuts_factor_each_member_through_a_generator(ctx, radius):
     # Every factorization of that shape is listed, once.
     for k, e in enumerate(b.elements):
         expected = {(i, j) for i, f in enumerate(b.elements)
-                    for j in [b.index.get(f.inverse() * e)]
-                    if j is not None and 1 in (b.lengths[i], b.lengths[j])
+                    for g in [f.inverse() * e] if g in b
+                    for j in [b.position(g)]
+                    if 1 in (b.lengths[i], b.lengths[j])
                     and b.lengths[i] + b.lengths[j] == b.lengths[k]}
         assert sorted(cuts[k]) == sorted(expected)
         assert len(set(cuts[k])) == len(cuts[k])

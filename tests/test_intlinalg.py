@@ -79,6 +79,7 @@ def test_kernel_basis_spans_kernel():
         rows, cols = rng.randint(1, 3), rng.randint(1, 4)
         m = random_matrix(rng, rows, cols, bound=3)
         kernel = la.kernel_basis(m, cols)
+        smith = la.smith_with_transforms(kernel)
         for vec in kernel:
             assert all(sum(r[i] * vec[i] for i in range(cols)) == 0 for r in m)
         # Completeness: brute-force small kernel vectors must be spanned.
@@ -86,7 +87,7 @@ def test_kernel_basis_spans_kernel():
             cand = [rng.randint(-2, 2) for _ in range(cols)]
             if any(cand) and all(
                     sum(r[i] * cand[i] for i in range(cols)) == 0 for r in m):
-                assert la.solve_in_row_span(kernel, cand) is not None
+                assert la.solve_in_row_span(smith, cand) is not None
 
 
 def rank_test_matrix(rng) -> IntMatrix:
@@ -134,9 +135,9 @@ def test_rank_and_kernel_against_fraction_gauss():
 
 def test_saturation_examples():
     # {(2,0),(0,3)} saturates to all of Z^2.
-    basis = la.saturation([[2, 0], [0, 3]], 2)
-    assert la.solve_in_row_span(basis, [1, 0]) is not None
-    assert la.solve_in_row_span(basis, [0, 1]) is not None
+    smith = la.smith_with_transforms(la.saturation([[2, 0], [0, 3]], 2))
+    assert la.solve_in_row_span(smith, [1, 0]) is not None
+    assert la.solve_in_row_span(smith, [0, 1]) is not None
     # {(2,4)} saturates to the primitive line through (1,2).
     basis = la.saturation([[2, 4]], 2)
     assert len(basis) == 1
@@ -152,15 +153,15 @@ def test_saturation_properties():
         gens = random_matrix(rng, rng.randint(0, 3), k, bound=3)
         gens = [g for g in gens if any(g)]
         basis = la.saturation(gens, k)
+        u, d, v = smith = la.smith_with_transforms(basis)
         # Generators are integer combinations of the basis.
         for g in gens:
-            assert la.solve_in_row_span(basis, g) is not None
+            assert la.solve_in_row_span(smith, g) is not None
         # Basis vectors have a positive multiple in the rational span.
         for b in basis:
             assert _in_rational_span(gens, b)
         # Elementary divisors of a saturated basis are all 1.
         if basis:
-            _, d, _ = la.smith_with_transforms(basis)
             assert [d[i][i] for i in range(len(basis))] == [1] * len(basis)
             assert maximal_minor_gcd(basis) == 1
 
@@ -170,8 +171,15 @@ def _in_rational_span(gens, target):
 
 
 def test_solve_in_row_span():
-    assert la.solve_in_row_span([[1, 2]], [2, 4]) == [2]
-    assert la.solve_in_row_span([[1, 2]], [1, 1]) is None
-    assert la.solve_in_row_span([[2, 0]], [1, 0]) is None
-    assert la.solve_in_row_span([], [0, 0]) == []
+    solve = lambda basis, target: la.solve_in_row_span(
+        la.smith_with_transforms(basis), target)
+    assert solve([[1, 2]], [2, 4]) == [2]
+    assert solve([[1, 2]], [1, 1]) is None
+    assert solve([[2, 0]], [1, 0]) is None
+    assert solve([], [0, 0]) == []
+    assert solve([], [0, 1]) is None
+    # Dependent rows: any witness will do.
+    coeff = solve([[0, 1], [0, 2], [1, 0]], [3, 5])
+    assert la.matvec_left(coeff, [[0, 1], [0, 2], [1, 0]]) == [3, 5]
+    assert solve([[0, 2], [0, 4]], [0, 3]) is None
 

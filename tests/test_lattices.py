@@ -360,6 +360,10 @@ def test_extend_by_quotient_rejects_torsion():
     outer = spec_of(1, (1,))
     with pytest.raises(UsageError, match="torsion"):
         extend_by_quotient(inner, [(2, 0)], outer)
+    # Dependent rows are named as such, not as torsion.
+    with pytest.raises(UsageError, match="linearly dependent"):
+        extend_by_quotient(spec_of(2, (1, 0), (0, 1)), [(0, 0, 1), (0, 0, 2)],
+                           outer)
 
 
 def test_lexicographic_behavior():
