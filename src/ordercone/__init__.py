@@ -4,7 +4,7 @@ Artin braid groups, and the Klein-bottle group."""
 
 from .budgets import Budget, budget_scope, current_budget
 from .braids import (BraidWord, MainSignReport, braid_equal, handle_reduce,
-                     main_sign, shift_embed)
+                     main_sign)
 from .certificates import (AccumulationWitness, ConvexityCertificate,
                            ConvexityCounterexample, DensityWitness,
                            DiscretenessPass, IntervalClosureReport,
@@ -28,6 +28,6 @@ from .lospace import (CensusQuery, DistanceResult, OrderPropertyReport,
                       convexity_check, dd_isolation_witnesses,
                       discreteness_check, distance, interval_closure,
                       order_property_scan, sign_vector, soul_estimate)
-from .quadratic import QuadScalar, quad
+from .quadratic import QuadScalar
 
 __version__ = "0.1.0"

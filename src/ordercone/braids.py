@@ -50,7 +50,9 @@ from .errors import BudgetExceededError, ContextMismatchError, UsageError
 
 _TOKEN = re.compile(r"^([sS])([1-9][0-9]*)$")
 
-# Reduction memo: (n, letters) of a word and of its result -> the result.
+# Reduction memo: (n, letters) of an input word -> its reduced word, one
+# entry per reduction.  Reducing a reduced word again rescans it, makes no
+# rewrite and returns the word it was given.
 _reduce_cache: dict[tuple[int, tuple[int, ...]], "BraidWord"] = {}
 
 
@@ -219,7 +221,6 @@ def handle_reduce(word: BraidWord) -> BraidWord:
         q = low
     result = BraidWord._canonical(n, tuple(letters)) if steps else word
     _reduce_cache[key] = result
-    _reduce_cache[(n, result.letters)] = result
     return result
 
 
@@ -240,16 +241,6 @@ def braid_equal(u: BraidWord, v: BraidWord) -> bool:
     if u.n != v.n:
         raise ContextMismatchError("incompatible groups")
     return u.letters == v.letters or fingerprint(u) == fingerprint(v)
-
-
-def shift_embed(r: int, word: BraidWord, n: int) -> BraidWord:
-    """Embed by sending every generator index i to i + r, landing in B_n."""
-    if r < 0:
-        raise UsageError("shift amount must be nonnegative")
-    shifted = tuple((abs(l) + r) * (1 if l > 0 else -1) for l in word.letters)
-    if any(abs(l) > n - 1 for l in shifted):
-        raise UsageError(f"shifted index exceeds {n - 1} (index overflow)")
-    return BraidWord(n, shifted)
 
 
 def fingerprint(word: BraidWord) -> tuple[int, ...]:

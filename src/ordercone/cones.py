@@ -169,6 +169,9 @@ class LatticeSublatticePredicate(ConvexPredicate):
             self._smith, list(g.payload)) is not None
 
     def subgroup_context(self) -> GroupContext:
+        if not self.basis:
+            raise UsageError("the trivial sublattice (empty basis) carries "
+                             "no order to replace or extend")
         return GroupContext.free_abelian(len(self.basis))
 
     def project(self, g: GroupElement) -> GroupElement:
@@ -187,20 +190,25 @@ class LatticeSublatticePredicate(ConvexPredicate):
 
 @dataclass(frozen=True)
 class CyclicBraidPredicate(ConvexPredicate):
-    """The cyclic subgroup of B_n generated by one braid, parsed once.
+    """The cyclic subgroup of B_n generated by one braid w, parsed once.
 
-    When the generator has nonzero exponent sum, the exponent-sum
-    homomorphism pins the only possible power exactly.  Otherwise
-    membership falls back to testing powers up to a length bound, which
-    is sound at desk scale where candidates come from small balls.
+    The exponent sum e of w must be nonzero: the exponent-sum
+    homomorphism then pins the only possible power, g = w^m with
+    m = exp(g) / e, and one key comparison decides membership.  For
+    e = 0 there is no exact rule here, so the constructor refuses it.
     """
 
     n: int
     word_text: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_generator",
-                           self.context.element(self.word_text))
+        w = self.context.element(self.word_text)
+        e = sum(1 if l > 0 else -1 for l in w.word.letters)
+        if e == 0:
+            raise UsageError(f"cyclic generator {self.word_text!r} has "
+                             "exponent sum 0: no exact membership rule")
+        object.__setattr__(self, "_generator", w)
+        object.__setattr__(self, "_exponent", e)
 
     @property
     def context(self) -> GroupContext:
@@ -210,23 +218,12 @@ class CyclicBraidPredicate(ConvexPredicate):
         return self._power_of(g) is not None
 
     def _power_of(self, g: GroupElement) -> int | None:
-        w = self._generator
-        if g.is_identity():
-            return 0
-        exp_w = sum(1 if l > 0 else -1 for l in w.word.letters)
-        exp_g = sum(1 if l > 0 else -1 for l in g.word.letters)
-        if exp_w != 0:
-            if exp_g % exp_w != 0:
-                return None
-            m = exp_g // exp_w
-            return m if m != 0 and g == w ** m else None
-        bound = len(g.word.letters) + 2
-        for m in range(1, bound + 1):
-            if g == w ** m:
-                return m
-            if g == w ** (-m):
-                return -m
-        return None
+        m, rest = divmod(sum(1 if l > 0 else -1 for l in g.word.letters),
+                         self._exponent)
+        if rest:
+            return None
+        member = g.is_identity() if m == 0 else g == self._generator ** m
+        return m if member else None
 
     def subgroup_context(self) -> GroupContext:
         return GroupContext.free_abelian(1)
@@ -278,8 +275,9 @@ def predicate_from_json(data: dict) -> ConvexPredicate:
         return KleinYPredicate()
     if kind == "lattice_sublattice":
         basis = _field(data, "basis")
-        k = (len(basis[0]) if isinstance(basis, list) and basis
-             and isinstance(basis[0], list) else _int_field(data, "k"))
+        k = (len(basis[0]) if "k" not in data and isinstance(basis, list)
+             and basis and isinstance(basis[0], list)
+             else _int_field(data, "k"))
         return LatticeSublatticePredicate(k, basis)
     if kind == "cyclic_braid":
         return CyclicBraidPredicate(_int_field(data, "n"), _field(data, "word"))

@@ -31,7 +31,7 @@ from .budgets import current_budget
 from .errors import (CrossCheckError, PerturbationError, UsageError,
                      _field, _int_field)
 from .groups import GroupContext, ball_payloads
-from .quadratic import QuadScalar, quad, sqrt2_sign
+from .quadratic import QuadScalar, sqrt2_sign
 
 Vector = tuple[int, ...]
 Normal = tuple[QuadScalar, ...]
@@ -70,8 +70,8 @@ class LexConeSpec:
             raise UsageError("lattice dimension must be k >= 1")
         if not self.normals:
             raise UsageError("a lex spec needs at least one normal")
-        normals = tuple(tuple(entry if isinstance(entry, QuadScalar) else quad(entry)
-                              for entry in normal)
+        normals = tuple(tuple(e if isinstance(e, QuadScalar) else QuadScalar(e)
+                              for e in normal)
                         for normal in self.normals)
         object.__setattr__(self, "normals", normals)
         int_normals = []
@@ -89,7 +89,7 @@ class LexConeSpec:
                 "to every normal")
 
     def dot(self, normal_index: int, v: Vector) -> QuadScalar:
-        total = quad(0, 0)
+        total = QuadScalar()
         for entry, coord in zip(self.normals[normal_index], v):
             total = total + entry * coord
         return total
@@ -279,7 +279,7 @@ def perturb_dense(spec: LexConeSpec, required_positive) -> PerturbationResult:
         delta = _DELTA_START
         while delta >= _DELTA_FLOOR:
             entries = list(first)
-            entries[j] = entries[j] + quad(0, delta)
+            entries[j] = entries[j] + QuadScalar(0, delta)
             if entries[j].b == 0:
                 delta /= 2
                 continue

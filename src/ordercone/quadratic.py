@@ -43,10 +43,10 @@ def sqrt2_sign(a, b) -> int:
 
 @dataclass(frozen=True)
 class QuadScalar:
-    """The exact number a + b*sqrt(2)."""
+    """The exact number a + b*sqrt(2); ``QuadScalar(a)`` is rational."""
 
-    a: Fraction
-    b: Fraction
+    a: Fraction = Fraction(0)
+    b: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _fraction(self.a))
@@ -75,10 +75,6 @@ class QuadScalar:
 
     __rmul__ = __mul__
 
-    def scaled(self, factor) -> "QuadScalar":
-        factor = _fraction(factor)
-        return QuadScalar(self.a * factor, self.b * factor)
-
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b)}
 
@@ -92,8 +88,3 @@ class QuadScalar:
         if self.b == 0:
             return f"{self.a}"
         return f"{self.a}+{self.b}r2" if self.b > 0 else f"{self.a}{self.b}r2"
-
-
-def quad(a=0, b=0) -> QuadScalar:
-    """Convenience constructor: quad(a, b) = a + b*sqrt(2)."""
-    return QuadScalar(_fraction(a), _fraction(b))

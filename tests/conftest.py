@@ -88,7 +88,7 @@ from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, _WITNESS_RADIUS,
                                 PerturbationResult, Vector, _as_vector,
                                 classify_density, iter_lattice_shell,
                                 least_positive_in_ball)
-from ordercone.quadratic import quad
+from ordercone.quadratic import QuadScalar
 
 Laurent = dict[int, int]
 
@@ -501,7 +501,7 @@ def full_schedule_perturbation(spec: LexConeSpec,
         delta = _DELTA_START
         while delta >= _DELTA_FLOOR:
             entries = list(first)
-            entries[j] = entries[j] + quad(0, delta)
+            entries[j] = entries[j] + QuadScalar(0, delta)
             if entries[j].b == 0:
                 delta /= 2
                 continue

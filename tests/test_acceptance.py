@@ -13,13 +13,13 @@ from fractions import Fraction
 from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
                        CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
-                       KleinTararinCone, LatticeCone, LexConeSpec, UsageError,
-                       accumulation_scan, ball, budget_scope, census,
-                       classify_density, current_budget,
+                       KleinTararinCone, LatticeCone, LexConeSpec, QuadScalar,
+                       UsageError, accumulation_scan, ball, budget_scope,
+                       census, classify_density, current_budget,
                        convexity_check, dd_isolation_witnesses,
                        discreteness_check, distance,
                        klein_tararin_cones, order_property_scan, perturb_dense,
-                       quad, sign_vector)
+                       sign_vector)
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DiscretenessPass)
 from ordercone.errors import PerturbationError
@@ -200,7 +200,7 @@ def _seeded_spec(rng, k, irrational_share=0.4):
                 a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                 b = (Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                      if rng.random() < irrational_share else Fraction(0))
-                normal.append(quad(a, b))
+                normal.append(QuadScalar(a, b))
             normals.append(tuple(normal))
         try:
             return LexConeSpec(k, tuple(normals))

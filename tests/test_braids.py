@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
                        GroupContext, UsageError, braid_equal, budget_scope,
-                       current_budget, handle_reduce, main_sign, shift_embed)
+                       current_budget, handle_reduce, main_sign)
 from ordercone import braids
 from ordercone.braids import clear_caches, fingerprint, parse_letters
 
@@ -213,15 +213,6 @@ def test_braid_equal_examples():
     assert braid_equal(w3("s1 s2 s1"), w3("s2 s1 s2"))
     assert not braid_equal(w3("s1 s2"), w3("s2 s1"))
     assert braid_equal(w3(""), w3("s1 S1"))
-
-
-def test_shift_embed_examples():
-    assert shift_embed(1, BraidWord.from_text(2, "s1"), 3).letters == (2,)
-    word = w3("s1 S2")
-    assert shift_embed(0, word, 3).letters == word.letters
-    assert shift_embed(2, BraidWord.from_text(2, "s1 s1"), 4).letters == (3, 3)
-    with pytest.raises(UsageError, match="index overflow"):
-        shift_embed(2, BraidWord.from_text(2, "s1"), 3)
 
 
 def test_reduction_sound_against_burau():
@@ -499,6 +490,19 @@ def test_clear_caches_resets_every_braid_memo():
     fingerprint(word)
     assert not braids._reduce_cache
     assert handle_reduce(word) is not reduced
+
+
+def test_reduction_memo_holds_one_entry_per_reduction():
+    # A rewriting reduction is stored under its input's letters only;
+    # reducing its result again rescans it and returns it unchanged.
+    clear_caches()
+    word = BraidWord(4, (1, -2, 3, 2, -1, -3, 2))
+    reduced = handle_reduce(word)
+    assert reduced.letters != word.letters
+    assert list(braids._reduce_cache) == [(4, word.letters)]
+    again = BraidWord(4, reduced.letters)
+    assert handle_reduce(again) is again
+    assert len(braids._reduce_cache) == 2
 
 
 def test_subword_property_sample():

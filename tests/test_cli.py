@@ -112,6 +112,10 @@ def test_usage_error_exit_code(capsys):
 _LATTICE_SPEC = json.dumps({"k": 2, "normals": [
     [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}],
     [{"a": "1", "b": "0"}, {"a": "0", "b": "0"}]]})
+_LATTICE_CONE = {"type": "lattice", "spec": json.loads(_LATTICE_SPEC)}
+_Z_CONE = {"type": "lattice",
+           "spec": {"k": 1, "normals": [[{"a": "1", "b": "0"}]]}}
+_TRIVIAL_SUBLATTICE = {"type": "lattice_sublattice", "k": 2, "basis": []}
 
 
 @pytest.mark.parametrize("argv", [
@@ -154,13 +158,26 @@ _LATTICE_SPEC = json.dumps({"k": 2, "normals": [
     ("convexity", "--cone", "lattice:" + _LATTICE_SPEC, "--predicate",
      '{"type": "lattice_sublattice", "basis": [[0, 1], [0, 2]]}',
      "--radius", "1"),
+    ("sign", "--cone", json.dumps({
+        "type": "replace_on_convex", "base": _LATTICE_CONE,
+        "predicate": _TRIVIAL_SUBLATTICE, "inner": _Z_CONE, "radius": 1}),
+     "--word", "1,0"),
+    ("sign", "--cone", json.dumps({
+        "type": "lex_extension", "convex": _TRIVIAL_SUBLATTICE,
+        "inner": _Z_CONE, "quotient": _LATTICE_CONE}), "--word", "1,0"),
+    ("convexity", "--cone", "lattice:" + _LATTICE_SPEC, "--predicate",
+     '{"type": "lattice_sublattice", "k": 3, "basis": [[1, 0]]}',
+     "--radius", "1"),
+    ("convexity", "--cone", "dehornoy:3", "--predicate",
+     '{"type": "cyclic_braid", "n": 3, "word": "s1 S2"}', "--radius", "2"),
 ], ids=["cone-no-n", "klein-bad-sign", "conjugate-no-g", "predicate-list",
         "chain-object", "whole-no-n", "budget-list", "budget-ball-number",
         "basis-number", "conjugate-g-number", "n-float", "n-string",
         "r-bool", "g-bool", "spec-k-float", "spec-k-bool", "spec-entry-bool",
         "basis-float",
         "budget-ball-float", "budget-steps-float", "budget-radius-bool",
-        "basis-dependent"])
+        "basis-dependent", "replace-trivial-sublattice",
+        "lex-trivial-sublattice", "basis-k-mismatch", "cyclic-exponent-zero"])
 def test_malformed_descriptor_is_usage_error(capsys, argv):
     code = main(list(argv))
     err = capsys.readouterr().err

@@ -13,10 +13,9 @@ from ordercone import (BraidShiftPredicate, BraidWord, CertificateError,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec,
-                       LexExtensionCone, ReplaceCone, UsageError,
+                       LexExtensionCone, QuadScalar, ReplaceCone, UsageError,
                        WholePredicate, ball, compare, cone_from_json,
-                       convexity_check, predicate_from_json, quad,
-                       sign_vector)
+                       convexity_check, predicate_from_json, sign_vector)
 from ordercone import intlinalg
 from ordercone.certificates import ConvexityCertificate
 
@@ -26,8 +25,9 @@ from conftest import (handle_reduce_oracle, random_positive_word, random_word,
 
 def lat(k, *normals):
     return LatticeCone(LexConeSpec(
-        k, tuple(tuple(quad(*e) if isinstance(e, tuple) else quad(e)
-                       for e in normal) for normal in normals)))
+        k, tuple(tuple(QuadScalar(*e) if isinstance(e, tuple)
+                       else QuadScalar(e) for e in normal)
+                 for normal in normals)))
 
 
 Z_POS = lat(1, (1,))
@@ -359,6 +359,9 @@ def test_sublattice_membership_against_oracles(case):
         assert predicate.contains(g)
         if basis:
             assert predicate.project(g).payload == c
+        else:  # the trivial sublattice has no coordinates to project to
+            with pytest.raises(UsageError, match="trivial sublattice"):
+                predicate.project(g)
     # Other vectors: a member exactly when the rational solution is
     # integral, and then project(g) . B == g.
     for target in targets:
@@ -406,3 +409,49 @@ def test_cyclic_generator_is_parsed_on_construction():
         predicate_from_json({"type": "cyclic_braid", "n": 3, "word": "s5"})
     with pytest.raises(UsageError):
         CyclicBraidPredicate(3, "x1")
+    for word in ("", "s1 S2", "s2 s1 S2 S1"):  # exponent sum 0
+        with pytest.raises(UsageError, match="exponent sum 0"):
+            CyclicBraidPredicate(3, word)
+        with pytest.raises(UsageError, match="exponent sum 0"):
+            predicate_from_json({"type": "cyclic_braid", "n": 3,
+                                 "word": word})
+
+
+@st.composite
+def cyclic_cases(draw):
+    """(w, g): a word w of B_n, n in [2, 5], with nonzero exponent sum,
+    and g as w^m, as w^m times one letter, or as a random word."""
+    n = draw(st.integers(2, 5))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    w = BraidWord(n, tuple(draw(st.lists(letter, min_size=1, max_size=6))))
+    assume(sum(1 if l > 0 else -1 for l in w.letters))
+    context = GroupContext.braid(n)
+    kind = draw(st.sampled_from(("power", "power-letter", "random")))
+    if kind == "random":
+        return w, context.element(draw(st.lists(letter, max_size=12)))
+    g = context.element(w) ** draw(st.integers(-3, 3))
+    if kind == "power-letter":
+        g = g * context.element([draw(letter)])
+    return w, g
+
+
+@given(cyclic_cases())
+@example((BraidWord(3, (1,)), GroupContext.braid(3).element("s2 s1 S2")))
+@example((BraidWord(3, (1, 2)), GroupContext.braid(3).element("s2 s1")))
+@example((BraidWord(3, (1, 1, -2)), GroupContext.braid(3).identity()))
+@settings(max_examples=200, deadline=None)
+def test_cyclic_membership_against_power_oracle(case):
+    # Oracle: some |j| <= len(g) has g == w^j.  Exact, as g = w^m forces
+    # exp(g) = m exp(w) with exp(w) != 0, and |exp(g)| <= len(g).
+    w, g = case
+    predicate = CyclicBraidPredicate(w.n, w.to_text())
+    generator = g.context.element(w)
+    bound = len(g.word)
+    powers = [j for j in range(-bound, bound + 1) if g == generator ** j]
+    assert len(powers) <= 1
+    assert predicate.contains(g) == bool(powers)
+    if powers:
+        assert predicate.project(g).payload == (powers[0],)
+    else:
+        with pytest.raises(UsageError):
+            predicate.project(g)

@@ -10,10 +10,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ordercone import (GroupContext, LatticeCone, LexConeSpec,
-                       PerturbationError, UsageError, ball, budget_scope,
-                       classify_density, convexity_check, current_budget,
-                       extend_by_quotient,
-                       least_positive_in_ball, perturb_dense, quad,
+                       PerturbationError, QuadScalar, UsageError, ball,
+                       budget_scope, classify_density, convexity_check,
+                       current_budget, extend_by_quotient,
+                       least_positive_in_ball, perturb_dense,
                        restrict_to_sublattice, saturate, sign_vector)
 from ordercone.certificates import ConvexityCertificate
 from ordercone.cones import LatticeSublatticePredicate
@@ -24,8 +24,9 @@ from conftest import ball_search_density, compare_vectors, rational_rank_oracle
 
 
 def spec_of(k, *normals):
-    return LexConeSpec(k, tuple(tuple(quad(*e) if isinstance(e, tuple) else quad(e)
-                                      for e in normal) for normal in normals))
+    return LexConeSpec(k, tuple(tuple(QuadScalar(*e) if isinstance(e, tuple)
+                                      else QuadScalar(e) for e in normal)
+                                for normal in normals))
 
 
 STD2 = spec_of(2, (0, 1), (1, 0))          # y first, then x
@@ -70,7 +71,7 @@ def test_lattice_vectors_take_int_entries_only(call, entry):
 _quad_parts = st.one_of(st.integers(min_value=-1, max_value=1),
                         st.fractions(min_value=-3, max_value=3,
                                      max_denominator=3))
-_quad_entries = st.builds(quad, _quad_parts, _quad_parts)
+_quad_entries = st.builds(QuadScalar, _quad_parts, _quad_parts)
 
 
 @st.composite
@@ -159,8 +160,8 @@ def test_classify_against_ball_search_examples():
 # 1/3 + (1/5) sqrt 2, and -1/3 + (1/4) sqrt 2 > 0 (its rational part is
 # negative): the rational and sqrt-2 parts have different denominators,
 # so each normal's integer rows share one rescaling.
-_MIXED = quad(Fraction(1, 3), Fraction(1, 5))
-_TIPPED = quad(Fraction(-1, 3), Fraction(1, 4))
+_MIXED = QuadScalar(Fraction(1, 3), Fraction(1, 5))
+_TIPPED = QuadScalar(Fraction(-1, 3), Fraction(1, 4))
 
 
 @pytest.mark.parametrize("normals, least", [
@@ -187,7 +188,7 @@ def random_spec(rng, k, irrational_share=0.4):
                 a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                 b = (Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                      if rng.random() < irrational_share else Fraction(0))
-                normal.append(quad(a, b))
+                normal.append(QuadScalar(a, b))
             normals.append(tuple(normal))
         try:
             return LexConeSpec(k, tuple(normals))

@@ -15,14 +15,14 @@ from ordercone import (BraidShiftPredicate, BudgetExceededError,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec,
-                       LexExtensionCone, ReplaceCone, UsageError,
+                       LexExtensionCone, QuadScalar, ReplaceCone, UsageError,
                        WholePredicate,
                        accumulation_scan, ball, budget_scope, census,
                        certificate_from_json, convexity_check,
                        current_budget, dd_isolation_witnesses,
                        discreteness_check, distance,
                        interval_closure, klein_tararin_cones,
-                       order_property_scan, quad, sign_vector, soul_estimate)
+                       order_property_scan, sign_vector, soul_estimate)
 from ordercone.braids import clear_caches
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DensityWitness,
@@ -36,8 +36,9 @@ from conftest import (census_brute_force, census_search_oracle,
 
 def lat(k, *normals):
     return LatticeCone(LexConeSpec(
-        k, tuple(tuple(quad(*e) if isinstance(e, tuple) else quad(e)
-                       for e in normal) for normal in normals)))
+        k, tuple(tuple(QuadScalar(*e) if isinstance(e, tuple)
+                       else QuadScalar(e) for e in normal)
+                 for normal in normals)))
 
 
 def certified(cone, predicate, radius):
@@ -417,8 +418,10 @@ def test_sorted_convexity_matches_triple_scan_on_conjugates(
     if predicate_kind == "shift":
         predicate = BraidShiftPredicate(3, data.draw(st.sampled_from([0, 1]),
                                                      label="r"))
-    elif predicate_kind == "cyclic":
-        g = data.draw(st.sampled_from(words), label="generator")
+    elif predicate_kind == "cyclic":  # exponent sum 0 has no exact rule
+        generators = [g for g in words
+                      if sum(1 if l > 0 else -1 for l in g.word.letters)]
+        g = data.draw(st.sampled_from(generators), label="generator")
         predicate = CyclicBraidPredicate(3, g.text())
     else:
         predicate = WholePredicate(b3)
