@@ -174,6 +174,14 @@ class LatticeSublatticePredicate(ConvexPredicate):
                              "no order to replace or extend")
         return GroupContext.free_abelian(len(self.basis))
 
+    def completion(self) -> tuple[list[list[int]], list[list[int]]]:
+        """U and V of U B V = [I | 0], refusing torsion (other divisors):
+        g . V has coordinates inside B (through U), then in the quotient."""
+        if any(x != 1 for x in self.divisors):
+            raise UsageError("basis is not saturated (quotient has torsion: "
+                             f"divisors {self.divisors})")
+        return self._smith[0], self._smith[2]
+
     def project(self, g: GroupElement) -> GroupElement:
         coeff = intlinalg.solve_in_row_span(self._smith, list(g.payload))
         if coeff is None:
@@ -496,9 +504,7 @@ class ReplaceCone(ConeOracle):
 
     def __post_init__(self) -> None:
         _check_certificate(self.certificate, self.base, self.predicate)
-        if self.inner.context != self.predicate.subgroup_context():
-            raise ContextMismatchError(
-                "inner cone lives on the wrong group for this subgroup")
+        _check_inner(self.inner, self.predicate)
 
     @property
     def context(self) -> GroupContext:
@@ -528,7 +534,7 @@ class LexExtensionCone(ConeOracle):
     Implemented for the two concrete instantiations with a finite data
     model: the Klein-bottle group over <y> (quotient infinite cyclic in
     the x exponent) and a free abelian group over a saturated sublattice
-    B.  There the predicate's U B V = [I | 0] gives the coordinates g . V
+    B.  There the predicate's ``completion`` gives the coordinates g . V
     in a basis completing B, and the last k - r are the quotient's.
     """
 
@@ -543,15 +549,11 @@ class LexExtensionCone(ConeOracle):
             qk = self.convex.k - len(self.convex.basis)
             if qk < 1:
                 raise UsageError("quotient is trivial; nothing to extend by")
-            divisors = self.convex.divisors
-            if any(x != 1 for x in divisors):
-                raise UsageError("basis is not saturated (quotient has "
-                                 f"torsion: divisors {divisors})")
+            self.convex.completion()  # refuses a torsion quotient
         else:
             raise UsageError(
                 f"lex extension is not implemented over {self.convex.describe()}")
-        if self.inner.context != self.convex.subgroup_context():
-            raise ContextMismatchError("inner cone lives on the wrong group")
+        _check_inner(self.inner, self.convex)
         expected = GroupContext.free_abelian(qk)
         if self.quotient.context != expected:
             raise ContextMismatchError(
@@ -582,6 +584,12 @@ class LexExtensionCone(ConeOracle):
     def describe(self) -> str:
         return (f"lexext[{self.convex.describe()}: {self.inner.describe()}; "
                 f"{self.quotient.describe()}]")
+
+
+def _check_inner(inner: ConeOracle, predicate: ConvexPredicate) -> None:
+    if inner.context != predicate.subgroup_context():
+        raise ContextMismatchError(
+            "inner cone lives on the wrong group for this subgroup")
 
 
 def _check_certificate(certificate, base: ConeOracle,
@@ -631,6 +639,8 @@ def cone_from_json(data: dict) -> ConeOracle:
         predicate = predicate_from_json(_field(data, "predicate"))
         inner = (cone_from_json(_field(data, "inner"))
                  if kind == "replace_on_convex" else None)
+        if inner is not None:  # refused before the ball is certified
+            _check_inner(inner, predicate)
         result = convexity_check(base, predicate, _int_field(data, "radius"))
         if not isinstance(result, ConvexityCertificate):
             raise CertificateError(

@@ -16,7 +16,8 @@ their inverses in a fixed letter order, deduplicating by each
 element's exact key, so members carry shortest (for braids,
 BFS-first canonical) representatives and appear in a deterministic
 order: by word length, then by discovery.  The BFS steps on bare
-payloads, and ``ball`` wraps each member in an element once.
+payloads, Z^k reads that order off its shells (``iter_lattice_shell``),
+and ``ball`` wraps each member in an element once.
 """
 
 from __future__ import annotations
@@ -389,11 +390,33 @@ def ball(context: GroupContext, radius: int) -> Ball:
     return cached
 
 
+def iter_lattice_shell(k: int, norm: int):
+    """The vectors of Z^k with L1 norm ``norm`` in ball order, the order
+    in which the BFS over e1, -e1, e2, ... first reaches them: each
+    coordinate runs m..1, -m..-1, 0 for the norm m the earlier ones
+    left, the first one slowest."""
+    prefixes = [((), norm)]
+    for _ in range(k - 1):
+        prefixes = [(prefix + (value,), remaining - abs(value))
+                    for prefix, remaining in prefixes
+                    for value in (*range(remaining, 0, -1),
+                                  *range(-remaining, 0), 0)]
+    for prefix, remaining in prefixes:
+        yield prefix + (remaining,)
+        if remaining:
+            yield prefix + (-remaining,)
+
+
 def ball_payloads(context: GroupContext, radius: int) -> tuple[list, dict]:
     """The BFS of ``ball`` on bare payloads: the nontrivial members in
     ball order (int tuples for Z^k and Klein; braid words, deduplicated
     by Dynnikov key) and each member's exact key mapped to its
-    position, in the same order.  Nothing is cached or budgeted."""
+    position, in the same order.  Z^k reads its shells instead of
+    searching.  Nothing is cached or budgeted."""
+    if context.family == FREE_ABELIAN:
+        members = [v for norm in range(1, radius + 1)
+                   for v in iter_lattice_shell(context.k, norm)]
+        return members, {v: i for i, v in enumerate(members)}
     gens = [g.payload for g in context.generators_with_inverses()]
     frontier = [context.identity().payload]
     identity_key = _payload_key(context, frontier[0])

@@ -30,7 +30,7 @@ from . import intlinalg
 from .budgets import current_budget
 from .errors import (CrossCheckError, PerturbationError, UsageError,
                      _field, _int_field)
-from .groups import GroupContext, ball_payloads
+from .groups import iter_lattice_shell
 from .quadratic import QuadScalar, sqrt2_sign
 
 Vector = tuple[int, ...]
@@ -39,8 +39,8 @@ Normal = tuple[QuadScalar, ...]
 _DELTA_START = Fraction(1, 8)
 _DELTA_FLOOR = Fraction(1, 2 ** 64)
 
-#: Difference-witness search radii for perturbations, by dimension.
-_WITNESS_RADIUS = {2: 12, 3: 6}
+#: Difference-witness probe radius for perturbations.
+_WITNESS_RADIUS = 12
 
 
 def _as_vector(v, k: int) -> Vector:
@@ -173,22 +173,6 @@ def _classify(k: int, int_normals) -> Vector | None:
     return tuple(lifted)
 
 
-def iter_lattice_shell(k: int, norm: int):
-    """All integer vectors of L1 norm exactly ``norm``, deterministically:
-    each coordinate runs 0, 1, -1, 2, -2, ..., the first one slowest."""
-    prefixes = [((), norm)]
-    for _ in range(k - 1):
-        prefixes = [(prefix + (value,), remaining - magnitude)
-                    for prefix, remaining in prefixes
-                    for magnitude in range(remaining + 1)
-                    for value in ((magnitude, -magnitude) if magnitude
-                                  else (0,))]
-    for prefix, remaining in prefixes:
-        yield prefix + (remaining,)
-        if remaining:
-            yield prefix + (-remaining,)
-
-
 def least_positive_in_ball(spec: LexConeSpec, radius: int) -> Vector | None:
     """Order-minimum of the positive vectors with L1 norm <= radius."""
     best: Vector | None = None
@@ -244,66 +228,56 @@ class PerturbationResult:
 def perturb_dense(spec: LexConeSpec, required_positive) -> PerturbationResult:
     """Tilt the first normal into a dense order keeping pinned vectors positive.
 
-    Candidate normals are n1 + delta*sqrt(2)*e_j for j = 1..k and delta
-    halving from 1/8; the first candidate that passes all exact checks
-    (pinned signs, exactly one irrational entry, validity, density, and
-    a difference witness within the configured radius) wins.  Over
-    Q(sqrt 2) a single normal can only order Z^k totally when the two
-    rational functional rows have full rank k, which forces k <= 2, so
-    for higher dimensions the schedule runs out and the error says so;
-    dense orders there are built by composing ``saturate`` and
-    ``extend_by_quotient`` instead.
+    Candidate normals are n1 + delta*sqrt(2)*e_j for j = 1, 2 and delta
+    halving from 1/8; the first that keeps the pins positive and has a
+    difference witness within the probe radius 12 wins.  A single
+    normal over Q(sqrt 2) has two integer rows, so it orders Z^k totally
+    only for k <= 2 and is never dense on Z^1: other k are refused at
+    once (dense orders there compose ``saturate`` and
+    ``extend_by_quotient``).  On Z^2 a tilt of entry j is valid exactly
+    when the other entry is rational and nonzero, whatever delta is, and
+    a valid single normal embeds Z^2 in the reals, so it is dense.
 
     For fixed j, halving delta only shrinks the set of vectors on which
     the candidate disagrees with the input.  With alpha = n1 . v, it
     disagrees exactly when delta*sqrt(2)*|v_j| >= |alpha| with the
     opposite sign (alpha != 0), or when sign(v_j) differs from the
-    input's sign, whatever delta is (alpha = 0).  So a scan of the probe
-    that finds no witness ends the search at that j.
+    input's sign, whatever delta is (alpha = 0).  So a probe scan, in
+    ball order up to the first disagreement, that finds no witness ends
+    the search at that j.
     """
     required = [_as_vector(g, spec.k) for g in required_positive]
     for g in required:
         if spec._sign(g) != 1:
             raise UsageError(f"required vector {g} is not positive under the spec")
     first = spec.normals[0]
-    radius = _WITNESS_RADIUS.get(spec.k, 6)
-    # Difference-witness probe, built at the first candidate that needs
-    # it: ball vectors in ball order, each signed once under the input.
-    probe = None
+    tilts = ((0, first[1]), (1, first[0])) if spec.k == 2 else ()
     witness_free = False
-    for j in range(spec.k):
-        if any(first[p].b != 0 for p in range(spec.k) if p != j):
-            continue  # another entry is already irrational; j cannot work
+    for j, other in tilts:
+        if other.b != 0 or other.a == 0:
+            continue  # no tilt of entry j is a valid single normal
         if any(g[j] <= 0 for g in required if spec.dot(0, g).is_zero()):
             continue  # a pinned vector rides the hyperplane on the wrong side
         delta = _DELTA_START
         while delta >= _DELTA_FLOOR:
             entries = list(first)
             entries[j] = entries[j] + QuadScalar(0, delta)
-            if entries[j].b == 0:
-                delta /= 2
-                continue
-            try:
-                candidate = LexConeSpec(spec.k, (tuple(entries),))
-            except UsageError:
-                break  # validity is delta-independent for fixed j
-            if (all(candidate._sign(g) == 1 for g in required)
-                    and classify_density(candidate).verdict == "dense"):
-                if probe is None:
-                    probe = [(v, spec._sign(v)) for v in ball_payloads(
-                        GroupContext.free_abelian(spec.k), radius)[0]]
-                witness = next((v for v, s in probe
-                                if candidate._sign(v) != s), None)
-                if witness is not None:
-                    return PerturbationResult(candidate, witness, j + 1, delta)
-                witness_free = True
-                break  # smaller deltas disagree on fewer vectors
+            if entries[j].b != 0:
+                candidate = LexConeSpec(2, (tuple(entries),))
+                if all(candidate._sign(g) == 1 for g in required):
+                    witness = next(
+                        (v for norm in range(1, _WITNESS_RADIUS + 1)
+                         for v in iter_lattice_shell(2, norm)
+                         if candidate._sign(v) != spec._sign(v)), None)
+                    if witness is not None:
+                        return PerturbationResult(candidate, witness, j + 1,
+                                                  delta)
+                    witness_free = True
+                    break  # smaller deltas disagree on fewer vectors
             delta /= 2
-    if witness_free:
-        raise PerturbationError(
-            "perturbation failed: no admissible tilt has a difference "
-            f"witness within radius {radius} (k = {spec.k})")
     raise PerturbationError(
+        "perturbation failed: no admissible tilt has a difference witness "
+        f"within radius {_WITNESS_RADIUS} (k = 2)" if witness_free else
         "perturbation failed: no admissible tilt at the configured precision "
         f"(k = {spec.k}; dense single-normal specs over Q(sqrt 2) need k = 2)")
 
@@ -355,16 +329,8 @@ def extend_by_quotient(inner: LexConeSpec | None, basis,
     if outer.k != k - r:
         raise UsageError(
             f"outer spec has dimension {outer.k}, quotient rank is {k - r}")
-    # With U B V = [I | 0], the rows of V^-1 complete B to a basis of Z^k:
-    # row e of Z^k has quotient coordinates (e . V)[r:] and inner
-    # coordinates (e . V)[:r] . U.  Other divisors mean torsion.
-    u, d, v = intlinalg.smith_with_transforms(basis)
-    divisors = [d[i][i] for i in range(r)]
-    if 0 in divisors:
-        raise UsageError("basis rows are linearly dependent")
-    if any(x != 1 for x in divisors):
-        raise UsageError(
-            f"basis is not saturated (quotient has torsion: divisors {divisors})")
+    from .cones import LatticeSublatticePredicate
+    u, v = LatticeSublatticePredicate(k, basis).completion()
     quotient = [v[row][r:] for row in range(k)]
     inside = [[sum(v[row][t] * u[t][s] for t in range(r)) for s in range(r)]
               for row in range(k)]

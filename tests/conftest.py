@@ -82,11 +82,10 @@ from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
 from ordercone.cones import ConjugateCone
 from ordercone.errors import ContextMismatchError, PerturbationError
-from ordercone.groups import GroupElement
-from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, _WITNESS_RADIUS,
-                                DensityReport, LexConeSpec,
-                                PerturbationResult, Vector, _as_vector,
-                                classify_density, iter_lattice_shell,
+from ordercone.groups import GroupElement, iter_lattice_shell
+from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, DensityReport,
+                                LexConeSpec, PerturbationResult, Vector,
+                                _as_vector, classify_density,
                                 least_positive_in_ball)
 from ordercone.quadratic import QuadScalar
 
@@ -479,7 +478,7 @@ def element_ball_search(context: GroupContext, radius: int):
 @functools.cache
 def _witness_probe(k: int) -> tuple[Vector, ...]:
     context = GroupContext.free_abelian(k)
-    return tuple(element_ball_search(context, _WITNESS_RADIUS.get(k, 6))[0])
+    return tuple(element_ball_search(context, 12 if k == 2 else 6)[0])
 
 
 def full_schedule_perturbation(spec: LexConeSpec,

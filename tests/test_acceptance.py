@@ -292,13 +292,14 @@ def _perturbation_outcome(perturb, spec, required):
 
 
 def test_perturb_dense_matches_full_schedule_oracle():
-    # The early exit changes no result and no error class: the first 200
-    # criterion-11 inputs, then seeded Z^3 specs, then seeded Z^2 specs
-    # whose longer pins force tilts below the first delta.
+    # The early exit and the refusal of k != 2 change no result and no
+    # error class: the first 200 criterion-11 inputs, then seeded Z^3
+    # specs, seeded Z^2 specs whose longer pins force tilts below the
+    # first delta, and seeded Z^1 specs.
     _, perturbation_inputs = _criterion_11_inputs()
     inputs = [next(perturbation_inputs) for _ in range(200)]
     rng = random.Random(0x3D)
-    for k, count, reach in ((3, 30, 2), (2, 150, 6)):
+    for k, count, reach in ((3, 30, 2), (2, 150, 6), (1, 20, 4)):
         for _ in range(count):
             spec = _seeded_spec(rng, k, irrational_share=0.2)
             pins = [tuple(rng.randint(-reach, reach) for _ in range(k))

@@ -9,14 +9,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ordercone import (BraidShiftPredicate, BraidWord, CertificateError,
-                       ConjugateCone, CyclicBraidPredicate, DehornoyCone,
+                       ConjugateCone, ContextMismatchError,
+                       CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec,
                        LexExtensionCone, QuadScalar, ReplaceCone, UsageError,
                        WholePredicate, ball, compare, cone_from_json,
                        convexity_check, predicate_from_json, sign_vector)
-from ordercone import intlinalg
+from ordercone import intlinalg, lospace
 from ordercone.certificates import ConvexityCertificate
 
 from conftest import (handle_reduce_oracle, random_positive_word, random_word,
@@ -402,6 +403,24 @@ def test_lex_extension_decomposes_the_basis_once(monkeypatch):
     vector.validate()
     assert len(vector.signs) == 84
     assert calls == [[[0, 1]]]
+
+
+@pytest.mark.parametrize("basis, inner, error", [
+    ([[1, 0]], lat(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)), ContextMismatchError),
+    ([], Z_POS, UsageError)], ids=["z3-inner-over-line", "trivial-sublattice"])
+def test_replace_refuses_its_inner_cone_before_certifying(monkeypatch, basis,
+                                                          inner, error):
+    # A stored replacement whose inner cone cannot live on the subgroup
+    # is refused without paying for the radius-30 convexity check.
+    def fail(*args):
+        raise AssertionError("convexity_check ran")
+
+    monkeypatch.setattr(lospace, "convexity_check", fail)
+    with pytest.raises(error):
+        cone_from_json({
+            "type": "replace_on_convex", "base": lat(2, (0, 1), (1, 0)).to_json(),
+            "predicate": {"type": "lattice_sublattice", "k": 2, "basis": basis},
+            "inner": inner.to_json(), "radius": 30})
 
 
 def test_cyclic_generator_is_parsed_on_construction():

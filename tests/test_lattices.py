@@ -17,10 +17,11 @@ from ordercone import (GroupContext, LatticeCone, LexConeSpec,
                        restrict_to_sublattice, saturate, sign_vector)
 from ordercone.certificates import ConvexityCertificate
 from ordercone.cones import LatticeSublatticePredicate
-from ordercone.lattices import iter_lattice_shell
+from ordercone.groups import iter_lattice_shell
 from ordercone.quadratic import sqrt2_sign
 
-from conftest import ball_search_density, compare_vectors, rational_rank_oracle
+from conftest import (ball_search_density, compare_vectors, element_ball_search,
+                      rational_rank_oracle)
 
 
 def spec_of(k, *normals):
@@ -119,16 +120,22 @@ def test_spec_validation():
         LexConeSpec(2, ())
 
 
-def test_lattice_shell_order():
-    """A shell lists the L1-norm-``m`` vectors sorted coordinate by
-    coordinate on (|c|, c < 0): 0, 1, -1, 2, -2, ..."""
+def test_lattice_shell_is_the_box_shell():
     for k in range(1, 5):
         for m in range(7):
-            box = [v for v in product(range(-m, m + 1), repeat=k)
-                   if sum(map(abs, v)) == m]
-            assert list(iter_lattice_shell(k, m)) == sorted(
-                box, key=lambda v: tuple(x for c in v
-                                         for x in (abs(c), c < 0)))
+            shell = list(iter_lattice_shell(k, m))
+            assert len(shell) == len(set(shell))
+            assert set(shell) == {v for v in product(range(-m, m + 1), repeat=k)
+                                  if sum(map(abs, v)) == m}
+
+
+def test_lattice_shells_list_the_ball_search_order():
+    # Shell after shell, the order of the element BFS over e1, -e1, ...
+    for k, radius in ((1, 8), (2, 7), (3, 5), (4, 4)):
+        shells = [v for m in range(1, radius + 1)
+                  for v in iter_lattice_shell(k, m)]
+        assert shells == element_ball_search(
+            GroupContext.free_abelian(k), radius)[0]
 
 
 def test_cone_axioms_on_ball():
