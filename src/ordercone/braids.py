@@ -35,7 +35,9 @@ Equality and hashing use an exact key instead, ``fingerprint``: the
 braid's Dynnikov coordinates, a vector of ``2n`` ints on which each
 letter acts by a piecewise-linear map (Dynnikov, *Russian Math. Surveys*
 57, 2002).  It needs no reduction, budget or memo, and it depends only
-on the braid.  ``s_i`` touches only coordinate pairs i and i + 1, and a
+on the braid.  The maps are a group action, so ``act``, which applies
+letters, also keys a product ``p * q`` from ``p``'s key and ``q``'s
+letters alone, as the ball products in ``groups`` do.  ``s_i`` touches only coordinate pairs i and i + 1, and a
 nontrivial key first becomes nonzero at the pair of the main index, so
 the first ``2r`` entries vanish exactly on ``<s_{r+1}, ..., s_{n-1}>``.
 """
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import sub
 
 from .budgets import current_budget
 from .errors import BudgetExceededError, ContextMismatchError, UsageError
@@ -244,18 +247,25 @@ def braid_equal(u: BraidWord, v: BraidWord) -> bool:
 
 
 def fingerprint(word: BraidWord) -> tuple[int, ...]:
-    """Exact key: the braid's Dynnikov coordinates less the identity's, a
-    flat ``2n``-tuple of ints, equal exactly for equal braids and all
-    zeros for the identity.  The letters act left to right on
-    ``(0,1, ..., 0,1)``.  With p+ = max(p, 0) and p- = min(p, 0), ``s_i``
-    maps (x1, y1, x2, y2) = (a_i, b_i, a_{i+1}, b_{i+1}), with
-    z = x1 - y1- - x2 + y2+, to (x1 + y1+ + (y2+ - z)+, y2 - z+,
-    x2 + y2- + (y1- + z)-, y1 + z+); ``s_i^-1`` acts by the inverse map.
-    Locals and conditional expressions stand in for ``max`` and ``min``,
-    whose calls cost several times as much.
+    """Exact key: the braid's Dynnikov coordinates less the identity's
+    ``(0,1, ..., 0,1)``, a flat ``2n``-tuple of ints, equal exactly for
+    equal braids and all zeros for the identity; ``act`` applies the
+    letters, as it does for product keys."""
+    return act([0, 1] * word.n, word.letters)
+
+
+def act(c: list[int], letters) -> tuple[int, ...]:
+    """The key of ``b * w`` from the Dynnikov coordinates ``c`` of ``b``
+    (a list, overwritten) and the letters of ``w``, which need not be
+    free-reduced: the letters act left to right.  With p+ = max(p, 0)
+    and p- = min(p, 0), ``s_i`` maps (x1, y1, x2, y2) = (a_i, b_i,
+    a_{i+1}, b_{i+1}), with z = x1 - y1- - x2 + y2+, to
+    (x1 + y1+ + (y2+ - z)+, y2 - z+, x2 + y2- + (y1- + z)-, y1 + z+);
+    ``s_i^-1`` acts by the inverse map.  Locals and conditional
+    expressions stand in for ``max`` and ``min``, whose calls cost
+    several times as much.
     """
-    c = [0, 1] * word.n
-    for letter in word.letters:
+    for letter in letters:
         j = 2 * letter - 2 if letter > 0 else -2 * letter - 2
         x1, y1, x2, y2 = c[j], c[j + 1], c[j + 2], c[j + 3]
         y1m = y1 if y1 < 0 else 0
@@ -276,4 +286,4 @@ def fingerprint(word: BraidWord) -> tuple[int, ...]:
             c[j + 1] = y2 + zm
             c[j + 2] = x2 - y2 + y2p - (u if u < 0 else 0)
             c[j + 3] = y1 - zm
-    return tuple([x - (k & 1) for k, x in enumerate(c)])
+    return tuple(map(sub, c, (0, 1) * (len(c) >> 1)))

@@ -15,9 +15,9 @@ Balls are enumerated breadth first over the standard generators and
 their inverses in a fixed letter order, deduplicating by each
 element's exact key, so members carry shortest (for braids,
 BFS-first canonical) representatives and appear in a deterministic
-order: by word length, then by discovery.  The BFS steps on bare
-payloads, Z^k reads that order off its shells (``iter_lattice_shell``),
-and ``ball`` wraps each member in an element once.
+order: by word length, then by discovery.  The BFS keys each candidate
+with one letter from its parent's key, Z^k reads that order off its
+shells (``iter_lattice_shell``), and ``ball`` wraps each member once.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ class GroupContext:
             return cls.free_abelian(_int_field(data, "k"))
         if family == BRAID:
             return cls.braid(_int_field(data, "n"))
+        if family == KLEIN_BOTTLE:
+            return cls.klein_bottle()
         return cls(family)
 
     def to_json(self) -> dict:
@@ -268,6 +270,15 @@ def _payload_key(context: GroupContext, p):
     return braids.fingerprint(p) if context.family == BRAID else p
 
 
+def product_key(context: GroupContext, key, q):
+    """The exact key of p * q from p's key and q's payload, in O(len(q)):
+    the product for Z^k and Klein, and for braids q's letters acting on
+    p's Dynnikov coordinates, its key plus (0,1, ..., 0,1)."""
+    if context.family != BRAID:
+        return _product(context, key, q)
+    return braids.act(list(map(add, key, (0, 1) * context.n)), q.letters)
+
+
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     context = g.context
     if context is not h.context and context != h.context:
@@ -283,9 +294,9 @@ class Ball:
 
     Closed under inversion, free of duplicates, ordered by word length
     and then by BFS discovery order.  One map from each member's exact
-    key to its position answers ``in``, ``position`` and the product
-    lookups.  ``product_triples`` relies on the identity being absent:
-    an identity product finds no position.
+    key to its position, listing the keys in ball order, answers ``in``,
+    ``position`` and the product lookups.  ``product_triples`` relies on
+    the identity being absent: an identity product finds no position.
     """
 
     def __init__(self, context: GroupContext, radius: int):
@@ -322,16 +333,15 @@ class Ball:
         raise UsageError(f"{element!r} is not in the radius-{self.radius} ball")
 
     def product_triples(self) -> list[tuple[int, int, int]]:
-        """All (i, j, k) with element_i * element_j = element_k, cached.
-        Products and their keys are taken on bare payloads."""
+        """All (i, j, k) with element_i * element_j = element_k, cached,
+        each product keyed from element_i's key and element_j's payload."""
         if self._triples is None:
             context, positions = self.context, self._positions
             payloads = [e.payload for e in self.elements]
             triples = []
-            for i, p in enumerate(payloads):
+            for i, key in enumerate(positions):
                 for j, q in enumerate(payloads):
-                    k = positions.get(
-                        _payload_key(context, _product(context, p, q)))
+                    k = positions.get(product_key(context, key, q))
                     if k is not None:
                         triples.append((i, j, k))
             self._triples = triples
@@ -340,20 +350,21 @@ class Ball:
     def cuts(self) -> list[tuple[tuple[int, int], ...]]:
         """Per member of length l, each (i, j) with element_i * element_j
         equal to it, one factor a generator and the other of length l - 1
-        (none for the generators), once each; cached."""
+        (none for the generators), once each; cached.  A right cut e s^-1
+        is keyed from e's key, a left cut s^-1 e from the key of s^-1."""
         if self._cuts is None:
             context, positions, lengths = (self.context, self._positions,
                                            self.lengths)
-            letters = [(t, self.elements[self.inverse_position[t]].payload)
-                       for t, length in enumerate(lengths) if length == 1]
+            keys = list(positions)
+            letters = [(t, keys[u], self.elements[u].payload)
+                       for t, length in enumerate(lengths) if length == 1
+                       for u in [self.inverse_position[t]]]
             self._cuts = []
-            for e, length in zip(self.elements, lengths):
+            for e, key, length in zip(self.elements, keys, lengths):
                 found = []
-                for t, s_inverse in letters if length > 1 else ():
-                    j = positions.get(_payload_key(
-                        context, _product(context, s_inverse, e.payload)))
-                    i = positions.get(_payload_key(
-                        context, _product(context, e.payload, s_inverse)))
+                for t, s_key, s_inverse in letters if length > 1 else ():
+                    j = positions.get(product_key(context, s_key, e.payload))
+                    i = positions.get(product_key(context, key, s_inverse))
                     found += [pair for pair, f in (((t, j), j), ((i, t), i))
                               if f is not None and lengths[f] == length - 1]
                 self._cuts.append(tuple(dict.fromkeys(found)))
@@ -408,30 +419,32 @@ def iter_lattice_shell(k: int, norm: int):
 
 
 def ball_payloads(context: GroupContext, radius: int) -> tuple[list, dict]:
-    """The BFS of ``ball`` on bare payloads: the nontrivial members in
-    ball order (int tuples for Z^k and Klein; braid words, deduplicated
-    by Dynnikov key) and each member's exact key mapped to its
-    position, in the same order.  Z^k reads its shells instead of
-    searching.  Nothing is cached or budgeted."""
+    """The BFS of ``ball``: the nontrivial members in ball order (int
+    tuples for Z^k and Klein; braid words, deduplicated by Dynnikov key)
+    and each member's exact key mapped to its position, in the same
+    order.  A candidate's key is one letter acting on its parent's key,
+    and its payload is built only when it is new.  Z^k reads its shells
+    instead of searching.  Nothing is cached or budgeted."""
     if context.family == FREE_ABELIAN:
         members = [v for norm in range(1, radius + 1)
                    for v in iter_lattice_shell(context.k, norm)]
         return members, {v: i for i, v in enumerate(members)}
     gens = [g.payload for g in context.generators_with_inverses()]
-    frontier = [context.identity().payload]
-    identity_key = _payload_key(context, frontier[0])
+    identity = context.identity().payload
+    identity_key = _payload_key(context, identity)
     members: list = []
     positions: dict = {identity_key: -1}
+    frontier = [(identity, identity_key)]
     for _layer in range(radius):
-        start = len(members)
-        for parent in frontier:
+        next_frontier = []
+        for parent, parent_key in frontier:
             for g in gens:
-                candidate = _product(context, parent, g)
-                key = _payload_key(context, candidate)
+                key = product_key(context, parent_key, g)
                 if key not in positions:
                     positions[key] = len(members)
-                    members.append(candidate)
-        frontier = members[start:]
+                    members.append(_product(context, parent, g))
+                    next_frontier.append((members[-1], key))
+        frontier = next_frontier
     del positions[identity_key]
     return members, positions
 

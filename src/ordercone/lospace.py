@@ -41,7 +41,7 @@ from .cones import (ConeOracle, ConjugateCone, ConvexPredicate,
                     DubrovinaDubrovinCone, sign_text)
 from .errors import (BudgetExceededError, CertificateError,
                      ContextMismatchError, UsageError)
-from .groups import Ball, GroupContext, GroupElement, ball
+from .groups import Ball, GroupContext, GroupElement, ball, product_key
 
 
 @dataclass(frozen=True)
@@ -260,34 +260,36 @@ def dd_isolation_witnesses(n: int, radius: int,
                            max_len: int) -> list[SemigroupWitness]:
     """Factor every DD-positive ball element over the cone's generators.
 
-    Breadth-first search over semigroup products with word-problem
-    deduplication; first-found factorizations are shortest.  Elements
-    left unresolved within ``max_len`` and the frontier budget raise,
-    never silently vanish.
+    Breadth-first search over semigroup products, each keyed from its
+    parent's key and one generator and deduplicated by that key;
+    first-found factorizations are shortest.  Elements left unresolved
+    within ``max_len`` and the frontier budget raise, never silently
+    vanish.
     """
     cone = DubrovinaDubrovinCone(n)
+    context = cone.context
     frontier_cap = current_budget().bfs_frontier
-    targets: dict[GroupElement, int] = {}
+    targets: dict[tuple[int, ...], int] = {}
     order: list[GroupElement] = []
-    for element in ball(cone.context, radius):
+    for element in ball(context, radius):
         if cone.sign(element) == 1:
-            targets[element] = len(order)
+            targets[element._key] = len(order)
             order.append(element)
     found: dict[int, tuple[str, ...]] = {}
-    generators = cone.generators()
+    generators = [g.payload for g in cone.generators()]
     names = [f"y{i + 1}" for i in range(len(generators))]
 
-    identity = cone.context.identity()
+    identity = context.identity()._key
     seen = {identity}
-    frontier: list[tuple[GroupElement, tuple[str, ...]]] = [(identity, ())]
+    frontier: list[tuple[tuple[int, ...], tuple[str, ...]]] = [(identity, ())]
     nodes = 1
     depth = 0
     while frontier and len(found) < len(order) and depth < max_len:
         depth += 1
-        next_frontier: list[tuple[GroupElement, tuple[str, ...]]] = []
-        for element, factors in frontier:
+        next_frontier: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
+        for key, factors in frontier:
             for gen, name in zip(generators, names):
-                candidate = element * gen
+                candidate = product_key(context, key, gen)
                 if candidate in seen:
                     continue
                 seen.add(candidate)

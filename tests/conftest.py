@@ -41,8 +41,9 @@ answers from one conjugation table.
 
 The element ball search runs the breadth-first search on
 ``GroupElement`` products, deduplicated by element equality; it is the
-reference for ``groups.ball_payloads``, which steps on bare payloads,
-and for the order, lengths and inverse positions of ``groups.ball``.
+reference for ``groups.ball_payloads``, which keys each candidate with
+one letter from its parent's key, and for the order, lengths, inverse
+positions and cuts of ``groups.ball``.
 
 The full-schedule perturbation walks every delta of the schedule at
 every coordinate, rescanning the whole witness probe each time; it is
@@ -52,7 +53,12 @@ coordinate once a probe scan finds no witness.
 The product-triple oracle multiplies every pair of ball elements as
 ``GroupElement`` values and looks the product up with the ball's ``in``
 and ``position``; it is the reference for ``Ball.product_triples``,
-which works on bare payloads and their keys.
+which keys each product from its left factor's stored key.
+The semigroup witness oracle runs the breadth-first search over
+Dubrovina-Dubrovin generator products on ``GroupElement`` values,
+deduplicated by element hashing; it is the reference for
+``lospace.dd_isolation_witnesses``, which keys each candidate from its
+parent's key and builds no product.
 
 The census brute force tries every antisymmetric +/- assignment on a
 ball and keeps the product-closed ones that honour the pins.  The
@@ -80,7 +86,7 @@ import ordercone
 from ordercone import BraidWord, GroupContext, UsageError, ball, cli, lospace
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
-from ordercone.cones import ConjugateCone
+from ordercone.cones import ConjugateCone, DubrovinaDubrovinCone
 from ordercone.errors import ContextMismatchError, PerturbationError
 from ordercone.groups import GroupElement, iter_lattice_shell
 from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, DensityReport,
@@ -528,6 +534,32 @@ def product_triples_oracle(b) -> list[tuple[int, int, int]]:
             if product in b:
                 triples.append((i, j, b.position(product)))
     return triples
+
+
+def dd_witness_oracle(n: int, radius: int,
+                      max_len: int) -> list[tuple[str, tuple[str, ...]]]:
+    """(text, factor names) of each DD-positive ball element in ball
+    order: the first path to it in a breadth-first search over products
+    of ``GroupElement`` values and the cone's generators, deduplicated
+    by element equality, up to ``max_len`` factors."""
+    cone = DubrovinaDubrovinCone(n)
+    targets = [e for e in ball(cone.context, radius) if cone.sign(e) == 1]
+    generators = cone.generators()
+    identity = cone.context.identity()
+    paths = {identity: ()}
+    frontier = [identity]
+    for _ in range(max_len):
+        if all(t in paths for t in targets):
+            break
+        next_frontier = []
+        for element in frontier:
+            for i, gen in enumerate(generators):
+                candidate = element * gen
+                if candidate not in paths:
+                    paths[candidate] = paths[element] + (f"y{i + 1}",)
+                    next_frontier.append(candidate)
+        frontier = next_frontier
+    return [(t.text(), paths[t]) for t in targets]
 
 
 def census_brute_force(query) -> list[tuple[int, ...]]:

@@ -5,14 +5,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
                        GroupContext, UsageError, braid_equal, budget_scope,
                        current_budget, handle_reduce, main_sign)
 from ordercone import braids
-from ordercone.braids import clear_caches, fingerprint, parse_letters
+from ordercone.braids import act, clear_caches, fingerprint, parse_letters
+from ordercone.groups import product_key
 
 from conftest import (_free_reduce, braids_equal_oracle, garside_key_oracle,
                       handle_reduce_oracle, random_positive_word, random_word)
@@ -408,6 +409,63 @@ def test_key_invariant_under_relator_insertion(pair, data):
     rel = _relator(data.draw, u.n)
     v = BraidWord(u.n, u.letters[:at] + rel + u.letters[at:])
     assert fingerprint(u) == fingerprint(v)
+
+
+@st.composite
+def action_cases(draw):
+    """(n, u, v) letter tuples in B_n, n in [2, 8], either possibly empty:
+    v is random, or starts with the inverse of a tail of u (so u v
+    cancels at the junction), or is u's inverse."""
+    n = draw(st.integers(2, 8))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    u = tuple(draw(st.lists(letter, max_size=40)))
+    kind = draw(st.sampled_from(("random", "cancel", "inverse")))
+    v = tuple(draw(st.lists(letter, max_size=40)))
+    if kind == "inverse":
+        v = tuple(-l for l in reversed(u))
+    elif kind == "cancel":
+        tail = u[len(u) - draw(st.integers(0, len(u))):]
+        v = tuple(-l for l in reversed(tail)) + v
+    return n, u, v
+
+
+def _coordinates(key):
+    """Dynnikov coordinates from a key: the identity's (0,1, ..., 0,1)
+    added back."""
+    return [x + (k & 1) for k, x in enumerate(key)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(action_cases())
+@example((2, (), ()))
+@example((5, (), (1, -4, 3)))
+@example((5, (2, 3, -1), ()))
+@example((4, (1, 2, 3), (-3, -2, 1)))
+@example((4, (1, -3, 2), (-2, 3, -1)))
+def test_action_on_key_matches_whole_word_key(case):
+    # Letters acting on u's key give the key of the whole word u v; v's
+    # letters are acted on as given, unreduced and across the junction.
+    n, u, v = case
+    u_key = fingerprint(BraidWord(n, u))
+    whole = fingerprint(BraidWord(n, u + v))
+    assert act(_coordinates(u_key), v) == whole
+    assert product_key(GroupContext.braid(n), u_key, BraidWord(n, v)) == whole
+    if v == tuple(-l for l in reversed(u)):
+        assert whole == (0,) * (2 * n)
+
+
+@given(word_pairs(3, 3), st.data())
+def test_product_keys_decide_equality_against_burau_b3(pair, data):
+    # Split each word of a pair into a left factor, keyed as a whole
+    # word, and a right factor acting on that key.
+    b3 = GroupContext.braid(3)
+    keys = []
+    for word in pair:
+        at = data.draw(st.integers(0, len(word)))
+        left = BraidWord(3, word.letters[:at])
+        keys.append(product_key(b3, fingerprint(left),
+                                BraidWord(3, word.letters[at:])))
+    assert (keys[0] == keys[1]) == braids_equal_oracle(*pair)
 
 
 def _inversions(perm) -> int:

@@ -15,8 +15,10 @@ from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
                        budget_scope, current_budget, multiply)
 
 from ordercone.groups import ball_payloads
+from ordercone.lospace import dd_isolation_witnesses
 
-from conftest import burau_exact, element_ball_search, product_triples_oracle
+from conftest import (burau_exact, dd_witness_oracle, element_ball_search,
+                      product_triples_oracle)
 
 small_ints = st.integers(min_value=-6, max_value=6)
 klein_pairs = st.tuples(small_ints, small_ints)
@@ -105,6 +107,10 @@ def test_contexts_are_interned():
     assert GroupContext.braid(3) is GroupContext.braid(3)
     assert GroupContext.free_abelian(2) is GroupContext.free_abelian(2)
     assert GroupContext.klein_bottle() is GroupContext.klein_bottle()
+    # Contexts read from JSON are the interned ones.
+    for context in (GroupContext.braid(3), GroupContext.free_abelian(2),
+                    GroupContext.klein_bottle()):
+        assert GroupContext.from_json(context.to_json()) is context
     # A bool parameter does not answer for the int one.
     GroupContext.free_abelian.cache_clear()
     GroupContext.free_abelian(True)
@@ -161,8 +167,10 @@ _ORDER_BALLS = [(GroupContext.free_abelian(1), 6),
                 (GroupContext.free_abelian(2), 12),
                 (GroupContext.free_abelian(3), 6),
                 (GroupContext.klein_bottle(), 5),
+                (GroupContext.braid(2), 6),
                 (GroupContext.braid(3), 4),
-                (GroupContext.braid(4), 3)]
+                (GroupContext.braid(4), 3),
+                (GroupContext.braid(5), 2)]
 
 
 @pytest.mark.parametrize("ctx, radius", _ORDER_BALLS,
@@ -221,16 +229,26 @@ _TRIPLE_BALLS = [(GroupContext.free_abelian(1), 6),
                  (GroupContext.free_abelian(2), 4),
                  (GroupContext.free_abelian(3), 3),
                  (GroupContext.klein_bottle(), 5),
+                 (GroupContext.braid(2), 6),
                  (GroupContext.braid(3), 4),
-                 (GroupContext.braid(4), 3)]
+                 (GroupContext.braid(4), 3),
+                 (GroupContext.braid(5), 2)]
 
 
 @pytest.mark.parametrize("ctx, radius", _TRIPLE_BALLS,
                          ids=[f"{c!r}-r{r}" for c, r in _TRIPLE_BALLS])
 def test_product_triples_match_element_oracle(ctx, radius):
-    """Payload products give the triples of element products, in order."""
+    """Keyed products give the triples of element products, in order."""
     b = ball(ctx, radius)
     assert b.product_triples() == product_triples_oracle(b)
+
+
+def test_semigroup_bfs_matches_element_hashing_oracle():
+    # The witness BFS keys each candidate from its parent's key; the
+    # oracle multiplies and hashes GroupElement values.
+    witnesses = dd_isolation_witnesses(4, 3, 16)
+    assert ([(w.element, w.factors) for w in witnesses]
+            == dd_witness_oracle(4, 3, 16))
 
 
 def test_ball_word_lengths_are_geodesic(b3):
