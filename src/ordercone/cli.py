@@ -23,8 +23,7 @@ import sys
 from . import lospace
 from .budgets import budget_scope, current_budget
 from .certificates import ConvexityCertificate
-from .cones import (ConeOracle, DehornoyCone, DubrovinaDubrovinCone,
-                    LatticeCone, compare, cone_from_json, predicate_from_json,
+from .cones import (ConeOracle, compare, cone_from_json, predicate_from_json,
                     sign_text)
 from .errors import (BudgetExceededError, CrossCheckError, OrderconeError,
                      PerturbationError, UsageError)
@@ -49,25 +48,26 @@ def parse_group(text: str) -> GroupContext:
 
 
 def parse_cone(text: str) -> ConeOracle:
+    """A cone from a JSON descriptor, ``@file``, or a short form such as
+    ``dd:4`` turned into one: ``cone_from_json`` builds every cone."""
     text = text.strip()
-    if text.startswith("{"):
-        return cone_from_json(json.loads(text))
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as handle:
-            return cone_from_json(json.load(handle))
     kind, _, arg = text.partition(":")
-    if kind == "dehornoy":
-        return DehornoyCone(int(arg))
-    if kind == "dd":
-        return DubrovinaDubrovinCone(int(arg))
-    if kind == "klein":
-        if len(arg) != 2:
-            raise UsageError("klein cone wants two signs, e.g. klein:+-")
-        return cone_from_json({"type": "klein_tararin",
-                               "sx": arg[0], "sy": arg[1]})
-    if kind == "lattice":
-        return LatticeCone(LexConeSpec.from_json(json.loads(arg)))
-    raise UsageError(f"unknown cone descriptor {text!r}")
+    if text.startswith("{"):
+        data = json.loads(text)
+    elif text.startswith("@"):
+        with open(text[1:], encoding="utf-8") as handle:
+            data = json.load(handle)
+    elif kind in ("dehornoy", "dd"):
+        data = {"type": kind, "n": int(arg)}
+    elif kind == "klein" and len(arg) == 2:
+        data = {"type": "klein_tararin", "sx": arg[0], "sy": arg[1]}
+    elif kind == "klein":
+        raise UsageError("klein cone wants two signs, e.g. klein:+-")
+    elif kind == "lattice":
+        data = {"type": "lattice", "spec": json.loads(arg)}
+    else:
+        raise UsageError(f"unknown cone descriptor {text!r}")
+    return cone_from_json(data)
 
 
 def parse_spec(text: str) -> LexConeSpec:

@@ -437,7 +437,8 @@ class LatticeCone(ConeOracle):
 @dataclass(frozen=True)
 class ConjugateCone(ConeOracle):
     """The image of a cone under the conjugation action: an element is
-    positive here iff h^-1 g h is positive in the base cone."""
+    positive here iff h^-1 g h is positive in the base cone.  h^-1 is
+    taken once, at construction."""
 
     base: ConeOracle
     h: GroupElement
@@ -445,13 +446,14 @@ class ConjugateCone(ConeOracle):
     def __post_init__(self) -> None:
         if self.h.context != self.base.context:
             raise ContextMismatchError("incompatible groups")
+        object.__setattr__(self, "_h_inverse", self.h.inverse())
 
     @property
     def context(self) -> GroupContext:
         return self.base.context
 
     def _sign(self, g: GroupElement) -> int:
-        return self.base.sign(g.conjugate_by(self.h))
+        return self.base.sign(self._h_inverse * g * self.h)
 
     def to_json(self) -> dict:
         return {"type": "conjugate", "base": self.base.to_json(),
@@ -534,8 +536,9 @@ class LexExtensionCone(ConeOracle):
     Implemented for the two concrete instantiations with a finite data
     model: the Klein-bottle group over <y> (quotient infinite cyclic in
     the x exponent) and a free abelian group over a saturated sublattice
-    B.  There the predicate's ``completion`` gives the coordinates g . V
-    in a basis completing B, and the last k - r are the quotient's.
+    B.  There the V of the predicate's ``completion``, read once at
+    construction, gives the coordinates g . V in a basis completing B,
+    and the last k - r are the quotient's.
     """
 
     convex: ConvexPredicate
@@ -549,7 +552,8 @@ class LexExtensionCone(ConeOracle):
             qk = self.convex.k - len(self.convex.basis)
             if qk < 1:
                 raise UsageError("quotient is trivial; nothing to extend by")
-            self.convex.completion()  # refuses a torsion quotient
+            # completion() refuses a torsion quotient
+            object.__setattr__(self, "_v", self.convex.completion()[1])
         else:
             raise UsageError(
                 f"lex extension is not implemented over {self.convex.describe()}")
@@ -567,7 +571,7 @@ class LexExtensionCone(ConeOracle):
         if isinstance(self.convex, KleinYPredicate):
             return self.quotient.context.element((g.payload[0],))
         r = len(self.convex.basis)
-        alpha = intlinalg.matvec_left(list(g.payload), self.convex._smith[2])
+        alpha = intlinalg.matvec_left(list(g.payload), self._v)
         return self.quotient.context.element(tuple(alpha[r:]))
 
     def _sign(self, g: GroupElement) -> int:

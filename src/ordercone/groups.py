@@ -52,10 +52,11 @@ class GroupContext:
         elif self.family == BRAID:
             if self.n < 2:
                 raise UsageError("braid group needs n >= 2")
-        elif self.family == KLEIN_BOTTLE:
-            pass
-        else:
+        elif self.family != KLEIN_BOTTLE:
             raise UsageError(f"unknown group family {self.family!r}")
+        for name in {FREE_ABELIAN: "n", BRAID: "k"}.get(self.family, "kn"):
+            if getattr(self, name):
+                raise UsageError(f"{self!r} takes no parameter {name}")
 
     # Interned: cones build their context on every access.  ``typed``
     # keeps ``braid(3.0)`` or ``free_abelian(True)`` from answering for
@@ -206,10 +207,6 @@ class GroupElement:
         if self.context.family == BRAID:
             return len(self.payload.letters)
         return sum(abs(c) for c in self.payload)
-
-    def conjugate_by(self, h: "GroupElement") -> "GroupElement":
-        """h^-1 * self * h."""
-        return h.inverse() * self * h
 
     @property
     def _key(self):

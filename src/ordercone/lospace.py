@@ -261,59 +261,47 @@ def dd_isolation_witnesses(n: int, radius: int,
     """Factor every DD-positive ball element over the cone's generators.
 
     Breadth-first search over semigroup products, each keyed from its
-    parent's key and one generator and deduplicated by that key;
-    first-found factorizations are shortest.  Elements left unresolved
-    within ``max_len`` and the frontier budget raise, never silently
-    vanish.
+    parent's key and one generator.  ``paths`` maps each key reached to
+    its first, hence shortest, factorization and is the seen set too.
+    Elements left unresolved within ``max_len`` or the frontier budget
+    raise, never silently vanish.
     """
     cone = DubrovinaDubrovinCone(n)
     context = cone.context
     frontier_cap = current_budget().bfs_frontier
-    targets: dict[tuple[int, ...], int] = {}
-    order: list[GroupElement] = []
-    for element in ball(context, radius):
-        if cone.sign(element) == 1:
-            targets[element._key] = len(order)
-            order.append(element)
-    found: dict[int, tuple[str, ...]] = {}
+    targets = {e._key: e for e in ball(context, radius) if cone.sign(e) == 1}
     generators = [g.payload for g in cone.generators()]
     names = [f"y{i + 1}" for i in range(len(generators))]
 
+    def unresolved() -> str:
+        return ", ".join(e.text() for key, e in targets.items()
+                         if key not in paths)
+
     identity = context.identity()._key
-    seen = {identity}
-    frontier: list[tuple[tuple[int, ...], tuple[str, ...]]] = [(identity, ())]
-    nodes = 1
-    depth = 0
-    while frontier and len(found) < len(order) and depth < max_len:
-        depth += 1
-        next_frontier: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
-        for key, factors in frontier:
+    paths: dict[tuple[int, ...], tuple[str, ...]] = {identity: ()}
+    frontier = [identity]
+    for _ in range(max_len):
+        if targets.keys() <= paths.keys():
+            break
+        next_frontier = []
+        for key in frontier:
             for gen, name in zip(generators, names):
                 candidate = product_key(context, key, gen)
-                if candidate in seen:
+                if candidate in paths:
                     continue
-                seen.add(candidate)
-                nodes += 1
-                if nodes > frontier_cap:
-                    missing = [order[i].text() for i in range(len(order))
-                               if i not in found]
+                if len(paths) >= frontier_cap:
                     raise BudgetExceededError(
                         "semigroup BFS frontier budget exceeded; unresolved: "
-                        + ", ".join(missing))
-                path = factors + (name,)
-                target_index = targets.get(candidate)
-                if target_index is not None and target_index not in found:
-                    found[target_index] = path
-                next_frontier.append((candidate, path))
+                        + unresolved())
+                paths[candidate] = paths[key] + (name,)
+                next_frontier.append(candidate)
         frontier = next_frontier
-
-    if len(found) < len(order):
-        missing = [order[i].text() for i in range(len(order)) if i not in found]
+    if not targets.keys() <= paths.keys():
         raise BudgetExceededError(
             f"no semigroup witness of length <= {max_len} for: "
-            + ", ".join(missing))
-    return [SemigroupWitness(n, order[i].text(), found[i])
-            for i in range(len(order))]
+            + unresolved())
+    return [SemigroupWitness(n, e.text(), paths[key])
+            for key, e in targets.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +317,8 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
     Conjugators are tried in ball order; per conjugator the conjugate is
     evaluated outward and abandoned at the first disagreement, so cones
     that differ early cost almost nothing and cones that agree through
-    the resolution are skipped as inexact rather than claimed.
+    the resolution are skipped as inexact rather than claimed.  A cone
+    that signs a nontrivial element 0 is refused, by ``sign_vector``.
     """
     if conjugators.context != cone.context:
         raise ContextMismatchError("incompatible groups")
@@ -337,14 +326,13 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
         resolution = target_radius + 1
     if resolution <= target_radius:
         raise UsageError("resolution must exceed the target radius")
-    probe = ball(cone.context, resolution)
-    base_signs = [cone.sign(g) for g in probe]
+    base = sign_vector(cone, resolution)
     for h in conjugators:
-        i = _first_disagreement(ConjugateCone(cone, h), probe.elements,
-                                base_signs)
+        i = _first_disagreement(ConjugateCone(cone, h), base.ball.elements,
+                                base.signs)
         if i is None:
             continue  # agreement to the whole resolution: inexact, unusable
-        agree = probe.lengths[i] - 1
+        agree = base.ball.lengths[i] - 1
         if agree >= target_radius:
             return AccumulationWitness(cone.to_json(), h.to_json(),
                                        target_radius, agree, resolution)
@@ -409,16 +397,15 @@ def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
     whether each of them fixes the cone under conjugation at this radius.
 
     Since g is positive the powers are monotone, so membership is
-    decided at k = k_max directly.
+    decided at k = k_max directly, from the signs of h^-1 g^k and g^k h.
     """
     if cone.sign(g) != 1:
         raise UsageError("interval element must be positive")
     top = g ** k_max
-    bottom = top.inverse()
     members: list[GroupElement] = []
     for h in ball(cone.context, radius):
         below = cone.sign(h.inverse() * top)
-        above = cone.sign(bottom.inverse() * h)
+        above = cone.sign(top * h)
         if below >= 0 and above >= 0:
             members.append(h)
     base = sign_vector(cone, radius)
@@ -524,6 +511,7 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
         raise ContextMismatchError("incompatible groups")
     vector = sign_vector(cone, radius)
     elements, inverse = vector.ball.elements, vector.ball.inverse_position
+    names = vector.ball.element_json()
     signs = list(vector.signs)
     scanned = [i for i, g in enumerate(elements)
                if restrict_to is None or restrict_to.contains(g)]
@@ -542,12 +530,11 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
                 if cone.sign(power) == 1:
                     break
             else:
-                conradian.append((g.to_json(), elements[j].to_json()))
+                conradian.append((names[i], names[j]))
 
-    biorder = [(elements[i].to_json(), elements[j].to_json())
+    biorder = [(names[i], names[j])
                for i in scanned for j in positives if rows[i][j] == -1]
-    stabilizers = [elements[i].to_json() for i in scanned
-                   if rows[inverse[i]] == signs]
+    stabilizers = [names[i] for i in scanned if rows[inverse[i]] == signs]
     return OrderPropertyReport(radius, n_max, tuple(conradian),
                                tuple(biorder), tuple(stabilizers))
 

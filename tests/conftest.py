@@ -58,7 +58,9 @@ The semigroup witness oracle runs the breadth-first search over
 Dubrovina-Dubrovin generator products on ``GroupElement`` values,
 deduplicated by element hashing; it is the reference for
 ``lospace.dd_isolation_witnesses``, which keys each candidate from its
-parent's key and builds no product.
+parent's key and builds no product.  Its discovery order is also the
+reference for the elements that function names when it runs out of
+``max_len`` or of the frontier budget.
 
 The census brute force tries every antisymmetric +/- assignment on a
 ball and keeps the product-closed ones that honour the pins.  The
@@ -536,12 +538,14 @@ def product_triples_oracle(b) -> list[tuple[int, int, int]]:
     return triples
 
 
-def dd_witness_oracle(n: int, radius: int,
-                      max_len: int) -> list[tuple[str, tuple[str, ...]]]:
-    """(text, factor names) of each DD-positive ball element in ball
-    order: the first path to it in a breadth-first search over products
-    of ``GroupElement`` values and the cone's generators, deduplicated
-    by element equality, up to ``max_len`` factors."""
+def dd_witness_bfs(n: int, radius: int, max_len: int
+                   ) -> tuple[list[GroupElement], dict]:
+    """The DD-positive ball elements, in ball order, and a dict mapping
+    each element reached to its first path; the dict's order is the
+    discovery order, identity first.  The search is breadth first over
+    products of ``GroupElement`` values and the cone's generators,
+    deduplicated by element equality.  It stops after ``max_len``
+    factors or at the first layer that reaches every target."""
     cone = DubrovinaDubrovinCone(n)
     targets = [e for e in ball(cone.context, radius) if cone.sign(e) == 1]
     generators = cone.generators()
@@ -559,6 +563,14 @@ def dd_witness_oracle(n: int, radius: int,
                     paths[candidate] = paths[element] + (f"y{i + 1}",)
                     next_frontier.append(candidate)
         frontier = next_frontier
+    return targets, paths
+
+
+def dd_witness_oracle(n: int, radius: int,
+                      max_len: int) -> list[tuple[str, tuple[str, ...]]]:
+    """(text, factor names) of each DD-positive ball element in ball
+    order, from ``dd_witness_bfs``."""
+    targets, paths = dd_witness_bfs(n, radius, max_len)
     return [(t.text(), paths[t]) for t in targets]
 
 

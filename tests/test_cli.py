@@ -10,7 +10,8 @@ import pytest
 
 from ordercone import lattices
 from ordercone.braids import clear_caches
-from ordercone.cli import build_parser, main, report_emit
+from ordercone.cli import build_parser, main, parse_cone, report_emit
+from ordercone.cones import cone_from_json
 from ordercone.errors import UsageError
 
 
@@ -116,6 +117,29 @@ _LATTICE_CONE = {"type": "lattice", "spec": json.loads(_LATTICE_SPEC)}
 _Z_CONE = {"type": "lattice",
            "spec": {"k": 1, "normals": [[{"a": "1", "b": "0"}]]}}
 _TRIVIAL_SUBLATTICE = {"type": "lattice_sublattice", "k": 2, "basis": []}
+
+
+@pytest.mark.parametrize("text, descriptor", [
+    ("dehornoy:3", {"type": "dehornoy", "n": 3}),
+    ("dd:4", {"type": "dd", "n": 4}),
+    ("klein:+-", {"type": "klein_tararin", "sx": "+", "sy": "-"}),
+    ("lattice:" + _LATTICE_SPEC, _LATTICE_CONE),
+], ids=["dehornoy", "dd", "klein", "lattice"])
+def test_short_cone_forms_are_descriptors(text, descriptor):
+    assert parse_cone(text) == cone_from_json(descriptor)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dehornoy:x", "invalid literal for int()"),
+    ("klein:+", "klein cone wants two signs"),
+    ("klein:+x", "must be '+' or '-'"),
+    ("foo:1", "unknown cone descriptor 'foo:1'"),
+], ids=["dehornoy-x", "klein-one-sign", "klein-bad-sign", "unknown"])
+def test_bad_short_cone_forms_are_usage_errors(capsys, text, message):
+    code = main(["sign", "--cone", text, "--word", "s1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: ") and message in captured.err
 
 
 @pytest.mark.parametrize("argv", [

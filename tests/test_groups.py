@@ -103,6 +103,22 @@ def test_context_mismatch(b3, z2):
     assert product == b3.element("s1 s2") and product.context == b3
 
 
+@pytest.mark.parametrize("family, params, name", [
+    ("braid", {"k": 5, "n": 3}, "k"),
+    ("free_abelian", {"k": 2, "n": 7}, "n"),
+    ("klein_bottle", {"k": 1}, "k"),
+    ("klein_bottle", {"n": 2}, "n"),
+], ids=["braid-k", "free-abelian-n", "klein-k", "klein-n"])
+def test_context_refuses_a_parameter_its_family_does_not_take(family, params,
+                                                              name):
+    # Such a context printed like B_3 or Z^2 yet compared unequal to it.
+    with pytest.raises(UsageError, match=f"takes no parameter {name}"):
+        GroupContext(family, **params)
+    assert GroupContext("braid", n=3) == GroupContext.braid(3)
+    assert GroupContext("free_abelian", k=2) == GroupContext.free_abelian(2)
+    assert GroupContext("klein_bottle") == GroupContext.klein_bottle()
+
+
 def test_contexts_are_interned():
     assert GroupContext.braid(3) is GroupContext.braid(3)
     assert GroupContext.free_abelian(2) is GroupContext.free_abelian(2)

@@ -18,7 +18,7 @@ from ordercone import (BraidShiftPredicate, BudgetExceededError,
                        LexExtensionCone, QuadScalar, ReplaceCone, UsageError,
                        WholePredicate,
                        accumulation_scan, ball, budget_scope, census,
-                       certificate_from_json, convexity_check,
+                       certificate_from_json, compare, convexity_check,
                        current_budget, dd_isolation_witnesses,
                        discreteness_check, distance,
                        interval_closure, klein_tararin_cones,
@@ -31,7 +31,8 @@ from ordercone.groups import clear_ball_cache
 from ordercone.lospace import _conjugation_row
 
 from conftest import (census_brute_force, census_search_oracle,
-                      convexity_triple_scan, order_property_scan_oracle)
+                      convexity_triple_scan, dd_witness_bfs,
+                      order_property_scan_oracle)
 
 
 def lat(k, *normals):
@@ -273,6 +274,37 @@ def test_dd_witness_budget():
             dd_isolation_witnesses(3, 3, 12)
 
 
+@pytest.mark.parametrize("n, radius, max_len", [(3, 3, 2), (4, 2, 3),
+                                                (3, 2, 1)])
+def test_dd_witness_max_len_refusal_lists_the_oracle_unresolved(
+        n, radius, max_len):
+    targets, paths = dd_witness_bfs(n, radius, 16)
+    missing = [t.text() for t in targets if len(paths[t]) > max_len]
+    assert missing
+    with pytest.raises(BudgetExceededError) as info:
+        dd_isolation_witnesses(n, radius, max_len)
+    assert str(info.value) == (f"no semigroup witness of length <= {max_len}"
+                               " for: " + ", ".join(missing))
+
+
+def test_dd_witness_frontier_refusal_lists_the_oracle_unresolved():
+    # The budget caps the nodes reached, the identity included: a search
+    # that needs more names the targets outside the first ``cap`` nodes.
+    targets, paths = dd_witness_bfs(3, 3, 12)
+    reached = list(paths)
+    for cap in range(1, len(reached) + 2):
+        with budget_scope(current_budget().with_overrides(
+                {"bfs_frontier": cap})):
+            if cap >= len(reached):
+                assert len(dd_isolation_witnesses(3, 3, 12)) == len(targets)
+                continue
+            with pytest.raises(BudgetExceededError) as info:
+                dd_isolation_witnesses(3, 3, 12)
+        missing = [t.text() for t in targets if t not in reached[:cap]]
+        assert str(info.value) == ("semigroup BFS frontier budget exceeded; "
+                                   "unresolved: " + ", ".join(missing))
+
+
 @pytest.mark.parametrize("call", [
     lambda: sign_vector(DehornoyCone(3), 4),
     lambda: dd_isolation_witnesses(3, 4, 14),
@@ -316,6 +348,22 @@ def test_accumulation_braid(b3):
     # Deterministic: the same scan returns the same witness.
     again = accumulation_scan(pd, conjugators, 1, resolution=3)
     assert again == witness
+
+
+class ZeroOnS2(ConeOracle):
+    """The Dehornoy cone of B_3, except that it signs s2 as 0."""
+
+    context = GroupContext.braid(3)
+
+    def _sign(self, g):
+        if g == self.context.element("s2"):
+            return 0
+        return DehornoyCone(3).sign(g)
+
+
+def test_accumulation_refuses_a_zero_sign(b3):
+    with pytest.raises(UsageError, match="assigned 0 to the nontrivial"):
+        accumulation_scan(ZeroOnS2(), ball(b3, 1), 1, resolution=2)
 
 
 # -- convexity ----------------------------------------------------------------
@@ -469,6 +517,23 @@ def test_interval_closure_braid(b3):
     assert {"s2", "S2", "s2 s2", "S2 S2"} <= members
     assert report.all_stabilize
     assert report.replay()
+
+
+@pytest.mark.parametrize("cone, g, radius, k_max, size", [
+    (DehornoyCone(3), "s2", 2, 4, 4),
+    (DehornoyCone(3), "s1", 2, 1, 10),
+    (DubrovinaDubrovinCone(3), "s1 s2", 3, 2, 40),
+], ids=["dehornoy-s2", "dehornoy-s1", "dd-s1s2"])
+def test_interval_closure_members_match_compare_oracle(cone, g, radius,
+                                                       k_max, size):
+    g = _B3.element(g)
+    power = g ** k_max
+    expected = [h.to_json() for h in ball(_B3, radius)
+                if compare(cone, power.inverse(), h) in "<="
+                and compare(cone, h, power) in "<="]
+    report = interval_closure(cone, g, radius, k_max)
+    assert [m for m, _ in report.members] == expected
+    assert len(expected) == size
 
 
 def test_interval_closure_lattice(z2):
