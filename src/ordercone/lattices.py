@@ -174,31 +174,45 @@ def _classify(k: int, int_normals) -> Vector | None:
 
 
 def least_positive_in_ball(spec: LexConeSpec, radius: int) -> Vector | None:
-    """Order-minimum of the positive vectors with L1 norm <= radius."""
+    """Order-minimum of the positive vectors with L1 norm <= radius, read
+    shell by shell in ball order; a negative radius is refused.  Each
+    vector's dot pair (a, b) with the first normal's integer rows is
+    computed once.  Dots are linear, so the vector is positive when
+    a + b*sqrt(2) > 0 and below the best so far when the difference of
+    the pairs is; ``_sign`` reads the later normals only on a (0, 0) pair."""
+    if radius < 0:
+        raise UsageError("ball radius must be nonnegative")
+    a_row, b_row = spec._int_normals[0]
     best: Vector | None = None
     for norm in range(1, radius + 1):
         for v in iter_lattice_shell(spec.k, norm):
-            if spec._sign(v) != 1:
+            a = b = 0
+            for x, y, c in zip(a_row, b_row, v):
+                a += x * c
+                b += y * c
+            if (sqrt2_sign(a, b) if a or b else spec._sign(v)) != 1:
                 continue
-            if best is None or spec._sign(
-                    tuple(b - a for a, b in zip(v, best))) == 1:
-                best = v
+            if best is None or (
+                    sqrt2_sign(best_a - a, best_b - b)
+                    if best_a != a or best_b != b else
+                    spec._sign(tuple(y - x for x, y in zip(v, best)))) == 1:
+                best, best_a, best_b = v, a, b
     return best
 
 
 def classify_density(spec: LexConeSpec) -> DensityReport:
     """Exact dense/discrete verdict with the least positive element.
 
-    Discrete verdicts are verified against a ball search at the scoped
-    budget's check radius; any positive vector below the claimed least
-    fails the operation loudly.
-    """
+    A discrete verdict is checked against ``least_positive_in_ball`` at
+    radius min(lattice_check_radius, max(norm, 4)), norm being the least
+    element's L1 norm.  The window minimum must equal the least element
+    when the window holds it, and must not lie below it by ``_sign``
+    otherwise; a disagreement raises CrossCheckError."""
     least = _classify(spec.k, spec._int_normals)
     if least is None:
         return DensityReport("dense", None, "exact-recursive")
     norm = sum(abs(c) for c in least)
-    check_radius = max(min(current_budget().lattice_check_radius,
-                           max(norm, 4)), 1)
+    check_radius = min(current_budget().lattice_check_radius, max(norm, 4))
     window_min = least_positive_in_ball(spec, check_radius)
     if norm <= check_radius:
         if window_min != least:

@@ -20,6 +20,13 @@ decomposition instead.
 ``compare_vectors`` compares two lattice vectors under a lex spec; the
 ball-search density oracle reads it.
 
+The window-minimum oracle signs every vector of the L1 ball with the
+public ``LexConeSpec.sign``, enumerating the ball coordinate by
+coordinate rather than by shells, and keeps the positive that no other
+positive lies below by ``compare_vectors``; it is the reference for
+``lattices.least_positive_in_ball``, which signs by the first normal's
+dot pairs and reads the later normals only on a zero pair.
+
 The lattice ball-search density oracle decides dense/discrete by
 enumerating lattice shells, independently of the exact recursion in
 ``classify_density``.
@@ -93,8 +100,7 @@ from ordercone.errors import ContextMismatchError, PerturbationError
 from ordercone.groups import GroupElement, iter_lattice_shell
 from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, DensityReport,
                                 LexConeSpec, PerturbationResult, Vector,
-                                _as_vector, classify_density,
-                                least_positive_in_ball)
+                                _as_vector, classify_density)
 from ordercone.quadratic import QuadScalar
 
 Laurent = dict[int, int]
@@ -351,6 +357,25 @@ def compare_vectors(spec: LexConeSpec, u, v) -> int:
     return spec.sign(tuple(b - a for a, b in zip(u, v)))
 
 
+def _l1_ball(k: int, radius: int):
+    """Every vector of Z^k with L1 norm <= radius, zero included, in
+    lexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for c in range(-radius, radius + 1):
+        for rest in _l1_ball(k - 1, radius - abs(c)):
+            yield (c,) + rest
+
+
+def window_minimum_oracle(spec: LexConeSpec, radius: int) -> Vector | None:
+    """Order-minimum of the positive vectors with L1 norm <= radius, or
+    None when the window holds no positive vector."""
+    positives = [v for v in _l1_ball(spec.k, radius) if spec.sign(v) == 1]
+    below = functools.cmp_to_key(lambda u, v: -compare_vectors(spec, u, v))
+    return min(positives, key=below, default=None)
+
+
 def _positive_below(spec: LexConeSpec, bound: Vector,
                     lo: int, hi: int) -> Vector | None:
     """First positive vector strictly below ``bound`` with norm in (lo, hi]."""
@@ -374,7 +399,7 @@ def ball_search_density(spec: LexConeSpec, radius: int,
     with small coefficients relative to the cap; used as the cross-check
     route, never as the exact answer.
     """
-    minimum = least_positive_in_ball(spec, radius)
+    minimum = window_minimum_oracle(spec, radius)
     if minimum is None:
         raise UsageError("window contained no positive vectors")
     if refutation_radius is None:

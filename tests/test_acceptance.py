@@ -23,10 +23,9 @@ from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DiscretenessPass)
 from ordercone.errors import PerturbationError
-from ordercone.lattices import least_positive_in_ball
 
 from conftest import (ball_search_density, full_schedule_perturbation,
-                      random_positive_word, random_word)
+                      random_positive_word, random_word, window_minimum_oracle)
 
 
 @contextmanager
@@ -249,7 +248,7 @@ def test_criterion_11_lattice_pipeline():
                     assert brute.least_positive == least
                 else:
                     # Extend the window just enough to cover the claim.
-                    assert least_positive_in_ball(spec, norm) == least
+                    assert window_minimum_oracle(spec, norm) == least
         assert verdicts["dense"] > 0 and verdicts["discrete"] > 0
 
         perturbed = 0

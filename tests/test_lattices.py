@@ -6,7 +6,7 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ordercone import (GroupContext, LatticeCone, LexConeSpec,
@@ -21,7 +21,7 @@ from ordercone.groups import iter_lattice_shell
 from ordercone.quadratic import sqrt2_sign
 
 from conftest import (ball_search_density, compare_vectors, element_ball_search,
-                      rational_rank_oracle)
+                      rational_rank_oracle, window_minimum_oracle)
 
 
 def spec_of(k, *normals):
@@ -164,6 +164,29 @@ def test_classify_against_ball_search_examples():
     assert ball_search_density(IRR2, 8).verdict == "dense"
 
 
+_SQRT2 = (0, 1)
+
+
+# The first normals (1, 0, 0) and (1, sqrt 2, 0) vanish on a plane and on
+# a line of the window: a vector or a difference with the zero first
+# pair is signed by the later normals, which point both ways.
+@given(lex_specs(), st.integers(min_value=0, max_value=5))
+@example(spec_of(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+@example(spec_of(3, (1, 0, 0), (0, -1, 1), (0, 0, -1)), 4)
+@example(spec_of(3, (1, _SQRT2, 0), (0, 0, -1)), 4)
+@example(spec_of(3, (-1, _SQRT2, 0), (1, 0, 1)), 5)
+@example(spec_of(4, (0, 0, 1, 0), (1, 0, 0, _SQRT2), (0, -1, 0, 0)), 3)
+def test_window_minimum_matches_oracle(spec, radius):
+    assert (least_positive_in_ball(spec, radius)
+            == window_minimum_oracle(spec, radius))
+
+
+def test_window_refuses_a_negative_radius():
+    with pytest.raises(UsageError, match="ball radius must be nonnegative"):
+        least_positive_in_ball(STD2, -1)
+    assert least_positive_in_ball(STD2, 0) is None
+
+
 # 1/3 + (1/5) sqrt 2, and -1/3 + (1/4) sqrt 2 > 0 (its rational part is
 # negative): the rational and sqrt-2 parts have different denominators,
 # so each normal's integer rows share one rescaling.
@@ -222,7 +245,7 @@ def assert_brute_force_agreement(spec, exact, window=8):
         assert brute.verdict == "discrete", spec.to_json()
         assert brute.least_positive == least
     else:
-        assert least_positive_in_ball(spec, norm) == least, spec.to_json()
+        assert window_minimum_oracle(spec, norm) == least, spec.to_json()
 
 
 def test_classify_agrees_with_ball_search_seeded():
