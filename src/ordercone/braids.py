@@ -37,9 +37,11 @@ letter acts by a piecewise-linear map (Dynnikov, *Russian Math. Surveys*
 57, 2002).  It needs no reduction, budget or memo, and it depends only
 on the braid.  The maps are a group action, so ``act``, which applies
 letters, also keys a product ``p * q`` from ``p``'s key and ``q``'s
-letters alone, as the ball products in ``groups`` do.  ``s_i`` touches only coordinate pairs i and i + 1, and a
-nontrivial key first becomes nonzero at the pair of the main index, so
-the first ``2r`` entries vanish exactly on ``<s_{r+1}, ..., s_{n-1}>``.
+letters alone, as the ball products in ``groups`` do.
+
+``s_i`` touches only coordinate pairs i and i + 1, and a nontrivial
+key first becomes nonzero at the pair of the main index, so the first
+``2r`` entries vanish exactly on ``<s_{r+1}, ..., s_{n-1}>``.
 """
 
 from __future__ import annotations

@@ -45,16 +45,22 @@ def _sign_field(data, key: str) -> int:
 
 
 class ConvexPredicate:
-    """Membership test for a subgroup used as a convexity candidate.
-
-    Predicates only decide membership; convexity with respect to a cone
-    is certified separately by the sorted-ball check in ``lospace``.
+    """A subgroup used as a convexity candidate, deciding one fact:
+    ``_coordinates(g)``, a member's coordinates in ``subgroup_context()``
+    or None for a non-member, from which ``contains`` and ``project``
+    follow.  ``BraidShiftPredicate`` keeps its own ``contains``, a key read
+    that reduces no word; ``LatticeSublatticePredicate`` keeps its own, as
+    the trivial sublattice has members but no coordinate group.  Convexity
+    for a cone is certified by the sorted-ball check in ``lospace``.
     """
 
     context: GroupContext
 
-    def contains(self, g: GroupElement) -> bool:
+    def _coordinates(self, g: GroupElement) -> GroupElement | None:
         raise NotImplementedError
+
+    def contains(self, g: GroupElement) -> bool:
+        return self._coordinates(g) is not None
 
     def subgroup_context(self) -> GroupContext:
         """The standalone group the subgroup is identified with."""
@@ -62,7 +68,16 @@ class ConvexPredicate:
 
     def project(self, g: GroupElement) -> GroupElement:
         """Coordinates of a member inside ``subgroup_context()``."""
-        raise NotImplementedError
+        coordinates = self._coordinates(g)
+        if coordinates is None:
+            raise UsageError(f"{g!r} is not in {self.describe()}")
+        return coordinates
+
+    def quotient_image(self, g: GroupElement) -> GroupElement:
+        """The coset of g in the quotient, a free abelian group, for the
+        predicates a lex extension can extend over."""
+        raise UsageError(
+            f"lex extension is not implemented over {self.describe()}")
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -94,9 +109,9 @@ class BraidShiftPredicate(ConvexPredicate):
     def subgroup_context(self) -> GroupContext:
         return GroupContext.braid(self.n - self.r)
 
-    def project(self, g: GroupElement) -> GroupElement:
+    def _coordinates(self, g: GroupElement) -> GroupElement | None:
         if not self.contains(g):
-            raise UsageError(f"{g!r} is not in the shifted subgroup")
+            return None
         letters = tuple(l - self.r if l > 0 else l + self.r
                         for l in handle_reduce(g.word).letters)
         return self.subgroup_context().element(
@@ -111,22 +126,22 @@ class BraidShiftPredicate(ConvexPredicate):
 
 @dataclass(frozen=True)
 class KleinYPredicate(ConvexPredicate):
-    """The subgroup <y> of the Klein-bottle group: pairs (0, b)."""
+    """The subgroup <y> of the Klein-bottle group: pairs (0, b).  The
+    quotient K / <y> is infinite cyclic in the x exponent."""
 
     @property
     def context(self) -> GroupContext:
         return GroupContext.klein_bottle()
 
-    def contains(self, g: GroupElement) -> bool:
-        return g.payload[0] == 0
+    def _coordinates(self, g: GroupElement) -> GroupElement | None:
+        a, b = g.payload
+        return None if a else self.subgroup_context().element((b,))
 
     def subgroup_context(self) -> GroupContext:
         return GroupContext.free_abelian(1)
 
-    def project(self, g: GroupElement) -> GroupElement:
-        if g.payload[0] != 0:
-            raise UsageError(f"{g!r} is not in <y>")
-        return self.subgroup_context().element((g.payload[1],))
+    def quotient_image(self, g: GroupElement) -> GroupElement:
+        return GroupContext.free_abelian(1).element((g.payload[0],))
 
     def to_json(self) -> dict:
         return {"type": "klein_y"}
@@ -138,7 +153,7 @@ class KleinYPredicate(ConvexPredicate):
 @dataclass(frozen=True)
 class LatticeSublatticePredicate(ConvexPredicate):
     """An explicit sublattice of Z^k given by independent basis rows B.
-    Membership, ``project`` and lex extensions read one U B V = D taken
+    Membership, coordinates and quotient images read one U B V = D taken
     at construction, whose ``divisors`` refuse dependent rows."""
 
     k: int
@@ -182,11 +197,19 @@ class LatticeSublatticePredicate(ConvexPredicate):
                              f"divisors {self.divisors})")
         return self._smith[0], self._smith[2]
 
-    def project(self, g: GroupElement) -> GroupElement:
+    def _coordinates(self, g: GroupElement) -> GroupElement | None:
         coeff = intlinalg.solve_in_row_span(self._smith, list(g.payload))
-        if coeff is None:
-            raise UsageError(f"{g!r} is not in the sublattice")
-        return self.subgroup_context().element(tuple(coeff))
+        return None if coeff is None else self.subgroup_context().element(
+            tuple(coeff))
+
+    def quotient_image(self, g: GroupElement) -> GroupElement:
+        """The last k - r coordinates of g . V, in a basis completing B."""
+        r = len(self.basis)
+        if r == self.k:
+            raise UsageError("quotient is trivial; nothing to extend by")
+        self.subgroup_context()  # refuses the empty basis, whose V is empty
+        alpha = intlinalg.matvec_left(list(g.payload), self.completion()[1])
+        return GroupContext.free_abelian(self.k - r).element(tuple(alpha[r:]))
 
     def to_json(self) -> dict:
         return {"type": "lattice_sublattice", "k": self.k,
@@ -222,25 +245,16 @@ class CyclicBraidPredicate(ConvexPredicate):
     def context(self) -> GroupContext:
         return GroupContext.braid(self.n)
 
-    def contains(self, g: GroupElement) -> bool:
-        return self._power_of(g) is not None
-
-    def _power_of(self, g: GroupElement) -> int | None:
+    def _coordinates(self, g: GroupElement) -> GroupElement | None:
         m, rest = divmod(sum(1 if l > 0 else -1 for l in g.word.letters),
                          self._exponent)
         if rest:
             return None
         member = g.is_identity() if m == 0 else g == self._generator ** m
-        return m if member else None
+        return self.subgroup_context().element((m,)) if member else None
 
     def subgroup_context(self) -> GroupContext:
         return GroupContext.free_abelian(1)
-
-    def project(self, g: GroupElement) -> GroupElement:
-        m = self._power_of(g)
-        if m is None:
-            raise UsageError(f"{g!r} is not a power of {self.word_text!r}")
-        return self.subgroup_context().element((m,))
 
     def to_json(self) -> dict:
         return {"type": "cyclic_braid", "n": self.n, "word": self.word_text}
@@ -259,14 +273,11 @@ class WholePredicate(ConvexPredicate):
     def context(self) -> GroupContext:
         return self.context_data
 
-    def contains(self, g: GroupElement) -> bool:
-        return True
+    def _coordinates(self, g: GroupElement) -> GroupElement:
+        return g
 
     def subgroup_context(self) -> GroupContext:
         return self.context_data
-
-    def project(self, g: GroupElement) -> GroupElement:
-        return g
 
     def to_json(self) -> dict:
         return {"type": "whole", "group": self.context_data.to_json()}
@@ -513,9 +524,10 @@ class ReplaceCone(ConeOracle):
         return self.base.context
 
     def _sign(self, g: GroupElement) -> int:
-        if self.predicate.contains(g):
-            return self.inner.sign(self.predicate.project(g))
-        return self.base.sign(g)
+        coordinates = self.predicate._coordinates(g)
+        if coordinates is None:
+            return self.base.sign(g)
+        return self.inner.sign(coordinates)
 
     def to_json(self) -> dict:
         return {"type": "replace_on_convex", "base": self.base.to_json(),
@@ -533,12 +545,9 @@ class LexExtensionCone(ConeOracle):
     """Order a group through a normal convex subgroup: compare cosets by
     the quotient order and fall back to the inner order inside.
 
-    Implemented for the two concrete instantiations with a finite data
-    model: the Klein-bottle group over <y> (quotient infinite cyclic in
-    the x exponent) and a free abelian group over a saturated sublattice
-    B.  There the V of the predicate's ``completion``, read once at
-    construction, gives the coordinates g . V in a basis completing B,
-    and the last k - r are the quotient's.
+    Works over any predicate with a ``quotient_image``; the image of the
+    identity names the quotient group, and a predicate without a quotient
+    refuses there.
     """
 
     convex: ConvexPredicate
@@ -546,19 +555,8 @@ class LexExtensionCone(ConeOracle):
     quotient: ConeOracle
 
     def __post_init__(self) -> None:
-        if isinstance(self.convex, KleinYPredicate):
-            qk = 1
-        elif isinstance(self.convex, LatticeSublatticePredicate):
-            qk = self.convex.k - len(self.convex.basis)
-            if qk < 1:
-                raise UsageError("quotient is trivial; nothing to extend by")
-            # completion() refuses a torsion quotient
-            object.__setattr__(self, "_v", self.convex.completion()[1])
-        else:
-            raise UsageError(
-                f"lex extension is not implemented over {self.convex.describe()}")
+        expected = self.convex.quotient_image(self.context.identity()).context
         _check_inner(self.inner, self.convex)
-        expected = GroupContext.free_abelian(qk)
         if self.quotient.context != expected:
             raise ContextMismatchError(
                 f"quotient cone must live on {expected!r}")
@@ -567,15 +565,8 @@ class LexExtensionCone(ConeOracle):
     def context(self) -> GroupContext:
         return self.convex.context
 
-    def _quotient_image(self, g: GroupElement) -> GroupElement:
-        if isinstance(self.convex, KleinYPredicate):
-            return self.quotient.context.element((g.payload[0],))
-        r = len(self.convex.basis)
-        alpha = intlinalg.matvec_left(list(g.payload), self._v)
-        return self.quotient.context.element(tuple(alpha[r:]))
-
     def _sign(self, g: GroupElement) -> int:
-        image = self._quotient_image(g)
+        image = self.convex.quotient_image(g)
         if not image.is_identity():
             return self.quotient.sign(image)
         return self.inner.sign(self.convex.project(g))

@@ -61,9 +61,6 @@ class QuadScalar:
     def __add__(self, other: "QuadScalar") -> "QuadScalar":
         return QuadScalar(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other: "QuadScalar") -> "QuadScalar":
-        return QuadScalar(self.a - other.a, self.b - other.b)
-
     def __neg__(self) -> "QuadScalar":
         return QuadScalar(-self.a, -self.b)
 

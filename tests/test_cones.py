@@ -177,6 +177,40 @@ def test_lex_extension_rejects_torsion():
         LexExtensionCone(pred, Z_POS, Z_POS)
 
 
+_Z2_LEX = lat(2, (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("convex, inner, quotient, error, message", [
+    (BraidShiftPredicate(3, 1), _Z2_LEX, _Z2_LEX, UsageError,
+     "lex extension is not implemented over sh^1(B_2)<=B_3"),
+    (CyclicBraidPredicate(3, "s1"), _Z2_LEX, _Z2_LEX, UsageError,
+     "lex extension is not implemented over <s1><=B_3"),
+    (WholePredicate(GroupContext.free_abelian(1)), _Z2_LEX, _Z2_LEX,
+     UsageError, "lex extension is not implemented over all of Z^1"),
+    # Full rank and torsion: the trivial quotient is refused first.
+    (LatticeSublatticePredicate(2, ((2, 0), (0, 1))), _Z2_LEX, _Z2_LEX,
+     UsageError, "quotient is trivial; nothing to extend by"),
+    # Torsion is refused before the inner cone is checked.
+    (LatticeSublatticePredicate(2, ((2, 0),)), _Z2_LEX, _Z2_LEX, UsageError,
+     "basis is not saturated (quotient has torsion: divisors [2])"),
+    (LatticeSublatticePredicate(2, ()), _Z2_LEX, _Z2_LEX, UsageError,
+     "the trivial sublattice (empty basis) carries no order to replace "
+     "or extend"),
+    # The inner cone is checked before the quotient cone.
+    (KleinYPredicate(), _Z2_LEX, _Z2_LEX, ContextMismatchError,
+     "inner cone lives on the wrong group for this subgroup"),
+    (KleinYPredicate(), Z_POS, _Z2_LEX, ContextMismatchError,
+     "quotient cone must live on Z^1"),
+    (LatticeSublatticePredicate(3, ((0, 0, 1),)), Z_POS, Z_POS,
+     ContextMismatchError, "quotient cone must live on Z^2"),
+], ids=["braid-shift", "cyclic-braid", "whole", "full-rank", "torsion",
+        "empty-basis", "klein-inner", "klein-quotient", "lattice-quotient"])
+def test_lex_extension_refusals(convex, inner, quotient, error, message):
+    with pytest.raises(error) as info:
+        LexExtensionCone(convex, inner, quotient)
+    assert str(info.value) == message
+
+
 def test_subword_property_cone(b3):
     rng = random.Random(808)
     pd = DehornoyCone(3)
@@ -246,6 +280,55 @@ def test_serialization_round_trip(b3, klein):
                       LatticeSublatticePredicate(2, ((1, 2),)),
                       CyclicBraidPredicate(3, "s1"), WholePredicate(klein)):
         assert predicate_from_json(predicate.to_json()) == predicate
+
+
+@pytest.mark.parametrize("predicate, radius", [
+    (BraidShiftPredicate(3, 1), 3), (KleinYPredicate(), 3),
+    (LatticeSublatticePredicate(3, ((1, 0, 0), (0, 2, 2))), 3),
+    (CyclicBraidPredicate(3, "s1 s2"), 3),
+    (WholePredicate(GroupContext.klein_bottle()), 2)],
+    ids=["braid-shift", "klein-y", "lattice-sublattice", "cyclic-braid",
+         "whole"])
+def test_contains_exactly_when_project_succeeds(predicate, radius):
+    members = 0
+    for g in ball(predicate.context, radius):
+        if predicate.contains(g):
+            members += 1
+            assert predicate.project(g).context == predicate.subgroup_context()
+        else:
+            with pytest.raises(UsageError):
+                predicate.project(g)
+    assert members > 1
+
+
+def test_project_refusal_names_the_subgroup(b3, klein, z2):
+    for predicate, g in ((BraidShiftPredicate(3, 1), b3.element("s1")),
+                         (KleinYPredicate(), klein.element((1, 0))),
+                         (LatticeSublatticePredicate(2, ((1, 2),)),
+                          z2.element((1, 1))),
+                         (CyclicBraidPredicate(3, "s1"), b3.element("s2"))):
+        with pytest.raises(UsageError) as info:
+            predicate.project(g)
+        assert str(info.value) == f"{g!r} is not in {predicate.describe()}"
+
+
+def test_replace_solves_once_per_sign(monkeypatch, z2):
+    base = lat(2, (0, 1), (1, 0))
+    line = LatticeSublatticePredicate(2, ((1, 0),))
+    replaced = ReplaceCone(base, line, Z_NEG, certified(base, line, 4))
+    calls = []
+    solve = intlinalg.solve_in_row_span
+    monkeypatch.setattr(intlinalg, "solve_in_row_span",
+                        lambda *args: calls.append(args) or solve(*args))
+    assert replaced.sign(z2.element((2, 0))) == -1
+    assert replaced.sign(z2.element((-5, 1))) == 1
+    assert len(calls) == 2
+
+
+def test_klein_y_and_whole_project(klein):
+    assert KleinYPredicate().project(klein.element((0, -3))).payload == (-3,)
+    g = klein.element((2, -1))
+    assert WholePredicate(klein).project(g) == g
 
 
 @pytest.mark.parametrize("basis", [(), ((1, 2),)], ids=["empty", "rank-1"])

@@ -797,20 +797,38 @@ def test_soul_lattice(z2):
 # -- certificates -------------------------------------------------------------
 
 
-def test_certificate_json_round_trip(b3):
-    result = convexity_check(DehornoyCone(3), CyclicBraidPredicate(3, "s1"), 2)
-    data = result.to_json()
-    again = certificate_from_json(data)
-    assert again.replay()
-    assert again.to_json() == data
-
-    witnesses = dd_isolation_witnesses(3, 2, 12)
-    for witness in witnesses[:3]:
-        again = certificate_from_json(witness.to_json())
-        assert again.replay()
-
+def test_certificate_json_round_trip(b3, z2):
+    # Every kind certificate_from_json parses, each made by its own scan,
+    # with one changed field that must stop the copy from replaying.
+    witnesses = dd_isolation_witnesses(3, 2, 12)[:3]
+    density = discreteness_check(lat(2, ((1, 0), (0, 1))), z2.element((1, 1)),
+                                 8)
     report = interval_closure(DehornoyCone(3), b3.element("s2"), 2, 4)
-    assert certificate_from_json(report.to_json()) == report
+    cases = [
+        (convexity_check(DehornoyCone(3), BraidShiftPredicate(3, 1), 2),
+         "predicate", CyclicBraidPredicate(3, "s1").to_json()),
+        (convexity_check(DehornoyCone(3), CyclicBraidPredicate(3, "s1"), 2),
+         "g", "s1"),
+        *((w, "witness", [*w.factors, "y1"]) for w in witnesses),
+        (accumulation_scan(DehornoyCone(3), ball(b3, 3), 1, resolution=3),
+         "agree_radius", 2),
+        (density, "smaller_positive", density.eps),
+        (discreteness_check(DehornoyCone(3), b3.element("s2"), 3),
+         "eps", "s1"),
+        (report, "all_stabilize", not report.all_stabilize),
+    ]
+    assert {c.to_json()["kind"] for c, _, _ in cases} == {
+        "convexity_pass", "convexity_counterexample", "semigroup_witness",
+        "accumulation_witness", "density_witness", "discreteness_pass",
+        "interval_closure"}
+    for certificate, key, value in cases:
+        data = certificate.to_json()
+        again = certificate_from_json(data)
+        assert again == certificate
+        assert again.replay()
+        assert again.to_json() == data
+        assert data[key] != value
+        assert not certificate_from_json({**data, key: value}).replay()
 
 
 _CLOSURE = {"kind": "interval_closure"}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordercone import QuadScalar
+from ordercone import LexConeSpec, QuadScalar
 from ordercone.errors import UsageError
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -66,3 +66,11 @@ def test_json_round_trip(a, b):
     x = QuadScalar(a, b)
     assert QuadScalar.from_json(x.to_json()) == x
 
+
+
+def test_repr_and_the_wrong_dimension_error():
+    assert [repr(QuadScalar(*p)) for p in ((3,), ("1/2", 2), (0, "-1/3"))] \
+        == ["3", "1/2+2r2", "0-1/3r2"]
+    with pytest.raises(UsageError) as info:
+        LexConeSpec(3, ((1, QuadScalar(0, -1)),))
+    assert str(info.value) == "normal (1, 0-1r2) has wrong dimension"
