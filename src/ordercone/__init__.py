@@ -3,8 +3,7 @@ spaces of left orderings of concrete groups: free abelian lattices,
 Artin braid groups, and the Klein-bottle group."""
 
 from .budgets import Budget, budget_scope, current_budget
-from .braids import (BraidWord, MainSignReport, braid_equal, handle_reduce,
-                     main_sign)
+from .braids import MainSignReport, braid_equal, handle_reduce, main_sign
 from .certificates import (AccumulationWitness, ConvexityCertificate,
                            ConvexityCounterexample, DensityWitness,
                            DiscretenessPass, IntervalClosureReport,

@@ -3,13 +3,13 @@
 A word in the Artin generators of the braid group on ``n`` strands is a
 tuple of signed integers: ``+i`` encodes the generator ``s_i`` and
 ``-i`` its inverse, for ``1 <= i <= n - 1``.  Text form uses tokens
-``s<i>`` and ``S<i>`` separated by whitespace, e.g. ``"s1 S2"``.  A
-``BraidWord`` is canonical at construction: the public constructor
-validates its letters and cancels adjacent inverse pairs, keeping the
-input tuple itself when nothing cancels, so every word is free-reduced.
-Words made from canonical words skip those checks through the private
-``_canonical``: a product cancels only at its junction, and an inverse
-or a reduction result is assembled as it is.
+``s<i>`` and ``S<i>`` separated by whitespace, e.g. ``"s1 S2"``.  A braid
+element's payload is such a tuple, free-reduced: ``free_reduce``
+validates the letters and cancels adjacent inverse pairs, keeping the
+input tuple itself when nothing cancels, and ``groups.GroupElement``
+calls it once, when an element is built from outside.  Words made from
+free-reduced words need no such check: ``concat`` cancels only at the
+junction, and an inverse or a reduction result is assembled as it is.
 
 The reduction engine rewrites *handles*: a handle is a subword
 ``s_i^e  u  s_i^{-e}`` whose interior ``u`` only mentions indices above
@@ -28,8 +28,8 @@ rescan from the start would give.
 A reduced (handle-free) word has its lowest occurring generator index
 appearing with a single sign, and a nonempty reduced word is never
 trivial; ``main_sign`` reports that index and sign, which the Dehornoy
-and Dubrovina-Dubrovin signs read.  Reduction results are memoized as
-words, keyed by the input's letter tuple.
+and Dubrovina-Dubrovin signs read.  Reduction results are memoized,
+keyed by ``n`` and the input's letter tuple.
 
 Equality and hashing use an exact key instead, ``fingerprint``: the
 braid's Dynnikov coordinates, a vector of ``2n`` ints on which each
@@ -51,87 +51,57 @@ from dataclasses import dataclass
 from operator import sub
 
 from .budgets import current_budget
-from .errors import BudgetExceededError, ContextMismatchError, UsageError
+from .errors import BudgetExceededError, UsageError
 
 _TOKEN = re.compile(r"^([sS])([1-9][0-9]*)$")
 
-# Reduction memo: (n, letters) of an input word -> its reduced word, one
-# entry per reduction.  Reducing a reduced word again rescans it, makes no
-# rewrite and returns the word it was given.
-_reduce_cache: dict[tuple[int, tuple[int, ...]], "BraidWord"] = {}
+# Reduction memo: (n, letters) of an input word -> its reduced letters,
+# one entry per reduction.  Reducing a reduced word again rescans it,
+# makes no rewrite and returns the tuple it was given.
+_reduce_cache: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
 
 def clear_caches() -> None:
     _reduce_cache.clear()
 
 
-@dataclass(frozen=True, slots=True)
-class BraidWord:
-    """A word in the Artin generators of the braid group on ``n`` strands.
+def free_reduce(n: int, letters) -> tuple[int, ...]:
+    """Check an iterable of letters on ``n`` strands and cancel adjacent
+    inverse pairs; a tuple in which nothing cancels is returned itself."""
+    if not isinstance(letters, tuple):
+        if isinstance(letters, str) or not hasattr(letters, "__iter__"):
+            raise UsageError(f"braid letters {letters!r} are not an "
+                             "iterable of integers")
+        letters = tuple(letters)
+    cancels, previous = False, 0
+    for letter in letters:
+        if type(letter) is not int or not 0 < abs(letter) < n:
+            raise UsageError(f"letter {letter} out of range for {n} strands")
+        if letter == -previous:
+            cancels = True
+        previous = letter
+    if not cancels:
+        return letters
+    out: list[int] = []
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
 
-    Slotted: every braid element and the reduction memo hold words."""
 
-    n: int
-    letters: tuple[int, ...]
+def concat(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """The free-reduced product of two free-reduced words: only the
+    junction cancels."""
+    k, stop = 0, min(len(left), len(right))
+    while k < stop and left[-1 - k] == -right[k]:
+        k += 1
+    return left[:len(left) - k] + right[k:]
 
-    def __post_init__(self) -> None:
-        n, letters = self.n, self.letters
-        if n < 2:
-            raise UsageError(f"braid group needs n >= 2 strands, got {n}")
-        if not isinstance(letters, tuple):
-            if isinstance(letters, str) or not hasattr(letters, "__iter__"):
-                raise UsageError(f"braid letters {letters!r} are not an "
-                                 "iterable of integers")
-            letters = tuple(letters)
-        cancels, previous = False, 0
-        for letter in letters:
-            if type(letter) is not int or not 0 < abs(letter) < n:
-                raise UsageError(f"letter {letter} out of range for {n} strands")
-            if letter == -previous:
-                cancels = True
-            previous = letter
-        if cancels:  # free-reduce: cancel adjacent inverse pairs
-            out: list[int] = []
-            for letter in letters:
-                if out and out[-1] == -letter:
-                    out.pop()
-                else:
-                    out.append(letter)
-            letters = tuple(out)
-        object.__setattr__(self, "letters", letters)
 
-    @classmethod
-    def _canonical(cls, n: int, letters: tuple[int, ...]) -> "BraidWord":
-        """The word of valid, free-reduced letters, built unchecked."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "n", n)
-        object.__setattr__(word, "letters", letters)
-        return word
-
-    @classmethod
-    def from_text(cls, n: int, text: str) -> "BraidWord":
-        return cls(n, parse_letters(text))
-
-    def to_text(self) -> str:
-        return " ".join(f"s{l}" if l > 0 else f"S{-l}" for l in self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise ContextMismatchError("incompatible groups")
-        left, right = self.letters, other.letters
-        k, stop = 0, min(len(left), len(right))
-        while k < stop and left[-1 - k] == -right[k]:
-            k += 1
-        return self._canonical(self.n, left[:len(left) - k] + right[k:])
-
-    def inverse(self) -> "BraidWord":
-        return self._canonical(self.n, tuple([-l for l in self.letters[::-1]]))
-
-    def __repr__(self) -> str:
-        return f"BraidWord({self.n}, {self.to_text()!r})"
+def to_text(letters: tuple[int, ...]) -> str:
+    return " ".join(f"s{l}" if l > 0 else f"S{-l}" for l in letters)
 
 
 @dataclass(frozen=True)
@@ -158,8 +128,9 @@ def parse_letters(text: str) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def handle_reduce(word: BraidWord) -> BraidWord:
-    """Reduce to a handle-free word equal to ``word`` in B_n.
+def handle_reduce(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduce free-reduced letters to a handle-free word of the same
+    braid in B_n.
 
     The lowest generator index of the result occurs with one sign only,
     and the result is empty exactly when the braid is trivial.
@@ -169,13 +140,12 @@ def handle_reduce(word: BraidWord) -> BraidWord:
     tail's junction onto the stack ``letters[:p]`` with cancellation; the scan
     resumes at ``low``, the shortest the stack got, with ``last`` rebuilt.
     """
-    n = word.n
-    key = (n, word.letters)
+    key = (n, letters)
     cached = _reduce_cache.get(key)
     if cached is not None:
         return cached
     limit = 0  # the budget is read at the first rewrite
-    letters = list(word.letters)
+    letters = list(letters)
     unset: list[int | None] = [None] * n
     last = unset[:]
     q = steps = 0
@@ -224,36 +194,34 @@ def handle_reduce(word: BraidWord) -> BraidWord:
                 if i == 1:
                     break
         q = low
-    result = BraidWord._canonical(n, tuple(letters)) if steps else word
+    result = tuple(letters) if steps else key[1]
     _reduce_cache[key] = result
     return result
 
 
-def main_sign(word: BraidWord) -> MainSignReport:
+def main_sign(n: int, letters: tuple[int, ...]) -> MainSignReport:
     """Lowest-index generator of the reduced form together with its sign."""
-    letters = handle_reduce(word).letters
+    letters = handle_reduce(n, letters)
     if not letters:
         return MainSignReport(None, 0)
-    index, lowest = word.n, 0
+    index, lowest = n, 0
     for letter in letters:  # the first letter of the lowest index
         if -index < letter < index:
             index, lowest = abs(letter), letter
     return MainSignReport(index, 1 if lowest > 0 else -1)
 
 
-def braid_equal(u: BraidWord, v: BraidWord) -> bool:
+def braid_equal(n: int, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     """Word problem: true iff ``u`` and ``v`` represent the same braid."""
-    if u.n != v.n:
-        raise ContextMismatchError("incompatible groups")
-    return u.letters == v.letters or fingerprint(u) == fingerprint(v)
+    return u == v or fingerprint(n, u) == fingerprint(n, v)
 
 
-def fingerprint(word: BraidWord) -> tuple[int, ...]:
+def fingerprint(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
     """Exact key: the braid's Dynnikov coordinates less the identity's
     ``(0,1, ..., 0,1)``, a flat ``2n``-tuple of ints, equal exactly for
     equal braids and all zeros for the identity; ``act`` applies the
     letters, as it does for product keys."""
-    return act([0, 1] * word.n, word.letters)
+    return act([0, 1] * n, letters)
 
 
 def act(c: list[int], letters) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg
-from .braids import BraidWord, handle_reduce, main_sign
+from .braids import handle_reduce, main_sign
 from .certificates import ConvexityCertificate
 from .errors import (CertificateError, ContextMismatchError, UsageError,
                      _field, _int_field)
@@ -112,10 +112,9 @@ class BraidShiftPredicate(ConvexPredicate):
     def _coordinates(self, g: GroupElement) -> GroupElement | None:
         if not self.contains(g):
             return None
-        letters = tuple(l - self.r if l > 0 else l + self.r
-                        for l in handle_reduce(g.word).letters)
-        return self.subgroup_context().element(
-            BraidWord(self.n - self.r, letters))
+        return self.subgroup_context().element(tuple(
+            l - self.r if l > 0 else l + self.r
+            for l in handle_reduce(self.n, g.payload)))
 
     def to_json(self) -> dict:
         return {"type": "braid_shift", "n": self.n, "r": self.r}
@@ -234,7 +233,7 @@ class CyclicBraidPredicate(ConvexPredicate):
 
     def __post_init__(self) -> None:
         w = self.context.element(self.word_text)
-        e = sum(1 if l > 0 else -1 for l in w.word.letters)
+        e = sum(1 if l > 0 else -1 for l in w.payload)
         if e == 0:
             raise UsageError(f"cyclic generator {self.word_text!r} has "
                              "exponent sum 0: no exact membership rule")
@@ -246,7 +245,7 @@ class CyclicBraidPredicate(ConvexPredicate):
         return GroupContext.braid(self.n)
 
     def _coordinates(self, g: GroupElement) -> GroupElement | None:
-        m, rest = divmod(sum(1 if l > 0 else -1 for l in g.word.letters),
+        m, rest = divmod(sum(1 if l > 0 else -1 for l in g.payload),
                          self._exponent)
         if rest:
             return None
@@ -342,7 +341,7 @@ class DehornoyCone(ConeOracle):
         return GroupContext.braid(self.n)
 
     def _sign(self, g: GroupElement) -> int:
-        return main_sign(g.word).sign
+        return main_sign(self.n, g.payload).sign
 
     def to_json(self) -> dict:
         return {"type": "dehornoy", "n": self.n}
@@ -368,7 +367,7 @@ class DubrovinaDubrovinCone(ConeOracle):
         return GroupContext.braid(self.n)
 
     def _sign(self, g: GroupElement) -> int:
-        report = main_sign(g.word)
+        report = main_sign(self.n, g.payload)
         if report.index is None:
             return 0
         required = 1 if report.index % 2 == 1 else -1
@@ -378,11 +377,8 @@ class DubrovinaDubrovinCone(ConeOracle):
         """The semigroup generators y_1 .. y_{n-1} of the positive cone."""
         out = []
         for i in range(1, self.n):
-            letters = tuple(range(i, self.n))
-            word = BraidWord(self.n, letters)
-            if i % 2 == 0:
-                word = word.inverse()
-            out.append(self.context.element(word))
+            y = self.context.element(tuple(range(i, self.n)))
+            out.append(y if i % 2 == 1 else y.inverse())
         return out
 
     def to_json(self) -> dict:

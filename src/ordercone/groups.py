@@ -3,9 +3,9 @@
 Three group families are supported:
 
 * free abelian lattices Z^k, elements stored as integer vectors;
-* Artin braid groups B_n, elements carrying a ``BraidWord`` (free-reduced
-  by its constructor) and compared through its Dynnikov coordinates, an
-  exact key;
+* Artin braid groups B_n, elements stored as free-reduced letter tuples
+  (``braids``) and compared through their Dynnikov coordinates, an exact
+  key;
 * the Klein-bottle group <x, y | x y x^-1 = y^-1>, elements in the
   normal form x^a y^b with the multiplication law
   (a1, b1)(a2, b2) = (a1 + a2, (-1)^a2 b1 + b2), derived once from the
@@ -27,7 +27,6 @@ from functools import lru_cache
 from operator import add
 
 from . import braids
-from .braids import BraidWord
 from .budgets import current_budget
 from .errors import (BudgetExceededError, ContextMismatchError, UsageError,
                      _field, _int_field)
@@ -103,26 +102,23 @@ class GroupContext:
     def identity(self) -> "GroupElement":
         if self.family == FREE_ABELIAN:
             return GroupElement(self, (0,) * self.k)
-        if self.family == BRAID:
-            return GroupElement(self, BraidWord(self.n, ()))
-        return GroupElement(self, (0, 0))
+        return GroupElement(self, () if self.family == BRAID else (0, 0))
 
     def element(self, value) -> "GroupElement":
-        """Coerce a payload into an element: coordinate tuple or Klein pair
-        (or their comma-separated text), BraidWord, braid word text, or
-        braid letter list or tuple.  Any other payload is a UsageError."""
+        """Coerce a payload into an element: a tuple or list of ints
+        (coordinates, a Klein pair or braid letters), comma-separated
+        integers, or braid word text.  Any other payload is a UsageError."""
         if isinstance(value, str):
             if self.family == BRAID:
-                value = BraidWord.from_text(self.n, value)
+                value = braids.parse_letters(value)
             else:
                 try:
                     value = tuple(int(c) for c in value.split(","))
                 except ValueError:
                     raise UsageError(f"{value!r} is not comma-separated "
                                      "integers") from None
-        elif isinstance(value, (list, tuple)):
-            value = (BraidWord(self.n, value) if self.family == BRAID
-                     else tuple(value))
+        elif isinstance(value, list):
+            value = tuple(value)
         return GroupElement(self, value)
 
     def generators(self) -> list["GroupElement"]:
@@ -130,7 +126,7 @@ class GroupContext:
             return [self.element(tuple(1 if j == i else 0 for j in range(self.k)))
                     for i in range(self.k)]
         if self.family == BRAID:
-            return [self.element(BraidWord(self.n, (i,))) for i in range(1, self.n)]
+            return [self.element((i,)) for i in range(1, self.n)]
         return [self.element((1, 0)), self.element((0, 1))]
 
     def generators_with_inverses(self) -> list["GroupElement"]:
@@ -153,7 +149,8 @@ class GroupContext:
 class GroupElement:
     """An element of one of the supported groups in its family's form,
     checked at construction: a tuple of k (Z^k) or 2 (Klein) ints, or a
-    ``BraidWord`` on the context's n strands.
+    braid word's letters, free-reduced there.  Products, inverses and
+    ball members are built from checked payloads unchecked.
 
     Equality, hashing and ``is_identity`` read one key, a tuple of ints
     that is all zeros for the identity and is hashed with its entries
@@ -163,26 +160,18 @@ class GroupElement:
     """
 
     context: GroupContext
-    payload: tuple | BraidWord
+    payload: tuple
 
     def __post_init__(self) -> None:
         ctx, payload = self.context, self.payload
         if ctx.family == BRAID:
-            if type(payload) is not BraidWord:
-                raise UsageError(f"{payload!r} is not a braid word")
-            if payload.n != ctx.n:
-                raise ContextMismatchError("incompatible groups")
+            object.__setattr__(self, "payload",
+                               braids.free_reduce(ctx.n, payload))
             return
         size = ctx.k if ctx.family == FREE_ABELIAN else 2
         if (type(payload) is not tuple or len(payload) != size
                 or not all(type(c) is int for c in payload)):
             raise UsageError(f"{payload!r} is not a tuple of {size} integers")
-
-    @property
-    def word(self) -> BraidWord:
-        if self.context.family != BRAID:
-            raise UsageError("only braid elements carry a word")
-        return self.payload
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
@@ -195,7 +184,7 @@ class GroupElement:
         return out
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.context, _inverse(self.context, self.payload))
+        return _unchecked(self.context, _inverse(self.context, self.payload))
 
     def is_identity(self) -> bool:
         # The identity's key is all zeros.
@@ -205,7 +194,7 @@ class GroupElement:
         """Length of the stored representative.  Exact for ball members;
         an upper bound for freshly computed braid products."""
         if self.context.family == BRAID:
-            return len(self.payload.letters)
+            return len(self.payload)
         return sum(abs(c) for c in self.payload)
 
     @property
@@ -229,7 +218,7 @@ class GroupElement:
 
     def text(self) -> str:
         if self.context.family == BRAID:
-            return self.payload.to_text()
+            return braids.to_text(self.payload)
         return ",".join(str(c) for c in self.payload)
 
     def to_json(self):
@@ -247,7 +236,7 @@ def _product(context: GroupContext, p, q):
     if context.family == KLEIN_BOTTLE:
         (a1, b1), (a2, b2) = p, q
         return (a1 + a2, (b1 if a2 % 2 == 0 else -b1) + b2)
-    return p * q
+    return braids.concat(p, q)
 
 
 def _inverse(context: GroupContext, p):
@@ -257,14 +246,14 @@ def _inverse(context: GroupContext, p):
     if context.family == KLEIN_BOTTLE:
         a, b = p
         return (-a, -b if a % 2 == 0 else b)
-    return p.inverse()
+    return tuple([-l for l in p[::-1]])
 
 
 def _payload_key(context: GroupContext, p):
     """The exact equality key of a payload, a tuple of ints: itself for
     Z^k and Klein, ``braids.fingerprint`` (the Dynnikov coordinates less
     the identity's) for braids."""
-    return braids.fingerprint(p) if context.family == BRAID else p
+    return braids.fingerprint(context.n, p) if context.family == BRAID else p
 
 
 def product_key(context: GroupContext, key, q):
@@ -273,17 +262,21 @@ def product_key(context: GroupContext, key, q):
     p's Dynnikov coordinates, its key plus (0,1, ..., 0,1)."""
     if context.family != BRAID:
         return _product(context, key, q)
-    return braids.act(list(map(add, key, (0, 1) * context.n)), q.letters)
+    return braids.act(list(map(add, key, (0, 1) * context.n)), q)
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     context = g.context
     if context is not h.context and context != h.context:
         raise ContextMismatchError("incompatible groups")
-    product = object.__new__(GroupElement)  # the payload fits: unchecked
-    product.__dict__.update(context=context, payload=_product(
-        context, g.payload, h.payload))
-    return product
+    return _unchecked(context, _product(context, g.payload, h.payload))
+
+
+def _unchecked(context: GroupContext, payload) -> GroupElement:
+    """The element of a payload that already fits the context."""
+    element = object.__new__(GroupElement)
+    element.__dict__.update(context=context, payload=payload)
+    return element
 
 
 class Ball:
@@ -300,7 +293,7 @@ class Ball:
         self.context = context
         self.radius = radius
         payloads, positions = ball_payloads(context, radius)
-        elements = [GroupElement(context, p) for p in payloads]
+        elements = [_unchecked(context, p) for p in payloads]
         if context.family == BRAID:  # the BFS keyed every member already
             for e, key in zip(elements, positions):
                 e.__dict__["key"] = key
@@ -417,11 +410,11 @@ def iter_lattice_shell(k: int, norm: int):
 
 def ball_payloads(context: GroupContext, radius: int) -> tuple[list, dict]:
     """The BFS of ``ball``: the nontrivial members in ball order (int
-    tuples for Z^k and Klein; braid words, deduplicated by Dynnikov key)
-    and each member's exact key mapped to its position, in the same
-    order.  A candidate's key is one letter acting on its parent's key,
-    and its payload is built only when it is new.  Z^k reads its shells
-    instead of searching.  Nothing is cached or budgeted."""
+    tuples; braid letters deduplicated by Dynnikov key) and each
+    member's exact key mapped to its position, in the same order.  A
+    candidate's key is one letter acting on its parent's key, and its
+    payload is built only when it is new.  Z^k reads its shells instead
+    of searching.  Nothing is cached or budgeted."""
     if context.family == FREE_ABELIAN:
         members = [v for norm in range(1, radius + 1)
                    for v in iter_lattice_shell(context.k, norm)]

@@ -176,12 +176,16 @@ def census(query: CensusQuery) -> list[SignVector]:
     triples of one relation g h = k give two such sets, and in Z^k the
     commuted triples repeat them, so each set is kept once.  ``watch[f]``
     holds the other facts of every set containing f, padded with a fact
-    that always holds.  Setting f finds a conflict when a set's other
-    facts all hold, and forces the negation of the one still unset when
-    the rest hold.  Unit propagation reaches the same fixpoint, or a
-    conflict, in any order.  The search branches on the first unset
-    position in ball order and tries + before -, so the sign tuples come
-    out in decreasing lexicographic order.
+    that always holds.  Setting f forces the negation of a set's one
+    other fact still unset when the rest hold.  A set whose other facts
+    all hold needs no check: the later of them to be set forced the
+    negation of f in this same propagation (an earlier one would have
+    left f false), and popping it is the conflict.  So every set needs
+    two facts; a one-fact set {g +} would mean g g = g^-1, a torsion
+    element, and no supported group has one.  Unit propagation reaches
+    the same fixpoint, or a conflict, in any order.  The search branches
+    on the first unset position in ball order and tries + before -, so
+    the sign tuples come out in decreasing lexicographic order.
     """
     cap = query.context.census_limit()
     if query.radius > cap:
@@ -224,11 +228,8 @@ def census(query: CensusQuery) -> list[SignVector]:
             trail.append(f)
             for a, c in watch[f]:
                 ta, tc = truth[a], truth[c]
-                if ta == 1:
-                    if tc == 1:
-                        return False
-                    if tc == 0:
-                        queue.append(c ^ 1)
+                if ta == 1 and tc == 0:
+                    queue.append(c ^ 1)
                 elif ta == 0 and tc == 1:
                     queue.append(a ^ 1)
         return True
@@ -399,6 +400,8 @@ def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
     Since g is positive the powers are monotone, so membership is
     decided at k = k_max directly, from the signs of h^-1 g^k and g^k h.
     """
+    if k_max < 1:
+        raise UsageError("k_max must be at least 1")
     if cone.sign(g) != 1:
         raise UsageError("interval element must be positive")
     top = g ** k_max

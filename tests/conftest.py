@@ -92,7 +92,7 @@ from math import factorial
 import pytest
 
 import ordercone
-from ordercone import BraidWord, GroupContext, UsageError, ball, cli, lospace
+from ordercone import GroupContext, UsageError, ball, cli, lospace
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
 from ordercone.cones import ConjugateCone, DubrovinaDubrovinCone
@@ -136,12 +136,11 @@ def lp_mul(a: Laurent, b: Laurent) -> Laurent:
     return out
 
 
-def burau_exact(word: BraidWord) -> tuple:
-    """Unreduced Burau matrix of a braid word over Z[t, 1/t]."""
-    n = word.n
+def burau_exact(n: int, letters) -> tuple:
+    """Unreduced Burau matrix of a braid word in B_n over Z[t, 1/t]."""
     one, zero = lp((0, 1)), lp()
     matrix = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    for letter in word.letters:
+    for letter in letters:
         i = abs(letter) - 1
         gen = [[one if r == c else zero for c in range(n)] for r in range(n)]
         if letter > 0:
@@ -167,10 +166,10 @@ def _dot(a, b, r, c, n) -> Laurent:
     return total
 
 
-def braids_equal_oracle(u: BraidWord, v: BraidWord) -> bool:
+def braids_equal_oracle(n: int, u, v) -> bool:
     """Independent equality decision, valid for 3-strand braids only."""
-    assert u.n == v.n == 3, "the Burau oracle is only faithful for B_3"
-    return burau_exact(u) == burau_exact(v)
+    assert n == 3, "the Burau oracle is only faithful for B_3"
+    return burau_exact(n, u) == burau_exact(n, v)
 
 
 def _free_reduce(letters) -> list[int]:
@@ -294,7 +293,7 @@ def _simples(n: int) -> _Simples:
     return _Simples(n)
 
 
-def garside_key_oracle(word: BraidWord) -> tuple[int, tuple[int, ...]]:
+def garside_key_oracle(n: int, letters) -> tuple[int, tuple[int, ...]]:
     """Exact key ``(p, (A_1, ..., A_r))`` of the left normal form
     Delta^p A_1 ... A_r: equal exactly when the braids are equal.
 
@@ -306,12 +305,11 @@ def garside_key_oracle(word: BraidWord) -> tuple[int, tuple[int, ...]]:
     predecessors from the right, up to the first pair that does not
     change.
     """
-    n = word.n
     table = _simples(n)
     of_letter, weighted = table.letter, table.weighted.get
     shift = table.shift
     p, factors = 0, []
-    for letter in word.letters:
+    for letter in letters:
         p -= letter < 0
         b = of_letter[p & 1][letter]
         k = len(factors)
@@ -688,18 +686,24 @@ ordercone.census = lospace.census = cli.census = _validated(lospace.census)
 
 
 def random_word(rng: random.Random, n: int, max_len: int,
-                min_len: int = 0) -> BraidWord:
+                min_len: int = 0) -> tuple[int, ...]:
+    """A random word of min_len..max_len letters in B_n, free-reduced."""
     length = rng.randint(min_len, max_len)
     letters = []
     for _ in range(length):
         idx = rng.randint(1, n - 1)
         letters.append(idx if rng.random() < 0.5 else -idx)
-    return BraidWord(n, tuple(letters))
+    return tuple(_free_reduce(letters))
 
 
-def random_positive_word(rng: random.Random, n: int, max_len: int) -> BraidWord:
+def random_positive_word(rng: random.Random, n: int,
+                         max_len: int) -> tuple[int, ...]:
     length = rng.randint(1, max_len)
-    return BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(length)))
+    return tuple(rng.randint(1, n - 1) for _ in range(length))
+
+
+def inverse_letters(letters) -> tuple[int, ...]:
+    return tuple(-l for l in reversed(letters))
 
 
 @pytest.fixture

@@ -8,28 +8,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
-                       GroupContext, UsageError, braid_equal, budget_scope,
-                       current_budget, handle_reduce, main_sign)
+from ordercone import (BudgetExceededError, ContextMismatchError,
+                       GroupContext, GroupElement, UsageError, braid_equal,
+                       budget_scope, current_budget, handle_reduce, main_sign)
 from ordercone import braids
-from ordercone.braids import act, clear_caches, fingerprint, parse_letters
+from ordercone.braids import (act, clear_caches, concat, fingerprint,
+                              free_reduce, parse_letters, to_text)
 from ordercone.groups import product_key
 
 from conftest import (_free_reduce, braids_equal_oracle, garside_key_oracle,
-                      handle_reduce_oracle, random_positive_word, random_word)
+                      handle_reduce_oracle, inverse_letters,
+                      random_positive_word, random_word)
+
+B3 = GroupContext.braid(3)
 
 
-def w3(text: str) -> BraidWord:
-    return BraidWord.from_text(3, text)
+def w3(text: str) -> tuple[int, ...]:
+    """The free-reduced letters of a B_3 word in text form."""
+    return B3.element(text).payload
 
 
 def test_parse_and_format():
     word = w3("s1 S2 s1")
-    assert word.letters == (1, -2, 1)
-    assert word.to_text() == "s1 S2 s1"
-    # A word is free-reduced on construction: S2 s2 cancels.
-    assert w3("s1 S2 s2").letters == (1,)
-    assert BraidWord.from_text(3, "").letters == ()
+    assert word == (1, -2, 1)
+    assert to_text(word) == B3.element(word).text() == "s1 S2 s1"
+    # An element's word is free-reduced when it is built: S2 s2 cancels.
+    assert w3("s1 S2 s2") == (1,)
+    assert w3("") == () and B3.identity().payload == ()
     with pytest.raises(UsageError):
         parse_letters("t1")
 
@@ -38,7 +43,9 @@ def test_parse_and_format():
                          ids=["zero", "high", "low", "float", "bool"])
 def test_braid_word_rejects_bad_letters(letter):
     with pytest.raises(UsageError):
-        BraidWord(3, (1, letter))
+        free_reduce(3, (1, letter))
+    with pytest.raises(UsageError):
+        B3.element((1, letter))
 
 
 @pytest.mark.parametrize("letters", [5, None, "s1"],
@@ -46,42 +53,48 @@ def test_braid_word_rejects_bad_letters(letter):
 def test_braid_word_rejects_non_iterable_letters(letters):
     # Text is not read character by character.
     with pytest.raises(UsageError, match="not an iterable of integers"):
-        BraidWord(3, letters)
+        free_reduce(3, letters)
+    with pytest.raises(UsageError, match="not an iterable of integers"):
+        GroupElement(B3, letters)
 
 
 def test_braid_word_reads_letters_from_any_iterable():
-    assert BraidWord(3, (x for x in (1, 2))).letters == (1, 2)
-    assert BraidWord(3, [1, -2]).letters == (1, -2)
+    assert free_reduce(3, (x for x in (1, 2))) == (1, 2)
+    assert free_reduce(3, [1, -2]) == (1, -2)
+    assert GroupElement(B3, (x for x in (2, -1))).payload == (2, -1)
+    assert B3.element([1, -2]).payload == (1, -2)
     with pytest.raises(UsageError):
-        BraidWord(3, (x for x in (1, 3)))
+        free_reduce(3, (x for x in (1, 3)))
 
 
 def test_braid_word_keeps_a_reduced_tuple_itself():
     letters = (1, 2, -1)
-    assert BraidWord(3, letters).letters is letters
-    from_list = BraidWord(3, [1, 2, -1]).letters
+    assert free_reduce(3, letters) is letters
+    assert B3.element(letters).payload is letters
+    from_list = B3.element([1, 2, -1]).payload
     assert type(from_list) is tuple and from_list == letters
-    assert BraidWord(3, (1, 2, -2, 1)).letters == (1, 1)
-    assert BraidWord(3, [2, -1, 1, -2]).letters == ()
+    assert B3.element((1, 2, -2, 1)).payload == (1, 1)
+    assert B3.element([2, -1, 1, -2]).payload == ()
     # The reduction memo keys the element's own letters, not a copy, and
-    # stores the reduced word: a hit returns that very object.
+    # stores the reduced letters: a hit returns that very tuple.
     clear_caches()
-    word = GroupContext.braid(3).element([1, 2, -1]).payload
-    reduced = handle_reduce(word)
-    assert reduced.letters == (-2, 1, 2)
-    key = next(k for k in braids._reduce_cache if k == (3, word.letters))
-    assert key[1] is word.letters
-    assert handle_reduce(BraidWord(3, (1, 2, -1))) is reduced
-    assert handle_reduce(reduced) is reduced
+    word = B3.element([1, 2, -1]).payload
+    reduced = handle_reduce(3, word)
+    assert reduced == (-2, 1, 2)
+    key = next(k for k in braids._reduce_cache if k == (3, word))
+    assert key[1] is word
+    assert handle_reduce(3, (1, 2, -1)) is reduced
+    assert handle_reduce(3, reduced) is reduced
     free = w3("s1 S2")  # handle free: the word is its own result
-    assert handle_reduce(free) is free
+    assert handle_reduce(3, free) is free
 
 
 def test_free_reduce_examples():
-    assert w3("s1 S1").letters == ()
-    assert w3("s1 s2 S2 s2").letters == (1, 2)
-    assert w3("S2 s2 S2").letters == (-2,)
-    assert (w3("s1 s2") * w3("S2 S1 s2")).letters == (2,)
+    assert w3("s1 S1") == ()
+    assert w3("s1 s2 S2 s2") == (1, 2)
+    assert w3("S2 s2 S2") == (-2,)
+    assert (B3.element("s1 s2") * B3.element("S2 S1 s2")).payload == (2,)
+    assert concat(w3("s1 s2"), w3("S2 S1 s2")) == (2,)
 
 
 @st.composite
@@ -97,93 +110,99 @@ def letter_pairs(draw):
 @given(letter_pairs())
 def test_braid_word_is_free_reduced_against_oracle(case):
     n, u, v = case
-    assert BraidWord(n, u).letters == tuple(_free_reduce(u))
-    product = BraidWord(n, u) * BraidWord(n, v)
-    assert product.letters == tuple(_free_reduce(u + v))
+    context = GroupContext.braid(n)
+    g, h = context.element(u), context.element(v)
+    assert free_reduce(n, u) == g.payload == tuple(_free_reduce(u))
+    assert (g * h).payload == tuple(_free_reduce(u + v))
+    assert concat(g.payload, h.payload) == tuple(_free_reduce(u + v))
+    assert g.inverse().payload == tuple(_free_reduce(inverse_letters(u)))
 
 
 @st.composite
 def valid_word_pairs(draw):
-    """(u, v): two valid words in B_n, n in [3, 5], each canonical."""
+    """(n, u, v): two free-reduced words in B_n, n in [3, 5]."""
     n = draw(st.integers(3, 5))
     letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-    u, v = (BraidWord(n, draw(st.lists(letter, max_size=24)))
+    u, v = (free_reduce(n, draw(st.lists(letter, max_size=24)))
             for _ in range(2))
-    return u, v
+    return n, u, v
 
 
-def _main_sign_two_pass(reduced: BraidWord) -> tuple[int | None, int]:
+def _main_sign_two_pass(reduced) -> tuple[int | None, int]:
     """The lowest index, then the sign of its first occurrence."""
-    if not reduced.letters:
+    if not reduced:
         return None, 0
-    index = min(abs(l) for l in reduced.letters)
-    first = next(l for l in reduced.letters if abs(l) == index)
+    index = min(abs(l) for l in reduced)
+    first = next(l for l in reduced if abs(l) == index)
     return index, 1 if first > 0 else -1
 
 
 @given(valid_word_pairs())
 @settings(max_examples=200, deadline=None)
 def test_trusted_words_equal_validated_ones(case):
-    # Products, inverses and reduction results skip the constructor's
-    # checks; each must equal the word the public constructor builds.
-    u, v = case
-    n = u.n
-    assert (u * v).letters == BraidWord(n, u.letters + v.letters).letters
-    assert u.inverse().letters == BraidWord(
-        n, tuple(-l for l in reversed(u.letters))).letters
-    for word in (u, v, u * v):
-        reduced = handle_reduce(word)
-        assert BraidWord(n, reduced.letters).letters == reduced.letters
-        report = main_sign(word)
+    # Products, inverses and reduction results skip the element's checks;
+    # each must equal the word a checked element holds.
+    n, u, v = case
+    context = GroupContext.braid(n)
+    g, h = context.element(u), context.element(v)
+    assert (g * h).payload == context.element(u + v).payload
+    assert g.inverse().payload == context.element(inverse_letters(u)).payload
+    for word in (u, v, (g * h).payload):
+        reduced = handle_reduce(n, word)
+        assert context.element(reduced).payload is reduced
+        report = main_sign(n, word)
         assert (report.index, report.sign) == _main_sign_two_pass(reduced)
 
 
 def test_public_constructor_still_checks():
-    # Only words made from canonical words skip the checks.
+    # Only elements made from checked elements skip the checks.
     with pytest.raises(UsageError):
-        BraidWord(3, (1, 3))
+        B3.element((1, 3))
     with pytest.raises(UsageError):
-        BraidWord(3, (1, 2)).inverse() * BraidWord(3, (0,))
+        B3.element((1, 2)).inverse() * B3.element((0,))
     with pytest.raises(ContextMismatchError):
-        BraidWord(3, (1,)) * BraidWord(4, (1,))
-    assert BraidWord(3, (1, 2, -2, -1, 2)).letters == (2,)
+        B3.element((1,)) * GroupContext.braid(4).element((1,))
+    with pytest.raises(UsageError, match="letter 3 out of range"):
+        B3.element((3,))  # a B_4 word given to B_3
+    assert B3.element((1, 2, -2, -1, 2)).payload == (2,)
 
 
 def test_handle_reduce_cancelling_pair():
-    assert handle_reduce(w3("s1 S1")).letters == ()
+    assert handle_reduce(3, w3("s1 S1")) == ()
 
 
 def test_handle_reduce_single_main_generator():
     # s1 s2 S1 equals S2 s1 s2 with the main generator appearing once,
     # positively; verified through the independent Burau oracle.
-    reduced = handle_reduce(w3("s1 s2 S1"))
-    assert braids_equal_oracle(reduced, w3("s1 s2 S1"))
-    ones = [l for l in reduced.letters if abs(l) == 1]
+    reduced = handle_reduce(3, w3("s1 s2 S1"))
+    assert braids_equal_oracle(3, reduced, w3("s1 s2 S1"))
+    ones = [l for l in reduced if abs(l) == 1]
     assert ones == [1]
-    assert braids_equal_oracle(reduced, w3("S2 s1 s2"))
+    assert braids_equal_oracle(3, reduced, w3("S2 s1 s2"))
 
 
 def test_handle_reduce_braid_relator():
     # Both sides of the defining relation cancel to the empty word.
-    assert handle_reduce(w3("s1 s2 s1 S2 S1 S2")).letters == ()
+    assert handle_reduce(3, w3("s1 s2 s1 S2 S1 S2")) == ()
 
 
 def test_handle_reduce_budget_error():
     with budget_scope(current_budget().with_overrides({"handle_steps": 1})):
         with pytest.raises(BudgetExceededError):
-            handle_reduce(BraidWord(4, (1, 2, 1, -2, -1, -2) * 4))
+            handle_reduce(4, (1, 2, 1, -2, -1, -2) * 4)
 
 
 def test_handle_steps_budget_counts_rewrites_exactly():
     # A budget of exactly the oracle's rewrite count suffices and one less
     # raises, so the resumed scan rewrites exactly the oracle's handles.
     rng = random.Random(31337)
-    words = [BraidWord(4, (1, 2, 1, -2, -1, -2) * 4)]
+    words = [(4, (1, 2, 1, -2, -1, -2) * 4)]
     while len(words) < 13:
-        words.append(random_word(rng, rng.randint(3, 5), 40, min_len=20))
+        n = rng.randint(3, 5)
+        words.append((n, random_word(rng, n, 40, min_len=20)))
     checked = 0
-    for word in words:
-        expected, k = handle_reduce_oracle(word.n, word.letters)
+    for n, word in words:
+        expected, k = handle_reduce_oracle(n, word)
         if k < 2:
             continue
         checked += 1
@@ -192,44 +211,44 @@ def test_handle_steps_budget_counts_rewrites_exactly():
             limit = current_budget().with_overrides({"handle_steps": steps})
             with budget_scope(limit):
                 if fits:
-                    assert handle_reduce(word).letters == expected
+                    assert handle_reduce(n, word) == expected
                 else:
                     with pytest.raises(BudgetExceededError):
-                        handle_reduce(word)
+                        handle_reduce(n, word)
     assert checked >= 10
 
 
 def test_main_sign_examples():
-    report = main_sign(w3("S2"))
+    report = main_sign(3, w3("S2"))
     assert (report.index, report.sign) == (2, -1)
-    report = main_sign(w3("s1 S2"))
+    report = main_sign(3, w3("s1 S2"))
     assert (report.index, report.sign) == (1, 1)
-    report = main_sign(w3("s1 s2 S1"))
+    report = main_sign(3, w3("s1 s2 S1"))
     assert (report.index, report.sign) == (1, 1)
-    report = main_sign(w3(""))
+    report = main_sign(3, w3(""))
     assert (report.index, report.sign) == (None, 0)
 
 
 def test_braid_equal_examples():
-    assert braid_equal(w3("s1 s2 s1"), w3("s2 s1 s2"))
-    assert not braid_equal(w3("s1 s2"), w3("s2 s1"))
-    assert braid_equal(w3(""), w3("s1 S1"))
+    assert braid_equal(3, w3("s1 s2 s1"), w3("s2 s1 s2"))
+    assert not braid_equal(3, w3("s1 s2"), w3("s2 s1"))
+    assert braid_equal(3, w3(""), w3("s1 S1"))
 
 
 def test_reduction_sound_against_burau():
     rng = random.Random(20240811)
     for _ in range(300):
         word = random_word(rng, 3, 10)
-        assert braids_equal_oracle(word, handle_reduce(word))
+        assert braids_equal_oracle(3, word, handle_reduce(3, word))
 
 
 def test_reduction_soundness_b4():
-    # braid_equal compares Garside normal-form keys, so this checks each
-    # reduction against a decision that shares no code with it.
+    # braid_equal compares Dynnikov keys, so this checks each reduction
+    # against a decision that shares no code with it.
     rng = random.Random(606)
     for _ in range(150):
         word = random_word(rng, 4, 10)
-        assert braid_equal(word, handle_reduce(word))
+        assert braid_equal(4, word, handle_reduce(4, word))
 
 
 def test_reduction_reduced_shape():
@@ -237,11 +256,11 @@ def test_reduction_reduced_shape():
     for n in (3, 4):
         for _ in range(300):
             word = random_word(rng, n, 12)
-            reduced = handle_reduce(word)
-            if not reduced.letters:
+            reduced = handle_reduce(n, word)
+            if not reduced:
                 continue
-            lowest = min(abs(l) for l in reduced.letters)
-            signs = {l > 0 for l in reduced.letters if abs(l) == lowest}
+            lowest = min(abs(l) for l in reduced)
+            signs = {l > 0 for l in reduced if abs(l) == lowest}
             assert len(signs) == 1
 
 
@@ -250,8 +269,8 @@ def test_trichotomy_and_inversion():
     for n in (3, 4):
         for _ in range(400):
             word = random_word(rng, n, 12)
-            report = main_sign(word)
-            mirror = main_sign(word.inverse())
+            report = main_sign(n, word)
+            mirror = main_sign(n, inverse_letters(word))
             assert report.sign == -mirror.sign
             assert report.index == mirror.index
             assert (report.sign == 0) == (report.index is None)
@@ -263,9 +282,9 @@ def test_positive_closure():
     while done < 100:
         u = random_word(rng, 3, 8)
         v = random_word(rng, 3, 8)
-        ru, rv = main_sign(u), main_sign(v)
+        ru, rv = main_sign(3, u), main_sign(3, v)
         if ru.sign == rv.sign == 1 and ru.index == rv.index:
-            product = main_sign(u * v)
+            product = main_sign(3, concat(u, v))
             assert (product.index, product.sign) == (ru.index, 1)
             done += 1
 
@@ -274,7 +293,7 @@ def test_equal_words_share_fingerprint():
     rng = random.Random(5150)
     for _ in range(150):
         word = random_word(rng, 4, 10)
-        assert fingerprint(word) == fingerprint(handle_reduce(word))
+        assert fingerprint(4, word) == fingerprint(4, handle_reduce(4, word))
 
 
 def _relator(draw, n: int) -> tuple[int, ...]:
@@ -297,7 +316,7 @@ def _relator(draw, n: int) -> tuple[int, ...]:
 
 @st.composite
 def word_pairs(draw, lo: int, hi: int):
-    """(u, v) in B_n, n in [lo, hi]: v is u with relators inserted (the
+    """(n, u, v) in B_n, n in [lo, hi], free-reduced: v is u with relators inserted (the
     same braid) or an independent word (usually a different one)."""
     n = draw(st.integers(lo, hi))
     letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
@@ -309,7 +328,7 @@ def word_pairs(draw, lo: int, hi: int):
             v = v[:at] + _relator(draw, n) + v[at:]
     else:
         v = tuple(draw(st.lists(letter, max_size=12)))
-    return BraidWord(n, u), BraidWord(n, v)
+    return n, free_reduce(n, u), free_reduce(n, v)
 
 
 @st.composite
@@ -346,25 +365,27 @@ def test_handle_reduction_matches_rescanning_oracle(case):
     clear_caches()
     limit = current_budget().with_overrides({"handle_steps": max(steps, 1)})
     with budget_scope(limit):
-        assert handle_reduce(BraidWord(n, letters)).letters == expected
+        assert handle_reduce(n, free_reduce(n, letters)) == expected
 
 
 @given(word_pairs(3, 3))
 def test_key_decides_equality_against_burau_b3(pair):
-    u, v = pair
-    assert (fingerprint(u) == fingerprint(v)) == braids_equal_oracle(u, v)
+    n, u, v = pair
+    assert ((fingerprint(n, u) == fingerprint(n, v))
+            == braids_equal_oracle(n, u, v))
 
 
 @given(word_pairs(4, 6))
 def test_key_decides_equality_against_reduction(pair):
-    u, v = pair
-    trivial = not handle_reduce(u * v.inverse()).letters
-    assert (fingerprint(u) == fingerprint(v)) == trivial
+    n, u, v = pair
+    trivial = not handle_reduce(n, concat(u, inverse_letters(v)))
+    assert (fingerprint(n, u) == fingerprint(n, v)) == trivial
 
 
 @st.composite
 def long_word_pairs(draw, max_size: int):
-    """(u, v) in B_n, n in [2, 8], u of up to ``max_size`` letters: v is u
+    """(n, u, v) in B_n, n in [2, 8], free-reduced, u of up to
+    ``max_size`` letters before reduction: v is u
     with relators inserted (the same braid), and then sometimes a letter
     or a commutator s_i s_{i+1} s_i^-1 s_{i+1}^-1 (a different braid)."""
     n = draw(st.integers(2, 8))
@@ -381,34 +402,34 @@ def long_word_pairs(draw, max_size: int):
         extra = ((i,) if kind == "letter" or n == 2
                  else (i, i + 1, -i, -(i + 1)))
         v = v[:at] + extra + v[at:]
-    return BraidWord(n, u), BraidWord(n, v)
+    return n, free_reduce(n, u), free_reduce(n, v)
 
 
 @settings(deadline=None)
 @given(long_word_pairs(300))
 def test_key_decides_equality_against_garside_oracle(pair):
-    u, v = pair
-    assert ((fingerprint(u) == fingerprint(v))
-            == (garside_key_oracle(u) == garside_key_oracle(v)))
+    n, u, v = pair
+    assert ((fingerprint(n, u) == fingerprint(n, v))
+            == (garside_key_oracle(n, u) == garside_key_oracle(n, v)))
 
 
 @settings(deadline=None)
 @given(long_word_pairs(100))
 def test_key_is_zero_exactly_on_trivial_braids(pair):
-    u, v = pair
-    word = u * v.inverse()
-    key = fingerprint(word)
-    assert len(key) == 2 * word.n
-    assert (not any(key)) == (not handle_reduce(word).letters)
+    n, u, v = pair
+    word = concat(u, inverse_letters(v))
+    key = fingerprint(n, word)
+    assert len(key) == 2 * n
+    assert (not any(key)) == (not handle_reduce(n, word))
 
 
 @given(word_pairs(2, 6), st.data())
 def test_key_invariant_under_relator_insertion(pair, data):
-    u, _ = pair
+    n, u, _ = pair
     at = data.draw(st.integers(0, len(u)))
-    rel = _relator(data.draw, u.n)
-    v = BraidWord(u.n, u.letters[:at] + rel + u.letters[at:])
-    assert fingerprint(u) == fingerprint(v)
+    rel = _relator(data.draw, n)
+    v = free_reduce(n, u[:at] + rel + u[at:])
+    assert fingerprint(n, u) == fingerprint(n, v)
 
 
 @st.composite
@@ -446,10 +467,10 @@ def test_action_on_key_matches_whole_word_key(case):
     # Letters acting on u's key give the key of the whole word u v; v's
     # letters are acted on as given, unreduced and across the junction.
     n, u, v = case
-    u_key = fingerprint(BraidWord(n, u))
-    whole = fingerprint(BraidWord(n, u + v))
+    u_key = fingerprint(n, free_reduce(n, u))
+    whole = fingerprint(n, free_reduce(n, u + v))
     assert act(_coordinates(u_key), v) == whole
-    assert product_key(GroupContext.braid(n), u_key, BraidWord(n, v)) == whole
+    assert product_key(GroupContext.braid(n), u_key, free_reduce(n, v)) == whole
     if v == tuple(-l for l in reversed(u)):
         assert whole == (0,) * (2 * n)
 
@@ -458,14 +479,12 @@ def test_action_on_key_matches_whole_word_key(case):
 def test_product_keys_decide_equality_against_burau_b3(pair, data):
     # Split each word of a pair into a left factor, keyed as a whole
     # word, and a right factor acting on that key.
-    b3 = GroupContext.braid(3)
+    n, *words = pair
     keys = []
-    for word in pair:
+    for word in words:
         at = data.draw(st.integers(0, len(word)))
-        left = BraidWord(3, word.letters[:at])
-        keys.append(product_key(b3, fingerprint(left),
-                                BraidWord(3, word.letters[at:])))
-    assert (keys[0] == keys[1]) == braids_equal_oracle(*pair)
+        keys.append(product_key(B3, fingerprint(n, word[:at]), word[at:]))
+    assert (keys[0] == keys[1]) == braids_equal_oracle(n, *words)
 
 
 def _inversions(perm) -> int:
@@ -503,7 +522,7 @@ def test_key_is_a_left_normal_form(case):
     # adjacent pair is left-weighted, and Delta^p A_1 ... A_r has the
     # word's permutation.
     n, letters = case
-    p, factors = garside_key_oracle(BraidWord(n, letters))
+    p, factors = garside_key_oracle(n, free_reduce(n, letters))
     perms = [_perms_by_rank(n)[a] for a in factors]
     identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
     assert identity not in perms and delta not in perms
@@ -521,45 +540,44 @@ def test_key_is_a_left_normal_form(case):
 
 def test_keys_do_not_depend_on_cache_state():
     rng = random.Random(1313)
-    words = [random_word(rng, n, 60, 20) for n in (3, 4, 5, 6) * 5]
-    others = [random_word(rng, n, 60, 20) for n in (6, 5, 4, 3) * 5]
+    words = [(n, random_word(rng, n, 60, 20)) for n in (3, 4, 5, 6) * 5]
+    others = [(n, random_word(rng, n, 60, 20)) for n in (6, 5, 4, 3) * 5]
     b4 = GroupContext.braid(4)
-    u = BraidWord(4, (1, 2, 1, -3, 2, 3, -1))
-    v = BraidWord(4, (2, 1, 2, -3, 2, 3, -1))  # s1 s2 s1 = s2 s1 s2
+    u = (1, 2, 1, -3, 2, 3, -1)
+    v = (2, 1, 2, -3, 2, 3, -1)  # s1 s2 s1 = s2 s1 s2
     clear_caches()
-    keys = [fingerprint(w) for w in words]
+    keys = [fingerprint(n, w) for n, w in words]
     before = b4.element(u)
     hash(before)  # caches its key
     clear_caches()
-    for w in others:  # other words are keyed in between
-        fingerprint(w)
-    assert [fingerprint(w) for w in reversed(words)] == keys[::-1]
+    for n, w in others:  # other words are keyed in between
+        fingerprint(n, w)
+    assert [fingerprint(n, w) for n, w in reversed(words)] == keys[::-1]
     after = b4.element(v)
     assert after == before and hash(after) == hash(before)
 
 
 def test_clear_caches_resets_every_braid_memo():
     # The reduction memo is the one braid memo; keys are not memoized.
-    word = BraidWord(4, (1, -2, 3, 2, -1, -3, 2))
-    reduced = handle_reduce(word)
-    assert braids._reduce_cache[(4, word.letters)] is reduced
+    word = (1, -2, 3, 2, -1, -3, 2)
+    reduced = handle_reduce(4, word)
+    assert braids._reduce_cache[(4, word)] is reduced
     clear_caches()
     assert not braids._reduce_cache
-    fingerprint(word)
+    fingerprint(4, word)
     assert not braids._reduce_cache
-    assert handle_reduce(word) is not reduced
+    assert handle_reduce(4, word) is not reduced
 
 
 def test_reduction_memo_holds_one_entry_per_reduction():
     # A rewriting reduction is stored under its input's letters only;
     # reducing its result again rescans it and returns it unchanged.
     clear_caches()
-    word = BraidWord(4, (1, -2, 3, 2, -1, -3, 2))
-    reduced = handle_reduce(word)
-    assert reduced.letters != word.letters
-    assert list(braids._reduce_cache) == [(4, word.letters)]
-    again = BraidWord(4, reduced.letters)
-    assert handle_reduce(again) is again
+    word = (1, -2, 3, 2, -1, -3, 2)
+    reduced = handle_reduce(4, word)
+    assert reduced != word
+    assert list(braids._reduce_cache) == [(4, word)]
+    assert handle_reduce(4, reduced) is reduced
     assert len(braids._reduce_cache) == 2
 
 
@@ -569,5 +587,5 @@ def test_subword_property_sample():
     for _ in range(120):
         beta = random_word(rng, 3, 6)
         alpha = random_positive_word(rng, 3, 5)
-        conjugated = beta * alpha * beta.inverse()
-        assert main_sign(conjugated).sign == 1
+        conjugated = concat(concat(beta, alpha), inverse_letters(beta))
+        assert main_sign(3, conjugated).sign == 1

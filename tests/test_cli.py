@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -563,6 +564,17 @@ def test_readme_example_report_bytes(capsys, argv, code, digest):
     got, out = run_cli(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs as written; the blocks
+    assert what they show."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        blocks = re.findall(r"^```python\n(.*?)^```", f.read(), re.S | re.M)
+    assert len(blocks) >= 2  # free reduction and budget_scope
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_report_emit_rejects_unknown_format():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ordercone
-from ordercone import (BraidWord, BudgetExceededError, ContextMismatchError,
+from ordercone import (BudgetExceededError, ContextMismatchError,
                        GroupContext, GroupElement, UsageError, ball,
                        budget_scope, current_budget, multiply)
 
@@ -69,8 +69,8 @@ def test_free_abelian_examples(z2):
     (GroupContext.free_abelian(2), [1, 2], UsageError),
     (GroupContext.free_abelian(2), (1, 2, 3), UsageError),
     (GroupContext.klein_bottle(), (1,), UsageError),
-    (GroupContext.braid(3), (1, 2), UsageError),
-    (GroupContext.braid(3), BraidWord(4, (3,)), ContextMismatchError),
+    (GroupContext.braid(3), (1, True), UsageError),
+    (GroupContext.braid(3), (3,), UsageError),
 ], ids=["float", "bool", "list", "length", "klein-length", "braid-tuple",
         "braid-n"])
 def test_element_payload_is_checked_at_construction(context, payload, error):
@@ -98,7 +98,7 @@ def test_context_mismatch(b3, z2):
             (1, 0, 0)))
     assert b3.element("s1") != z2.element((1, 0))
     # An equal context that is not the interned one still multiplies.
-    twin = GroupElement(GroupContext("braid", n=3), BraidWord(3, (2,)))
+    twin = GroupElement(GroupContext("braid", n=3), (2,))
     product = multiply(b3.element("s1"), twin)
     assert product == b3.element("s1 s2") and product.context == b3
 
@@ -158,9 +158,8 @@ def test_braid_ball_against_burau_oracle(b3):
         words.add((l1,))
         for l2 in letters:
             words.add((l1, l2))
-    from ordercone import BraidWord
-    images = {burau_exact(BraidWord(3, w)) for w in words}
-    identity_image = burau_exact(BraidWord(3, ()))
+    images = {burau_exact(3, w) for w in words}
+    identity_image = burau_exact(3, ())
     images.discard(identity_image)
     assert len(images) == len(ball(b3, 2)) == 16
 
@@ -269,22 +268,21 @@ def test_semigroup_bfs_matches_element_hashing_oracle():
 
 def test_ball_word_lengths_are_geodesic(b3):
     # Re-derive shortest words by BFS over raw words with the Burau oracle.
-    from ordercone import BraidWord
     b = ball(b3, 3)
-    shortest = {burau_exact(BraidWord(3, ())): 0}
+    shortest = {burau_exact(3, ()): 0}
     frontier = [()]
     for depth in range(1, 4):
         new = []
         for word in frontier:
             for letter in (1, -1, 2, -2):
                 candidate = word + (letter,)
-                image = burau_exact(BraidWord(3, candidate))
+                image = burau_exact(3, candidate)
                 if image not in shortest:
                     shortest[image] = depth
                     new.append(candidate)
         frontier = new
     for element in b:
-        assert shortest[burau_exact(element.word)] == element.word_length()
+        assert shortest[burau_exact(3, element.payload)] == element.word_length()
 
 
 def test_ball_budget(b3):

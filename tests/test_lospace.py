@@ -26,7 +26,7 @@ from ordercone import (BraidShiftPredicate, BudgetExceededError,
 from ordercone.braids import clear_caches
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DensityWitness,
-                                    DiscretenessPass)
+                                    DiscretenessPass, IntervalClosureReport)
 from ordercone.groups import clear_ball_cache
 from ordercone.lospace import _conjugation_row
 
@@ -468,7 +468,7 @@ def test_sorted_convexity_matches_triple_scan_on_conjugates(
                                                      label="r"))
     elif predicate_kind == "cyclic":  # exponent sum 0 has no exact rule
         generators = [g for g in words
-                      if sum(1 if l > 0 else -1 for l in g.word.letters)]
+                      if sum(1 if l > 0 else -1 for l in g.payload)]
         g = data.draw(st.sampled_from(generators), label="generator")
         predicate = CyclicBraidPredicate(3, g.text())
     else:
@@ -548,6 +548,18 @@ def test_interval_closure_klein(klein):
     members = {tuple(m) for m, _ in report.members}
     assert members == {(0, 1), (0, -1), (0, 2), (0, -2)}
     assert report.all_stabilize
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_interval_closure_refuses_k_max_below_one(b3, k_max):
+    # No power g^k with k < 1 bounds an interval: such a call used to
+    # return no members with all_stabilize True, and replay that report.
+    with pytest.raises(UsageError, match="k_max must be at least 1"):
+        interval_closure(DehornoyCone(3), b3.element("s1"), 2, k_max)
+    stored = IntervalClosureReport({"type": "dehornoy", "n": 3}, "s1", 2,
+                                   k_max, (), True)
+    with pytest.raises(UsageError, match="k_max must be at least 1"):
+        stored.replay()
 
 
 # -- property scans -----------------------------------------------------------
