@@ -113,7 +113,7 @@ class AccumulationWitness:
         h = cone.context.element(self.conjugator)
         result = distance(cone, ConjugateCone(cone, h), self.resolution)
         return (result.exact and result.agree_radius == self.agree_radius
-                and self.agree_radius >= self.target_radius)
+                and self.agree_radius >= self.target_radius >= 0)
 
     def to_json(self) -> dict:
         return {"kind": "accumulation_witness", "cone": self.cone_json,

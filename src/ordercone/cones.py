@@ -10,7 +10,7 @@ subgroups, and lexicographic extensions over a normal convex subgroup.
 
 Oracles are immutable value objects; evaluation is pure.  Everything
 serializes to a JSON tagged union and deserializes to an oracle that
-replays identically (flip and replace re-certify convexity on load).
+replays identically (flip and replace certify convexity on construction).
 """
 
 from __future__ import annotations
@@ -472,16 +472,16 @@ class ConjugateCone(ConeOracle):
 
 @dataclass(frozen=True)
 class FlipCone(ConeOracle):
-    """The base cone with its sign negated exactly on a certified convex
-    subgroup: the flipped restriction glued to the untouched outside.
-    A cone by convexity, certified only up to the certificate's radius."""
+    """The base cone with its sign negated exactly on a convex subgroup:
+    the flipped restriction glued to the untouched outside.  A cone by
+    convexity, which the constructor certifies up to ``radius`` only."""
 
     base: ConeOracle
     predicate: ConvexPredicate
-    certificate: ConvexityCertificate
+    radius: int
 
     def __post_init__(self) -> None:
-        _check_certificate(self.certificate, self.base, self.predicate)
+        _certify(self)
 
     @property
     def context(self) -> GroupContext:
@@ -494,7 +494,7 @@ class FlipCone(ConeOracle):
     def to_json(self) -> dict:
         return {"type": "flip_on_convex", "base": self.base.to_json(),
                 "predicate": self.predicate.to_json(),
-                "radius": self.certificate.radius}
+                "radius": self.radius}
 
     def describe(self) -> str:
         return f"flip[{self.predicate.describe()}]({self.base.describe()})"
@@ -502,18 +502,18 @@ class FlipCone(ConeOracle):
 
 @dataclass(frozen=True)
 class ReplaceCone(ConeOracle):
-    """The base cone with its restriction to a certified convex subgroup
-    replaced by an arbitrary order of that subgroup.  A cone by
-    convexity, certified only up to the certificate's radius."""
+    """The base cone with its restriction to a convex subgroup replaced
+    by an arbitrary order of that subgroup.  A cone by convexity, which
+    the constructor certifies up to ``radius`` only."""
 
     base: ConeOracle
     predicate: ConvexPredicate
     inner: ConeOracle
-    certificate: ConvexityCertificate
+    radius: int
 
     def __post_init__(self) -> None:
-        _check_certificate(self.certificate, self.base, self.predicate)
-        _check_inner(self.inner, self.predicate)
+        _check_inner(self.inner, self.predicate)  # before the ball is sorted
+        _certify(self)
 
     @property
     def context(self) -> GroupContext:
@@ -529,7 +529,7 @@ class ReplaceCone(ConeOracle):
         return {"type": "replace_on_convex", "base": self.base.to_json(),
                 "predicate": self.predicate.to_json(),
                 "inner": self.inner.to_json(),
-                "radius": self.certificate.radius}
+                "radius": self.radius}
 
     def describe(self) -> str:
         return (f"replace[{self.predicate.describe()}<-{self.inner.describe()}]"
@@ -583,15 +583,14 @@ def _check_inner(inner: ConeOracle, predicate: ConvexPredicate) -> None:
             "inner cone lives on the wrong group for this subgroup")
 
 
-def _check_certificate(certificate, base: ConeOracle,
-                       predicate: ConvexPredicate) -> None:
-    if certificate is None:
+def _certify(cone: FlipCone | ReplaceCone) -> None:
+    """Refuse a flip or replacement failing the sorted-ball check."""
+    from .lospace import convexity_check
+    if not isinstance(convexity_check(cone.base, cone.predicate, cone.radius),
+                      ConvexityCertificate):
         raise CertificateError(
-            "uncertified convex subgroup: run the convexity check first")
-    if (certificate.cone_json != base.to_json()
-            or certificate.predicate_json != predicate.to_json()):
-        raise CertificateError(
-            "certificate does not match this cone and subgroup")
+            f"{cone.predicate.describe()} is not convex in "
+            f"{cone.base.describe()} at radius {cone.radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +623,15 @@ def cone_from_json(data: dict) -> ConeOracle:
     if kind == "conjugate":
         base = cone_from_json(_field(data, "base"))
         return ConjugateCone(base, base.context.element(_field(data, "g")))
-    if kind in ("flip_on_convex", "replace_on_convex"):
-        from .lospace import convexity_check
-        base = cone_from_json(_field(data, "base"))
-        predicate = predicate_from_json(_field(data, "predicate"))
-        inner = (cone_from_json(_field(data, "inner"))
-                 if kind == "replace_on_convex" else None)
-        if inner is not None:  # refused before the ball is certified
-            _check_inner(inner, predicate)
-        result = convexity_check(base, predicate, _int_field(data, "radius"))
-        if not isinstance(result, ConvexityCertificate):
-            raise CertificateError(
-                f"stored {kind} no longer certifies as convex on replay")
-        if inner is None:
-            return FlipCone(base, predicate, result)
-        return ReplaceCone(base, predicate, inner, result)
+    if kind == "flip_on_convex":
+        return FlipCone(cone_from_json(_field(data, "base")),
+                        predicate_from_json(_field(data, "predicate")),
+                        _int_field(data, "radius"))
+    if kind == "replace_on_convex":
+        return ReplaceCone(cone_from_json(_field(data, "base")),
+                           predicate_from_json(_field(data, "predicate")),
+                           cone_from_json(_field(data, "inner")),
+                           _int_field(data, "radius"))
     if kind == "lex_extension":
         return LexExtensionCone(predicate_from_json(_field(data, "convex")),
                                 cone_from_json(_field(data, "inner")),

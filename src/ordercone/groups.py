@@ -377,8 +377,8 @@ def ball(context: GroupContext, radius: int) -> Ball:
     Braid balls are capped by the budget because they grow exponentially
     and every candidate computes its Dynnikov key.
     """
-    if radius < 0:
-        raise UsageError("ball radius must be nonnegative")
+    if type(radius) is not int or radius < 0:
+        raise UsageError("ball radius must be a nonnegative integer")
     if context.family == BRAID:
         limit = current_budget().braid_ball_limit(context.n)
         if radius > limit:

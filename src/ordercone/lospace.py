@@ -267,6 +267,8 @@ def dd_isolation_witnesses(n: int, radius: int,
     Elements left unresolved within ``max_len`` or the frontier budget
     raise, never silently vanish.
     """
+    if max_len < 1:
+        raise UsageError("max_len must be at least 1")
     cone = DubrovinaDubrovinCone(n)
     context = cone.context
     frontier_cap = current_budget().bfs_frontier
@@ -323,6 +325,8 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
     """
     if conjugators.context != cone.context:
         raise ContextMismatchError("incompatible groups")
+    if target_radius < 0:
+        raise UsageError("target radius must be nonnegative")
     if resolution is None:
         resolution = target_radius + 1
     if resolution <= target_radius:
@@ -471,22 +475,18 @@ def _conjugation_row(cone: ConeOracle, b: Ball, g: GroupElement) -> list[int]:
 
 
 def _check_certified_to(cone: ConeOracle, radius: int) -> None:
-    """Refuse ``cone`` when it, or a cone it is built on, carries a
-    convexity certificate of radius below ``radius``.
+    """Refuse ``cone`` when it, or a cone it is built on, is a flip or
+    replacement certified convex to a radius below ``radius``.
 
     Only a necessary condition: the conjugation table signs elements up
     to three times the radius, and the Conradian powers go further."""
-    stack = [cone]
-    while stack:
-        current = stack.pop()
-        certificate = getattr(current, "certificate", None)
-        if certificate is not None and certificate.radius < radius:
-            raise CertificateError(
-                f"{current.describe()} is certified convex only to radius "
-                f"{certificate.radius}, below the scan radius {radius}")
-        stack += [getattr(current, name)
-                  for name in ("base", "inner", "quotient")
-                  if isinstance(getattr(current, name, None), ConeOracle)]
+    if getattr(cone, "radius", radius) < radius:
+        raise CertificateError(
+            f"{cone.describe()} is certified convex only to radius "
+            f"{cone.radius}, below the scan radius {radius}")
+    for name in ("base", "inner", "quotient"):
+        if isinstance(getattr(cone, name, None), ConeOracle):
+            _check_certified_to(getattr(cone, name), radius)
 
 
 def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
@@ -504,8 +504,8 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
     closed under inverses, g stabilizes the cone on the ball exactly when
     ``rows[g^-1]`` is the cone's sign vector.
 
-    A flip or replacement, here or inside the cone, whose certificate
-    radius is below ``radius`` raises ``CertificateError``.
+    A flip or replacement, here or inside the cone, certified convex
+    below ``radius`` raises ``CertificateError``.
     """
     if n_max < 1:
         raise UsageError("n_max must be at least 1")

@@ -328,9 +328,7 @@ def _cone_pools(rng):
     braid_pool = [dehornoy, DubrovinaDubrovinCone(3)]
     for text in ("s1", "s2 S1", "s1 s2", "S2 s1 S2"):
         braid_pool.append(ConjugateCone(dehornoy, b3.element(text)))
-    shift = BraidShiftPredicate(3, 1)
-    cert = convexity_check(dehornoy, shift, 3)
-    braid_pool.append(FlipCone(dehornoy, shift, cert))
+    braid_pool.append(FlipCone(dehornoy, BraidShiftPredicate(3, 1), 3))
     return [klein_pool, lattice_pool, braid_pool]
 
 

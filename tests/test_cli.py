@@ -353,6 +353,27 @@ def test_n_max_below_one_is_usage_error(capsys, argv, n_max):
         assert "n_max must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dd-witness", "--n", "3", "--radius", "2", "--max-len", "0"),
+     "max_len must be at least 1"),
+    (("dd-witness", "--n", "3", "--radius", "2", "--max-len", "-5"),
+     "max_len must be at least 1"),
+    (("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "1",
+      "--target-radius", "-3", "--resolution", "2"),
+     "target radius must be nonnegative"),
+    (("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "1",
+      "--target-radius", "-1"), "target radius must be nonnegative"),
+], ids=["max-len-0", "max-len-negative", "target-negative-resolution",
+        "target-negative"])
+def test_search_bounds_below_range_are_usage_errors(capsys, argv, message):
+    # These used to exit 3 ("budget exhausted") or 0 with a report.
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_soul_command(capsys):
     chain = json.dumps([{"type": "braid_shift", "n": 3, "r": 1},
                         {"type": "whole", "group": {"family": "braid", "n": 3}}])
@@ -572,7 +593,7 @@ def test_readme_python_blocks_run():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
         blocks = re.findall(r"^```python\n(.*?)^```", f.read(), re.S | re.M)
-    assert len(blocks) >= 2  # free reduction and budget_scope
+    assert len(blocks) >= 3  # free reduction, a refused flip, budget_scope
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,12 @@ from ordercone import (BraidShiftPredicate, CertificateError,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec,
-                       LexExtensionCone, QuadScalar, ReplaceCone, UsageError,
+                       LexExtensionCone, OrderconeError, QuadScalar,
+                       ReplaceCone, UsageError,
                        WholePredicate, ball, compare, cone_from_json,
-                       convexity_check, predicate_from_json, sign_vector)
+                       predicate_from_json, sign_vector)
 from ordercone import intlinalg, lospace
 from ordercone.braids import free_reduce
-from ordercone.certificates import ConvexityCertificate
 
 from conftest import (handle_reduce_oracle, random_positive_word, random_word,
                       rational_rank_oracle)
@@ -34,12 +35,6 @@ def lat(k, *normals):
 
 Z_POS = lat(1, (1,))
 Z_NEG = lat(1, (-1,))
-
-
-def certified(cone, predicate, radius):
-    result = convexity_check(cone, predicate, radius)
-    assert isinstance(result, ConvexityCertificate)
-    return result
 
 
 def test_cone_sign_examples(b3, klein):
@@ -91,34 +86,93 @@ def test_conjugation_coherence(b3):
 def test_flip_on_braid_shift(b3):
     pd = DehornoyCone(3)
     shift = BraidShiftPredicate(3, 1)
-    flip = FlipCone(pd, shift, certified(pd, shift, 3))
+    flip = FlipCone(pd, shift, 3)
     assert flip.sign(b3.element("s2")) == -1
     assert flip.sign(b3.element("s1")) == 1
     sign_vector(flip, 3).validate()
 
 
-def test_flip_requires_certificate(b3):
+def test_flip_requires_certificate():
+    # The constructor certifies the subgroup itself: <s1 s2> is not convex
+    # in the Dehornoy order at radius 3, so neither a flip nor a
+    # replacement over it is built, whatever the caller holds.
     pd = DehornoyCone(3)
-    shift = BraidShiftPredicate(3, 1)
-    with pytest.raises(CertificateError):
-        FlipCone(pd, shift, None)
-    # A certificate for a different subgroup is rejected too.
-    other = certified(pd, WholePredicate(b3), 2)
-    with pytest.raises(CertificateError):
-        FlipCone(pd, shift, other)
+    cyclic = CyclicBraidPredicate(3, "s1 s2")
+    message = "<s1 s2><=B_3 is not convex in dehornoy:3 at radius 3"
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        FlipCone(pd, cyclic, 3)
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        ReplaceCone(pd, cyclic, Z_NEG, 3)
+    assert FlipCone(pd, BraidShiftPredicate(3, 1), 3).radius == 3
+
+
+@pytest.mark.parametrize("radius", [True, 2.5, None, -1])
+def test_flip_refuses_a_radius_that_is_not_a_nonnegative_int(radius):
+    # A radius of True used to build a flip whose descriptor, with
+    # "radius": true, then failed to load; 2.5 and None raised TypeError.
+    with pytest.raises(UsageError, match="nonnegative integer"):
+        FlipCone(DehornoyCone(3), BraidShiftPredicate(3, 1), radius)
+    with pytest.raises(UsageError, match="nonnegative integer"):
+        ball(GroupContext.free_abelian(2), radius)
+
+
+def _derived(args):
+    """A flip (three arguments) or replacement (four) built by its
+    constructor and from its descriptor: each a cone or the error."""
+    def build(make):
+        try:
+            return make()
+        except OrderconeError as error:
+            return type(error), str(error)
+
+    data = {"type": "flip_on_convex", "base": args[0].to_json(),
+            "predicate": args[1].to_json(), "radius": args[-1]}
+    cls = FlipCone
+    if len(args) == 4:
+        data.update(type="replace_on_convex", inner=args[2].to_json())
+        cls = ReplaceCone
+    return build(lambda: cls(*args)), build(lambda: cone_from_json(data))
+
+
+_B3_CYCLIC = CyclicBraidPredicate(3, "s1 s2")
+
+
+@pytest.mark.parametrize("args, refused", [
+    ((DehornoyCone(3), _B3_CYCLIC, 3), CertificateError),
+    ((DehornoyCone(3), _B3_CYCLIC, Z_POS, 3), CertificateError),
+    ((DehornoyCone(3), _B3_CYCLIC, 1), None),
+    ((DehornoyCone(3), _B3_CYCLIC, Z_NEG, 1), None),
+    ((DehornoyCone(3), BraidShiftPredicate(3, 1), 3), None),
+    ((DehornoyCone(4), BraidShiftPredicate(4, 1), DubrovinaDubrovinCone(3),
+      2), None),
+    ((KleinTararinCone(1, 1), KleinYPredicate(), 4), None),
+    ((KleinTararinCone(1, 1), KleinYPredicate(), Z_POS, -1), UsageError),
+    ((KleinTararinCone(1, 1), KleinYPredicate(), DehornoyCone(3), 4),
+     ContextMismatchError),
+], ids=["flip-cyclic-3", "replace-cyclic-3", "flip-cyclic-1",
+        "replace-cyclic-1", "flip-shift", "replace-shift", "flip-klein",
+        "replace-negative-radius", "replace-wrong-inner"])
+def test_constructor_and_descriptor_certify_alike(args, refused):
+    built, loaded = _derived(args)
+    if refused is not None:
+        assert built == loaded and built[0] is refused
+        return
+    assert loaded.to_json() == built.to_json()
+    radius = min(args[-1], 2)
+    assert sign_vector(loaded, radius) == sign_vector(built, radius)
 
 
 def test_flip_klein_matches_orientation(klein):
     base = KleinTararinCone(1, 1)
     pred = KleinYPredicate()
-    flip = FlipCone(base, pred, certified(base, pred, 4))
+    flip = FlipCone(base, pred, 4)
     assert sign_vector(flip, 4) == sign_vector(KleinTararinCone(1, -1), 4)
 
 
 def test_flip_lattice_matches_spec(z2):
     base = lat(2, (0, 1), (1, 0))
     pred = LatticeSublatticePredicate(2, ((1, 0),))
-    flip = FlipCone(base, pred, certified(base, pred, 6))
+    flip = FlipCone(base, pred, 6)
     direct = lat(2, (0, 1), (-1, 0))
     assert sign_vector(flip, 6) == sign_vector(direct, 6)
 
@@ -126,17 +180,15 @@ def test_flip_lattice_matches_spec(z2):
 def test_replace_on_convex(b3):
     pd = DehornoyCone(3)
     shift = BraidShiftPredicate(3, 1)
-    cert = certified(pd, shift, 3)
     # Replacing with the restriction itself changes nothing: <s2> carries
     # the shifted Dehornoy order of B_2.
-    same = ReplaceCone(pd, shift, DehornoyCone(2), cert)
+    same = ReplaceCone(pd, shift, DehornoyCone(2), 3)
     assert sign_vector(same, 3) == sign_vector(pd, 3)
     # The nonstandard order of <s2> makes s2 negative but keeps the
     # 1-positive elements positive.
     whole2 = WholePredicate(GroupContext.braid(2))
-    inner_cert = certified(DehornoyCone(2), whole2, 2)
-    reversed_inner = FlipCone(DehornoyCone(2), whole2, inner_cert)
-    swapped = ReplaceCone(pd, shift, reversed_inner, cert)
+    reversed_inner = FlipCone(DehornoyCone(2), whole2, 2)
+    swapped = ReplaceCone(pd, shift, reversed_inner, 3)
     assert swapped.sign(b3.element("s2")) == -1
     for k in range(-3, 4):
         word = "s1 " + " ".join(["s2"] * k) if k >= 0 else \
@@ -148,9 +200,8 @@ def test_replace_on_convex(b3):
 def test_replace_equals_flip(klein):
     base = KleinTararinCone(1, 1)
     pred = KleinYPredicate()
-    cert = certified(base, pred, 4)
-    flipped = FlipCone(base, pred, cert)
-    replaced = ReplaceCone(base, pred, Z_NEG, cert)
+    flipped = FlipCone(base, pred, 4)
+    replaced = ReplaceCone(base, pred, Z_NEG, 4)
     assert sign_vector(flipped, 4) == sign_vector(replaced, 4)
 
 
@@ -233,7 +284,10 @@ def test_axiom_suite_over_the_zoo(b3, klein):
         (lat(2, ((1, 0), (0, 1))), 6),
         (lat(2, (0, 1), (1, 0)), 6),
         (ConjugateCone(pd, b3.element("s1 S2")), 3),
-        (FlipCone(pd, shift, certified(pd, shift, 3)), 3),
+        (FlipCone(pd, shift, 3), 3),
+        (ReplaceCone(DehornoyCone(4), BraidShiftPredicate(4, 1),
+                     DubrovinaDubrovinCone(3), 2), 2),
+        (ReplaceCone(KleinTararinCone(1, 1), KleinYPredicate(), Z_NEG, 4), 4),
         (LexExtensionCone(KleinYPredicate(), Z_NEG, Z_POS), 5),
     ]
     for cone, radius in zoo:
@@ -267,8 +321,8 @@ def test_serialization_round_trip(b3, klein):
         KleinTararinCone(-1, 1),
         lat(2, ((1, 0), (0, 1))),
         ConjugateCone(pd, b3.element("s1 s2")),
-        FlipCone(pd, shift, certified(pd, shift, 3)),
-        ReplaceCone(pd, shift, DehornoyCone(2), certified(pd, shift, 3)),
+        FlipCone(pd, shift, 3),
+        ReplaceCone(pd, shift, DehornoyCone(2), 3),
         LexExtensionCone(KleinYPredicate(), Z_POS, Z_NEG),
     ]
     for cone in cones:
@@ -316,7 +370,7 @@ def test_project_refusal_names_the_subgroup(b3, klein, z2):
 def test_replace_solves_once_per_sign(monkeypatch, z2):
     base = lat(2, (0, 1), (1, 0))
     line = LatticeSublatticePredicate(2, ((1, 0),))
-    replaced = ReplaceCone(base, line, Z_NEG, certified(base, line, 4))
+    replaced = ReplaceCone(base, line, Z_NEG, 4)
     calls = []
     solve = intlinalg.solve_in_row_span
     monkeypatch.setattr(intlinalg, "solve_in_row_span",

@@ -24,7 +24,7 @@ from ordercone import (BraidShiftPredicate, BudgetExceededError,
                        interval_closure, klein_tararin_cones,
                        order_property_scan, sign_vector, soul_estimate)
 from ordercone.braids import clear_caches
-from ordercone.certificates import (ConvexityCertificate,
+from ordercone.certificates import (AccumulationWitness, ConvexityCertificate,
                                     ConvexityCounterexample, DensityWitness,
                                     DiscretenessPass, IntervalClosureReport)
 from ordercone.groups import clear_ball_cache
@@ -40,12 +40,6 @@ def lat(k, *normals):
         k, tuple(tuple(QuadScalar(*e) if isinstance(e, tuple)
                        else QuadScalar(e) for e in normal)
                  for normal in normals)))
-
-
-def certified(cone, predicate, radius):
-    result = convexity_check(cone, predicate, radius)
-    assert isinstance(result, ConvexityCertificate)
-    return result
 
 
 # -- sign vectors and distance ------------------------------------------------
@@ -72,7 +66,7 @@ def test_distance_examples(b3):
     assert str(same.distance) == "1/16"
 
     shift = BraidShiftPredicate(3, 1)
-    flip = FlipCone(pd, shift, certified(pd, shift, 3))
+    flip = FlipCone(pd, shift, 3)
     flipped = distance(pd, flip, 4)
     assert flipped.agree_radius == 0 and flipped.exact
 
@@ -324,6 +318,14 @@ def test_budget_scope_reaches_handle_reduction(call):
     call()
 
 
+@pytest.mark.parametrize("max_len", [0, -5])
+def test_dd_witness_refuses_max_len_below_one(max_len):
+    # No factorization has a length below 1: such a call used to raise
+    # "no semigroup witness of length <= 0", a budget error.
+    with pytest.raises(UsageError, match="max_len must be at least 1"):
+        dd_isolation_witnesses(3, 2, max_len)
+
+
 # -- accumulation -------------------------------------------------------------
 
 
@@ -348,6 +350,20 @@ def test_accumulation_braid(b3):
     # Deterministic: the same scan returns the same witness.
     again = accumulation_scan(pd, conjugators, 1, resolution=3)
     assert again == witness
+
+
+@pytest.mark.parametrize("target_radius", [-1, -3])
+def test_accumulation_refuses_a_negative_target_radius(b3, target_radius):
+    # A distance bound 2^-t above 1 bounds nothing: such a scan used to
+    # report a witness with a resolution and none without.
+    for resolution in (None, 2):
+        with pytest.raises(UsageError, match="target radius must be nonneg"):
+            accumulation_scan(DehornoyCone(3), ball(b3, 1), target_radius,
+                              resolution)
+    dehornoy = DehornoyCone(3).to_json()
+    assert AccumulationWitness(dehornoy, "s1", 0, 1, 3).replay()
+    assert not AccumulationWitness(dehornoy, "s1", target_radius, 1,
+                                   3).replay()
 
 
 class ZeroOnS2(ConeOracle):
@@ -636,9 +652,8 @@ _B4 = GroupContext.braid(4)
 def _on_shift(base, predicate, radius, inner=None):
     """A flip, or with ``inner`` a replacement, on a subgroup (a shifted
     strand subgroup, say), certified convex at the radius."""
-    cert = certified(base, predicate, radius)
-    return (FlipCone(base, predicate, cert) if inner is None
-            else ReplaceCone(base, predicate, inner, cert))
+    return (FlipCone(base, predicate, radius) if inner is None
+            else ReplaceCone(base, predicate, inner, radius))
 
 
 _FLIP_SHIFT = _on_shift(DehornoyCone(3), BraidShiftPredicate(3, 1), 3)
@@ -691,7 +706,7 @@ _Z_LOW = _on_shift(lat(1, (1,)), LatticeSublatticePredicate(1, ((1,),)), 2)
     _LOW,
     ConjugateCone(_LOW, _B3.element("s1 S2")),
     ReplaceCone(_REPLACE_SHIFT.base, _REPLACE_SHIFT.predicate, _LOW,
-                _REPLACE_SHIFT.certificate),
+                _REPLACE_SHIFT.radius),
     LexExtensionCone(KleinYPredicate(), lat(1, (1,)), _Z_LOW),
 ], ids=["flip", "conjugate-of-flip", "replace-with-flip-inside",
         "lex-extension-over-flip"])

@@ -1,0 +1,75 @@
+"""Source hygiene of the library: no module imports a name it never uses,
+and no private module-level name is left that no module references.
+Both catch the leftovers of a deletion."""
+
+import ast
+import pathlib
+
+import pytest
+
+SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ordercone"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere in the tree, as a name or as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(alias.asname or alias.name).split(".")[0]
+                      for alias in node.names]
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+def test_every_imported_name_is_used(module):
+    tree = MODULES[module]
+    unused = [n for n in _imported_names(tree) if n not in _used_names(tree)]
+    assert unused == [], f"{module}.py imports names it never uses: {unused}"
+
+
+def test_every_private_module_name_is_referenced():
+    referenced = set()
+    for tree in MODULES.values():
+        referenced |= _used_names(tree)
+        referenced |= {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names}
+    unreferenced = [f"{module}.{name}" for module, tree in MODULES.items()
+                    for name in _private_definitions(tree)
+                    if name not in referenced]
+    assert unreferenced == []
+
+
+def test_the_checks_catch_a_leftover():
+    tree = ast.parse("import os\nfrom .errors import _field\n_SEEN = 1\n"
+                     "def _left_over():\n    return _field\n")
+    assert [n for n in _imported_names(tree)
+            if n not in _used_names(tree)] == ["os"]
+    assert _private_definitions(tree) == ["_SEEN", "_left_over"]
+    assert not {"_SEEN", "_left_over"} & _used_names(tree)
