@@ -13,7 +13,7 @@ from .cones import (BraidShiftPredicate, ConeOracle, ConvexPredicate,
                     DubrovinaDubrovinCone, FlipCone, KleinTararinCone,
                     KleinYPredicate, LatticeCone, LatticeSublatticePredicate,
                     LexExtensionCone, ReplaceCone, WholePredicate, compare,
-                    cone_from_json, klein_tararin_cones, predicate_from_json)
+                    cone_from_json, predicate_from_json)
 from .errors import (BudgetExceededError, CertificateError,
                      ContextMismatchError, CrossCheckError, OrderconeError,
                      PerturbationError, UsageError)

@@ -144,7 +144,7 @@ def handle_reduce(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
     cached = _reduce_cache.get(key)
     if cached is not None:
         return cached
-    limit = 0  # the budget is read at the first rewrite
+    limit = current_budget().handle_steps
     letters = list(letters)
     unset: list[int | None] = [None] * n
     last = unset[:]
@@ -159,7 +159,7 @@ def handle_reduce(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
             q += 1
             continue
         steps += 1
-        if steps > (limit := limit or current_budget().handle_steps):
+        if steps > limit:
             raise BudgetExceededError(
                 f"reduction budget exceeded after {limit} steps")
         e = -1 if letter > 0 else 1  # the opener is s_i^e

@@ -3,29 +3,20 @@
 Every potentially expensive search carries an explicit budget and fails
 loudly when it runs out; silent truncation is forbidden everywhere.
 Every search reads its limits from ``current_budget()``: the budget
-installed by the innermost ``budget_scope(b)``, or else the defaults with
-the ``ORDERCONE_BUDGET`` environment variable applied, which holds a JSON
-object of field overrides, e.g. ``{"handle_steps": 2000000, "braid_ball":
-{"3": 6}}``.  One scope therefore reaches balls, census, BFS and handle
-reduction alike; the CLI runs each command in the scope of its resolved
-``--budget``.
+installed by the innermost ``budget_scope(b)``, or else the defaults.
+One scope therefore reaches balls, census, BFS and handle reduction
+alike; the CLI runs each command in the scope of its ``--budget``
+overrides, a JSON object of fields such as ``{"handle_steps": 2000000,
+"braid_ball": {"3": 6}}``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import UsageError
-
-_ENV_VAR = "ORDERCONE_BUDGET"
-
-# The budget installed by ``budget_scope``; None means defaults plus env.
-_scoped: ContextVar["Budget | None"] = ContextVar("ordercone_budget",
-                                                  default=None)
 
 #: Default Cayley-ball radius limits for braid groups, keyed by strand count.
 _DEFAULT_BRAID_BALL = {2: 8, 3: 4, 4: 3}
@@ -80,6 +71,10 @@ class Budget:
             raise UsageError(f"bad budget overrides {overrides!r}: {exc}") from exc
 
 
+# The budget installed by the innermost ``budget_scope``.
+_scoped: ContextVar[Budget] = ContextVar("ordercone_budget", default=Budget())
+
+
 @contextmanager
 def budget_scope(budget: Budget):
     """Make ``current_budget()`` return ``budget`` in this context
@@ -92,16 +87,5 @@ def budget_scope(budget: Budget):
 
 
 def current_budget() -> Budget:
-    """The scoped budget if one is set, otherwise defaults then env var."""
-    budget = _scoped.get()
-    if budget is not None:
-        return budget
-    budget = Budget()
-    raw = os.environ.get(_ENV_VAR)
-    if raw:
-        try:
-            env_fields = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{_ENV_VAR} is not valid JSON: {exc}") from exc
-        budget = budget.with_overrides(env_fields)
-    return budget
+    """The innermost scoped budget, or the defaults outside every scope."""
+    return _scoped.get()

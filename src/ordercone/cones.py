@@ -605,11 +605,6 @@ def compare(cone: ConeOracle, g: GroupElement, h: GroupElement) -> str:
     return {1: "<", 0: "=", -1: ">"}[s]
 
 
-def klein_tararin_cones() -> list[KleinTararinCone]:
-    """All four orders of the Klein-bottle group."""
-    return [KleinTararinCone(sx, sy) for sx in (1, -1) for sy in (1, -1)]
-
-
 def cone_from_json(data: dict) -> ConeOracle:
     kind = _field(data, "type")
     if kind == "dehornoy":

@@ -30,8 +30,9 @@ class PerturbationError(BudgetExceededError):
 
 
 class CertificateError(OrderconeError):
-    """A construction that requires a convexity certificate was attempted
-    without one, or with a certificate for a different cone or subgroup."""
+    """A flip or replacement whose subgroup fails the sorted-ball
+    convexity check at its radius, or a scan over a cone certified convex
+    only below the scan radius."""
 
 
 class CrossCheckError(OrderconeError):

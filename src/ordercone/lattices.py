@@ -175,13 +175,14 @@ def _classify(k: int, int_normals) -> Vector | None:
 
 def least_positive_in_ball(spec: LexConeSpec, radius: int) -> Vector | None:
     """Order-minimum of the positive vectors with L1 norm <= radius, read
-    shell by shell in ball order; a negative radius is refused.  Each
+    shell by shell in ball order; a radius that is not a nonnegative
+    ``int`` is refused, as ``groups.ball`` refuses it.  Each
     vector's dot pair (a, b) with the first normal's integer rows is
     computed once.  Dots are linear, so the vector is positive when
     a + b*sqrt(2) > 0 and below the best so far when the difference of
     the pairs is; ``_sign`` reads the later normals only on a (0, 0) pair."""
-    if radius < 0:
-        raise UsageError("ball radius must be nonnegative")
+    if type(radius) is not int or radius < 0:
+        raise UsageError("ball radius must be a nonnegative integer")
     a_row, b_row = spec._int_normals[0]
     best: Vector | None = None
     for norm in range(1, radius + 1):

@@ -55,13 +55,6 @@ class SignVector:
         if len(self.signs) != len(self.ball):
             raise UsageError("sign vector length must match the ball")
 
-    def positives(self) -> list[GroupElement]:
-        return [e for e, s in zip(self.ball.elements, self.signs) if s == 1]
-
-    def restrict(self, radius: int) -> tuple[int, ...]:
-        return tuple(s for s, l in zip(self.signs, self.ball.lengths)
-                     if l <= radius)
-
     def validate(self) -> None:
         """Re-check the invariants: antisymmetry under the inversion
         pairing and closure of positives under in-ball products."""

@@ -95,7 +95,8 @@ import ordercone
 from ordercone import GroupContext, UsageError, ball, cli, lospace
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample)
-from ordercone.cones import ConjugateCone, DubrovinaDubrovinCone
+from ordercone.cones import (ConjugateCone, DubrovinaDubrovinCone,
+                             KleinTararinCone)
 from ordercone.errors import ContextMismatchError, PerturbationError
 from ordercone.groups import GroupElement, iter_lattice_shell
 from ordercone.lattices import (_DELTA_FLOOR, _DELTA_START, DensityReport,
@@ -704,6 +705,22 @@ def random_positive_word(rng: random.Random, n: int,
 
 def inverse_letters(letters) -> tuple[int, ...]:
     return tuple(-l for l in reversed(letters))
+
+
+def klein_tararin_cones() -> list[KleinTararinCone]:
+    """All four orders of the Klein-bottle group."""
+    return [KleinTararinCone(sx, sy) for sx in (1, -1) for sy in (1, -1)]
+
+
+def positives(vector: lospace.SignVector) -> list[GroupElement]:
+    """The ball elements a sign vector signs positive, in ball order."""
+    return [e for e, s in zip(vector.ball.elements, vector.signs) if s == 1]
+
+
+def restrict(vector: lospace.SignVector, radius: int) -> tuple[int, ...]:
+    """The signs of the ball elements of length at most ``radius``."""
+    return tuple(s for s, l in zip(vector.signs, vector.ball.lengths)
+                 if l <= radius)
 
 
 @pytest.fixture

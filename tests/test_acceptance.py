@@ -17,15 +17,15 @@ from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
                        UsageError, accumulation_scan, ball, budget_scope,
                        census, classify_density, current_budget,
                        convexity_check, dd_isolation_witnesses,
-                       discreteness_check, distance,
-                       klein_tararin_cones, order_property_scan, perturb_dense,
-                       sign_vector)
+                       discreteness_check, distance, order_property_scan,
+                       perturb_dense, sign_vector)
 from ordercone.certificates import (ConvexityCertificate,
                                     ConvexityCounterexample, DiscretenessPass)
 from ordercone.errors import PerturbationError
 
 from conftest import (ball_search_density, full_schedule_perturbation,
-                      inverse_letters, random_positive_word, random_word,
+                      inverse_letters, klein_tararin_cones, positives,
+                      random_positive_word, random_word, restrict,
                       window_minimum_oracle)
 
 
@@ -68,11 +68,11 @@ def test_criterion_03_z2_census_extensions():
         base = census(CensusQuery(z2, 2))
         assert len(base) == 8
         for vector in base:
-            pins = tuple(vector.positives())
+            pins = tuple(positives(vector))
             extensions = census(CensusQuery(z2, 4, pins))
             assert len(extensions) >= 2
             for extension in extensions:
-                assert extension.restrict(2) == vector.signs
+                assert restrict(extension, 2) == vector.signs
 
 
 def test_criterion_04_braid_axiom_suite():

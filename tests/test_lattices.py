@@ -182,9 +182,18 @@ def test_window_minimum_matches_oracle(spec, radius):
 
 
 def test_window_refuses_a_negative_radius():
-    with pytest.raises(UsageError, match="ball radius must be nonnegative"):
+    with pytest.raises(UsageError,
+                       match="ball radius must be a nonnegative integer"):
         least_positive_in_ball(STD2, -1)
     assert least_positive_in_ball(STD2, 0) is None
+
+
+@pytest.mark.parametrize("radius", [True, 2.5, None])
+def test_window_refuses_a_radius_that_is_not_an_int(radius):
+    # True used to run as radius 1; 2.5 and None raised a bare TypeError.
+    with pytest.raises(UsageError,
+                       match="ball radius must be a nonnegative integer"):
+        least_positive_in_ball(STD2, radius)
 
 
 # 1/3 + (1/5) sqrt 2, and -1/3 + (1/4) sqrt 2 > 0 (its rational part is

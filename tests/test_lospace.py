@@ -21,8 +21,8 @@ from ordercone import (BraidShiftPredicate, BudgetExceededError,
                        certificate_from_json, compare, convexity_check,
                        current_budget, dd_isolation_witnesses,
                        discreteness_check, distance,
-                       interval_closure, klein_tararin_cones,
-                       order_property_scan, sign_vector, soul_estimate)
+                       interval_closure, order_property_scan, sign_vector,
+                       soul_estimate)
 from ordercone.braids import clear_caches
 from ordercone.certificates import (AccumulationWitness, ConvexityCertificate,
                                     ConvexityCounterexample, DensityWitness,
@@ -32,7 +32,8 @@ from ordercone.lospace import _conjugation_row
 
 from conftest import (census_brute_force, census_search_oracle,
                       convexity_triple_scan, dd_witness_bfs,
-                      order_property_scan_oracle)
+                      klein_tararin_cones, order_property_scan_oracle,
+                      positives)
 
 
 def lat(k, *normals):
@@ -208,7 +209,7 @@ def test_pinned_census_isolates_the_dd_cone(n, radius):
                                      tuple(dd.generators())))
     assert vectors == [sign_vector(dd, radius)]
     witnesses = dd_isolation_witnesses(n, radius, 16)
-    assert ([g.text() for g in vectors[0].positives()]
+    assert ([g.text() for g in positives(vectors[0])]
             == [w.element for w in witnesses])
 
 

@@ -1,6 +1,8 @@
 """Source hygiene of the library: no module imports a name it never uses,
 and no private module-level name is left that no module references.
-Both catch the leftovers of a deletion."""
+Both catch the leftovers of a deletion.  No module imports ``os`` or
+reads the environment, so the library's only inputs are arguments,
+budget scopes and CLI flags."""
 
 import ast
 import pathlib
@@ -46,6 +48,24 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def _environment_reads(tree: ast.AST) -> list[str]:
+    """Imports of ``os`` and reads of ``environ`` or ``getenv``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "os"]
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "os"):
+            found.append(node.module)
+        elif isinstance(node, ast.Name) and node.id in ("environ", "getenv"):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in ("environ",
+                                                              "getenv"):
+            found.append(node.attr)
+    return found
+
+
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
 def test_every_imported_name_is_used(module):
     tree = MODULES[module]
@@ -66,6 +86,12 @@ def test_every_private_module_name_is_referenced():
     assert unreferenced == []
 
 
+def test_no_module_reads_the_environment():
+    reads = {module: found for module, tree in MODULES.items()
+             if (found := _environment_reads(tree))}
+    assert reads == {}
+
+
 def test_the_checks_catch_a_leftover():
     tree = ast.parse("import os\nfrom .errors import _field\n_SEEN = 1\n"
                      "def _left_over():\n    return _field\n")
@@ -73,3 +99,12 @@ def test_the_checks_catch_a_leftover():
             if n not in _used_names(tree)] == ["os"]
     assert _private_definitions(tree) == ["_SEEN", "_left_over"]
     assert not {"_SEEN", "_left_over"} & _used_names(tree)
+
+
+def test_the_environment_check_catches_a_read():
+    tree = ast.parse("import os.path\nfrom os import getenv\n"
+                     "import json\nfrom .options import environ_name\n"
+                     "a = os.environ.get('X')\nb = getenv('Y')\n")
+    assert sorted(_environment_reads(tree)) == ["environ", "getenv", "os",
+                                                "os.path"]
+    assert _environment_reads(ast.parse("import json\n")) == []
