@@ -2,7 +2,7 @@
 
 One experiment per invocation; composition happens in the shell.  All
 reports are canonical JSON (sorted keys, no floats, distances rendered
-as "2^-r" strings), so identical configurations produce byte-identical
+as "2^-r" strings), so identical command lines produce byte-identical
 output.  CSV is available only for tabular results.
 
 Exit codes: 0 success / property holds, 1 property violation found
@@ -52,11 +52,8 @@ def parse_cone(text: str) -> ConeOracle:
     ``dd:4`` turned into one: ``cone_from_json`` builds every cone."""
     text = text.strip()
     kind, _, arg = text.partition(":")
-    if text.startswith("{"):
-        data = json.loads(text)
-    elif text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as handle:
-            data = json.load(handle)
+    if text.startswith(("{", "@")):
+        data = _read_json(text)
     elif kind in ("dehornoy", "dd"):
         data = {"type": kind, "n": int(arg)}
     elif kind == "klein" and len(arg) == 2:
@@ -71,11 +68,16 @@ def parse_cone(text: str) -> ConeOracle:
 
 
 def parse_spec(text: str) -> LexConeSpec:
-    text = text.strip()
+    return LexConeSpec.from_json(_read_json(text.strip()))
+
+
+def _read_json(text: str):
+    """JSON given inline, or read from the file named after a leading
+    ``@``."""
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as handle:
-            return LexConeSpec.from_json(json.load(handle))
-    return LexConeSpec.from_json(json.loads(text))
+            return json.load(handle)
+    return json.loads(text)
 
 
 def emit(report, fmt: str, out_path: str | None) -> None:
@@ -105,8 +107,9 @@ def report_emit(result, fmt: str) -> bytes:
     raise UsageError(f"unknown output format {fmt!r}")
 
 
-# Each flag's argparse options, stated once: a flag means the same in every
-# command that takes it.  Defaults live in _DEFAULTS, applied after --config.
+# Each flag's argparse options, default included, stated once: a flag means
+# the same in every command that takes it.  Argparse copies a list default
+# before it appends, so no run sees another's --pin or --require.
 _FLAGS = {
     "cone": {},
     "word": {"aliases": ("--element",)},
@@ -115,7 +118,7 @@ _FLAGS = {
     "group": {},
     "radius": {"type": int},
     "radii": {"help": "range a..b for a CSV count table"},
-    "pin": {"action": "append",
+    "pin": {"action": "append", "default": [],
             "help": "element required positive (repeatable)"},
     "cone_a": {},
     "cone_b": {},
@@ -126,21 +129,18 @@ _FLAGS = {
     "max_len": {"type": int},
     "predicate": {"help": "predicate JSON"},
     "spec": {"help": "spec JSON or @file"},
-    "require": {"action": "append",
+    "require": {"action": "append", "default": [],
                 "help": "vector that must stay positive (repeatable)"},
     "chain": {"help": "JSON list of predicate descriptors"},
-    "n_max": {"type": int},
+    "n_max": {"type": int, "default": 4},
     "out": {"help": "output path (default stdout)"},
-    "format": {"choices": ("json", "csv")},
-    "seed": {"type": int, "help": "seed recorded in the report"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "seed": {"type": int, "default": 0,
+             "help": "seed recorded in the report"},
     "budget": {"help": "JSON budget overrides"},
-    "config": {"help": "JSON file with argument defaults"},
 }
 
-_DEFAULTS = {"pin": (), "require": (), "n_max": 4, "format": "json",
-             "seed": 0}
-
-_COMMON = ("out", "format", "seed", "budget", "config")
+_COMMON = ("out", "format", "seed", "budget")
 
 # command: (help, required flags, optional flags); every command also takes
 # the _COMMON flags.
@@ -191,8 +191,8 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser for every command, built once per process; parsing does
-    not mutate it, and every flag it fills defaults to None."""
+    """The parser for every command, built once per process; it applies
+    every default and required flag, and parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="ordercone",
         description="finite-resolution experiments on spaces of left orderings")
@@ -202,46 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         for name in required + optional + _COMMON:
             options = dict(_FLAGS[name])
             options.pop("aliases", None)
-            p.add_argument(*_flag_strings(name), **options)
+            p.add_argument(*_flag_strings(name), **options,
+                           required=name in required)
     return parser
-
-
-def _config_value_ok(name: str, value) -> bool:
-    """Whether a config value has the JSON type its flag would produce."""
-    if _FLAGS[name].get("action") == "append":
-        return type(value) is list and all(type(v) is str for v in value)
-    return type(value) is _FLAGS[name].get("type", str)
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the ``--config`` object, then from _DEFAULTS;
-    config values bypass argparse, so each must already have its flag's
-    type.  Config keys may spell a flag with ``-`` or ``_``."""
-    config = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            raise UsageError("--config must hold a JSON object")
-        config = {key.replace("-", "_"): (key, value)
-                  for key, value in config.items()}
-    _, required, optional = _COMMANDS[args.command]
-    for name in required + optional + _COMMON:
-        if getattr(args, name) is not None:
-            continue
-        if name in config:
-            key, value = config[name]
-            if not _config_value_ok(name, value):
-                raise UsageError(f"--config value for {key!r} has the "
-                                 f"wrong type: {value!r}")
-            setattr(args, name, value)
-        else:
-            setattr(args, name, _DEFAULTS.get(name))
-    missing = [name for name in required if getattr(args, name) is None]
-    if missing:
-        raise UsageError(f"{args.command} is missing: "
-                         + ", ".join("--" + m.replace("_", "-")
-                                     for m in missing))
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
@@ -346,7 +309,6 @@ def main(argv: list[str] | None = None) -> int:
                 sys.argv[1:] if argv is None else argv))
         except SystemExit as exc:
             return int(exc.code or 0)
-        _apply_config(args)
         with budget_scope(current_budget().with_overrides(
                 json.loads(args.budget) if args.budget else {})):
             report, code = _run(args)

@@ -48,6 +48,15 @@ def _field(data, key: str):
     return data[key]
 
 
+def _int_at_least(value, least: int, name: str) -> int:
+    """``value`` if it is an ``int`` (not a bool) of at least ``least``,
+    else UsageError, before a comparison can fail on None or a float."""
+    if type(value) is not int or value < least:
+        raise UsageError(f"{name} must be a nonnegative integer" if least == 0
+                         else f"{name} must be at least {least}")
+    return value
+
+
 def _int_field(data, key: str) -> int:
     """An integer field; floats, strings and booleans are refused."""
     value = _field(data, key)

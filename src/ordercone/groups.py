@@ -29,7 +29,7 @@ from operator import add
 from . import braids
 from .budgets import current_budget
 from .errors import (BudgetExceededError, ContextMismatchError, UsageError,
-                     _field, _int_field)
+                     _field, _int_at_least, _int_field)
 
 FREE_ABELIAN = "free_abelian"
 BRAID = "braid"
@@ -377,8 +377,7 @@ def ball(context: GroupContext, radius: int) -> Ball:
     Braid balls are capped by the budget because they grow exponentially
     and every candidate computes its Dynnikov key.
     """
-    if type(radius) is not int or radius < 0:
-        raise UsageError("ball radius must be a nonnegative integer")
+    _int_at_least(radius, 0, "ball radius")
     if context.family == BRAID:
         limit = current_budget().braid_ball_limit(context.n)
         if radius > limit:

@@ -29,7 +29,7 @@ from math import lcm
 from . import intlinalg
 from .budgets import current_budget
 from .errors import (CrossCheckError, PerturbationError, UsageError,
-                     _field, _int_field)
+                     _field, _int_at_least, _int_field)
 from .groups import iter_lattice_shell
 from .quadratic import QuadScalar, sqrt2_sign
 
@@ -181,8 +181,7 @@ def least_positive_in_ball(spec: LexConeSpec, radius: int) -> Vector | None:
     computed once.  Dots are linear, so the vector is positive when
     a + b*sqrt(2) > 0 and below the best so far when the difference of
     the pairs is; ``_sign`` reads the later normals only on a (0, 0) pair."""
-    if type(radius) is not int or radius < 0:
-        raise UsageError("ball radius must be a nonnegative integer")
+    _int_at_least(radius, 0, "ball radius")
     a_row, b_row = spec._int_normals[0]
     best: Vector | None = None
     for norm in range(1, radius + 1):

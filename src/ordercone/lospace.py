@@ -40,7 +40,7 @@ from .certificates import (AccumulationWitness, ConvexityCertificate,
 from .cones import (ConeOracle, ConjugateCone, ConvexPredicate,
                     DubrovinaDubrovinCone, sign_text)
 from .errors import (BudgetExceededError, CertificateError,
-                     ContextMismatchError, UsageError)
+                     ContextMismatchError, UsageError, _int_at_least)
 from .groups import Ball, GroupContext, GroupElement, ball, product_key
 
 
@@ -136,8 +136,7 @@ def distance(p: ConeOracle, q: ConeOracle, resolution: int) -> DistanceResult:
     """Largest agreement radius up to the resolution, as a distance."""
     if p.context != q.context:
         raise ContextMismatchError("incompatible groups")
-    if resolution < 1:
-        raise UsageError("resolution must be at least 1")
+    _int_at_least(resolution, 1, "resolution")
     b = ball(p.context, resolution)
     i = _first_disagreement(q, b.elements, (p.sign(g) for g in b.elements))
     if i is None:
@@ -181,7 +180,7 @@ def census(query: CensusQuery) -> list[SignVector]:
     the sign tuples come out in decreasing lexicographic order.
     """
     cap = query.context.census_limit()
-    if query.radius > cap:
+    if _int_at_least(query.radius, 0, "ball radius") > cap:
         raise BudgetExceededError(
             f"census budget exceeded: radius {query.radius} > limit {cap}")
     b = ball(query.context, query.radius)
@@ -260,8 +259,7 @@ def dd_isolation_witnesses(n: int, radius: int,
     Elements left unresolved within ``max_len`` or the frontier budget
     raise, never silently vanish.
     """
-    if max_len < 1:
-        raise UsageError("max_len must be at least 1")
+    _int_at_least(max_len, 1, "max_len")
     cone = DubrovinaDubrovinCone(n)
     context = cone.context
     frontier_cap = current_budget().bfs_frontier
@@ -318,8 +316,7 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
     """
     if conjugators.context != cone.context:
         raise ContextMismatchError("incompatible groups")
-    if target_radius < 0:
-        raise UsageError("target radius must be nonnegative")
+    _int_at_least(target_radius, 0, "target radius")
     if resolution is None:
         resolution = target_radius + 1
     if resolution <= target_radius:
@@ -397,8 +394,7 @@ def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
     Since g is positive the powers are monotone, so membership is
     decided at k = k_max directly, from the signs of h^-1 g^k and g^k h.
     """
-    if k_max < 1:
-        raise UsageError("k_max must be at least 1")
+    _int_at_least(k_max, 1, "k_max")
     if cone.sign(g) != 1:
         raise UsageError("interval element must be positive")
     top = g ** k_max
@@ -500,9 +496,8 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
     A flip or replacement, here or inside the cone, certified convex
     below ``radius`` raises ``CertificateError``.
     """
-    if n_max < 1:
-        raise UsageError("n_max must be at least 1")
-    _check_certified_to(cone, radius)
+    _int_at_least(n_max, 1, "n_max")
+    _check_certified_to(cone, _int_at_least(radius, 0, "ball radius"))
     if restrict_to is not None and restrict_to.context != cone.context:
         raise ContextMismatchError("incompatible groups")
     vector = sign_vector(cone, radius)
@@ -578,8 +573,9 @@ class SoulEstimate:
 def soul_estimate(cone: ConeOracle, chain: list[ConvexPredicate], radius: int,
                   n_max: int = 4) -> SoulEstimate:
     """Scan an inclusion-ordered chain of candidate convex subgroups."""
-    if n_max < 1:  # also when the chain is empty and no scan checks it
-        raise UsageError("n_max must be at least 1")
+    # Both are checked even for an empty chain, which runs no scan.
+    _int_at_least(n_max, 1, "n_max")
+    _int_at_least(radius, 0, "ball radius")
     levels = []
     best_conradian = -1
     best_biorder = -1

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ import pytest
 
 from ordercone import lattices
 from ordercone.braids import clear_caches
-from ordercone.cli import build_parser, main, parse_cone, report_emit
+from ordercone.cli import (_COMMANDS, build_parser, main, parse_cone,
+                           report_emit)
 from ordercone.cones import cone_from_json
 from ordercone.errors import UsageError
 
@@ -360,9 +362,9 @@ def test_n_max_below_one_is_usage_error(capsys, argv, n_max):
      "max_len must be at least 1"),
     (("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "1",
       "--target-radius", "-3", "--resolution", "2"),
-     "target radius must be nonnegative"),
+     "target radius must be a nonnegative integer"),
     (("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "1",
-      "--target-radius", "-1"), "target radius must be nonnegative"),
+      "--target-radius", "-1"), "target radius must be a nonnegative integer"),
 ], ids=["max-len-0", "max-len-negative", "target-negative-resolution",
         "target-negative"])
 def test_search_bounds_below_range_are_usage_errors(capsys, argv, message):
@@ -391,68 +393,14 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_config_file(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"group": "klein", "radius": 2}))
-    code, out = run_cli(capsys, "census", "--config", str(config))
-    assert code == 0
-    assert json.loads(out)["count"] == 4
-    # --config supplies required flags too: --spec, --predicate, --chain.
-    spec = json.dumps({"k": 2, "normals": [
-        [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}],
-        [{"a": "1", "b": "0"}, {"a": "0", "b": "0"}]]})
-    config.write_text(json.dumps({"spec": spec}))
-    code, out = run_cli(capsys, "classify", "--config", str(config))
-    assert code == 0
-    assert json.loads(out)["verdict"] == "discrete"
-    config.write_text(json.dumps(
-        {"predicate": '{"type": "braid_shift", "n": 3, "r": 1}'}))
-    code, out = run_cli(capsys, "convexity", "--cone", "dehornoy:3",
-                        "--radius", "3", "--config", str(config))
-    assert code == 0
-    assert json.loads(out)["kind"] == "convexity_pass"
-    config.write_text(json.dumps({"chain": json.dumps(
-        [{"type": "braid_shift", "n": 3, "r": 1},
-         {"type": "whole", "group": {"family": "braid", "n": 3}}])}))
-    code, out = run_cli(capsys, "soul", "--cone", "dehornoy:3",
-                        "--radius", "3", "--config", str(config))
-    assert code == 0
-    assert json.loads(out)["best_biorder_level"] == 0
-    # Keys may spell a flag with "-" or "_".
-    config.write_text(json.dumps({"cone-a": "klein:++", "cone_b": "klein:+-"}))
-    code, out = run_cli(capsys, "distance", "--resolution", "4",
-                        "--config", str(config))
-    assert code == 0
-    assert json.loads(out)["distance"] == "2^-0"
-
-
-def test_config_fills_flags_that_have_defaults(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"seed": 7, "n_max": 1}))
-    argv = ("props", "--cone", "dehornoy:3", "--radius", "2",
-            "--config", str(config))
-    _, out = run_cli(capsys, *argv)
-    report = json.loads(out)
-    assert (report["seed"], report["n_max"]) == (7, 1)
-    _, out = run_cli(capsys, *argv, "--seed", "3")
-    assert json.loads(out)["seed"] == 3  # an explicit flag beats the config
-    config.write_text(json.dumps({"format": "csv"}))
-    code, out = run_cli(capsys, "census", "--group", "z", "--radii", "1..3",
-                        "--config", str(config))
-    assert code == 0
-    assert out == "radius,count\n1,2\n2,2\n3,2\n"
-
-
-def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert build_parser() is build_parser()
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"seed": 7, "format": "csv"}))
     plain = [("census", "--group", "z2", "--radius", "2"),
              ("perturb", "--spec", _LATTICE_SPEC),
              ("census", "--group", "z", "--radii", "1..3")]
     flagged = [(*plain[0], "--pin", "1,0"),
                (*plain[1], "--require", "0,1", "--require=-6,1"),
-               (*plain[2], "--config", str(config))]
+               (*plain[2], "--format", "csv", "--seed", "7")]
     # Each run comes both before and after runs of the other kind.
     runs = [run_cli(capsys, *argv) for argv in plain + flagged + plain + flagged]
     assert runs[:6] == runs[6:]
@@ -479,6 +427,34 @@ def test_missing_command_is_usage_error(capsys):
     assert "required: command" in capsys.readouterr().err
 
 
+_REQUIRED = [(command, name) for command, (_, required, _) in _COMMANDS.items()
+             for name in required]
+
+
+@pytest.mark.parametrize("command, missing", _REQUIRED,
+                         ids=[f"{c}-{n}" for c, n in _REQUIRED])
+def test_each_missing_required_flag_is_named(capsys, command, missing):
+    # Argparse reads "1" for every flag type, so the full argv parses and
+    # only the dropped flag is refused.
+    argv = [command]
+    for name in _COMMANDS[command][1]:
+        argv += ["--" + name.replace("_", "-"), "1"]
+    assert build_parser().parse_args(argv).command == command
+    flag = "--" + missing.replace("_", "-")
+    at = argv.index(flag)
+    assert main(argv[:at] + argv[at + 2:]) == 2
+    assert f"required: {flag}" in capsys.readouterr().err
+
+
+def test_config_flag_is_unrecognized(tmp_path, capsys):
+    # Flags come only from the command line.
+    config = tmp_path / "x.json"
+    config.write_text("{}")
+    assert main(["census", "--group", "z", "--radius", "1",
+                 "--config", str(config)]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_cross_check_disagreement_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(lattices, "least_positive_in_ball",
                         lambda spec, radius: (5, 5))
@@ -486,23 +462,6 @@ def test_cross_check_disagreement_exits_4(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("internal error: ")
-
-
-@pytest.mark.parametrize("config, argv, named", [
-    ({"budget": {"handle_steps": 5}},
-     ("sign", "--cone", "dehornoy:3", "--word", "s1"), "'budget'"),
-    ({"radius": "3"}, ("ball", "--group", "z"), "'radius'"),
-    (["radius", 3], ("ball", "--group", "z"), "JSON object"),
-], ids=["budget-object", "radius-string", "config-list"])
-def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, config,
-                                                   argv, named):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(config))
-    code = main([*argv, "--config", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("usage error: ")
-    assert named in err
 
 
 def test_output_file(tmp_path, capsys):
@@ -542,57 +501,79 @@ def test_budget_flag_reaches_calls_without_budget(capsys, argv, expected):
     assert code == expected
 
 
-_README_CHAIN = ('[{"type":"braid_shift","n":3,"r":1},'
-                 '{"type":"whole","group":{"family":"braid","n":3}}]')
+_README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
 
-@pytest.mark.parametrize("argv, code, digest", [
-    (("sign", "--cone", "dehornoy:3", "--word", "s1 S2"), 0,
-     "2a011610d06b522dd36577c20bb5db9a7c090097f324e0dbf2fd6e6014fb9e6a"),
-    (("compare", "--cone", "klein:++", "--left", "0,-1", "--right", "1,0"), 0,
-     "2d20ed0c0658b689895909a159379595c596149f2b9cfffaaf2d76f2a323c61a"),
-    (("ball", "--group", "braid:3", "--radius", "2"), 0,
-     "983b913300d9427d9f7d0870e9d7c4a19ae544b75acf284d02323ecbba99d2d7"),
-    (("census", "--group", "klein", "--radius", "2"), 0,
-     "8f7b4e0fb69faa549b770a62ecdc8628c4fc52c7f2e8cd64fc3bc247f8e0884b"),
-    (("census", "--group", "z", "--radii", "1..6", "--format", "csv"), 0,
-     "fc12a0bebba2816af79e3b69a76b67f3391ee87d3e6ca83abcfb79101e0e16ee"),
-    (("distance", "--cone-a", "klein:++", "--cone-b", "klein:+-",
-      "--resolution", "4"), 0,
-     "1616b35eb2e121b20a6de2217a2be267c352b7ab6efd1d61a4b5cd738d44e95e"),
-    (("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "6",
-      "--target-radius", "3", "--resolution", "4",
-      "--budget", '{"braid_ball": {"3": 6}}'), 0,
-     "ed03a15ffd169e81f442ee393c5d3256feb561ea43d1297e3cfc7acd400ec725"),
-    (("dd-witness", "--n", "3", "--radius", "3", "--max-len", "12"), 0,
-     "cf7c1ccf205af841f24debff4cb3e85b92d3446d87c4eebdd4760c3e3ef6075f"),
-    (("convexity", "--cone", "dehornoy:3", "--predicate",
-      '{"type": "braid_shift", "n": 3, "r": 1}', "--radius", "3"), 0,
-     "655082dccf9b01ca865579014601d99998b4fdde74b3ddd1db9eeb152858b1ed"),
-    (("classify", "--spec", '{"k":2,"normals":[[{"a":"0","b":"0"},'
-      '{"a":"1","b":"0"}],[{"a":"1","b":"0"},{"a":"0","b":"0"}]]}'), 0,
-     "f65198a668077e809de2d426abdd60623641512a28294dc762396d8f26a54a26"),
-    (("soul", "--cone", "dehornoy:3", "--radius", "3",
-      "--chain", _README_CHAIN), 0,
-     "e575f99b0ae066c803bda19491aaae1c687d1b877573d8add261069e462c5546"),
-    (("props", "--cone", "dehornoy:3", "--radius", "3"), 1,
-     "c864035f07de151de4835e486608b3a5e8a51031ed01896f141c35821cfdd35a"),
-], ids=["sign", "compare", "ball", "census", "census-csv", "distance",
-        "orbit-scan", "dd-witness", "convexity", "classify", "soul", "props"])
-def test_readme_example_report_bytes(capsys, argv, code, digest):
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``ordercone`` line in the README's ``sh`` blocks,
+    ``\\`` continuations joined, split as the shell splits them."""
+    with open(_README, encoding="utf-8") as f:
+        blocks = re.findall(r"^```sh\n(.*?)^```", f.read(), re.S | re.M)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("ordercone ")]
+
+
+# Exit code and sha256 of stdout of each README example, in README order.
+_README_REPORTS = {
+    "sign":
+        (0, "2a011610d06b522dd36577c20bb5db9a7c090097f324e0dbf2fd6e6014fb9e6a"),
+    "compare":
+        (0, "2d20ed0c0658b689895909a159379595c596149f2b9cfffaaf2d76f2a323c61a"),
+    "ball":
+        (0, "983b913300d9427d9f7d0870e9d7c4a19ae544b75acf284d02323ecbba99d2d7"),
+    "census":
+        (0, "8f7b4e0fb69faa549b770a62ecdc8628c4fc52c7f2e8cd64fc3bc247f8e0884b"),
+    "census-csv":
+        (0, "fc12a0bebba2816af79e3b69a76b67f3391ee87d3e6ca83abcfb79101e0e16ee"),
+    "distance":
+        (0, "1616b35eb2e121b20a6de2217a2be267c352b7ab6efd1d61a4b5cd738d44e95e"),
+    "orbit-scan":
+        (0, "ed03a15ffd169e81f442ee393c5d3256feb561ea43d1297e3cfc7acd400ec725"),
+    "dd-witness":
+        (0, "cf7c1ccf205af841f24debff4cb3e85b92d3446d87c4eebdd4760c3e3ef6075f"),
+    "convexity":
+        (0, "655082dccf9b01ca865579014601d99998b4fdde74b3ddd1db9eeb152858b1ed"),
+    "classify":
+        (0, "f65198a668077e809de2d426abdd60623641512a28294dc762396d8f26a54a26"),
+    "perturb":
+        (0, "2d8497a6691e03d93172d7b2638c6f51f2aaea49f1a1ccc0d500cf8c96337bab"),
+    "soul":
+        (0, "e575f99b0ae066c803bda19491aaae1c687d1b877573d8add261069e462c5546"),
+    "props":
+        (1, "c864035f07de151de4835e486608b3a5e8a51031ed01896f141c35821cfdd35a"),
+    "ball-budget":
+        (0, "b300398f6876d7d7fbd84de0b95d0f454d97d94655dfea4a6866956945ca53c4"),
+}
+_README_COMMANDS = _readme_commands()
+
+
+def test_every_readme_example_has_a_report():
+    assert len(_README_COMMANDS) == len(_README_REPORTS)
+
+
+@pytest.mark.parametrize("name, argv", zip(_README_REPORTS, _README_COMMANDS),
+                         ids=list(_README_REPORTS))
+def test_readme_example_report_bytes(capsys, tmp_path, monkeypatch, name,
+                                     argv):
     """The README's CLI examples keep their exit codes and exact report
-    bytes (sha256 of stdout); ``perturb --spec @spec.json`` is left out
-    because it reads a file."""
-    got, out = run_cli(capsys, *argv)
-    assert got == code
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    bytes.  They run in a directory whose ``spec.json`` holds the
+    ``classify`` example's spec, as the README says."""
+    assert name.startswith(argv[0])
+    classify = next(c for c in _README_COMMANDS if c[0] == "classify")
+    (tmp_path / "spec.json").write_text(
+        classify[classify.index("--spec") + 1], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
+        _README_REPORTS[name])
 
 
 def test_readme_python_blocks_run():
     """Every ```python block of README.md runs as written; the blocks
     assert what they show."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+    with open(_README, encoding="utf-8") as f:
         blocks = re.findall(r"^```python\n(.*?)^```", f.read(), re.S | re.M)
     assert len(blocks) >= 3  # free reduction, a refused flip, budget_scope
     for block in blocks:

@@ -358,7 +358,8 @@ def test_accumulation_refuses_a_negative_target_radius(b3, target_radius):
     # A distance bound 2^-t above 1 bounds nothing: such a scan used to
     # report a witness with a resolution and none without.
     for resolution in (None, 2):
-        with pytest.raises(UsageError, match="target radius must be nonneg"):
+        with pytest.raises(UsageError,
+                           match="target radius must be a nonnegative integer"):
             accumulation_scan(DehornoyCone(3), ball(b3, 1), target_radius,
                               resolution)
     dehornoy = DehornoyCone(3).to_json()
@@ -769,6 +770,31 @@ def test_property_scans_refuse_n_max_below_one(b3, n_max):
         order_property_scan(DehornoyCone(3), 2, n_max)
     with pytest.raises(UsageError, match="n_max must be at least 1"):
         soul_estimate(DehornoyCone(3), [WholePredicate(b3)], 2, n_max)
+
+
+@pytest.mark.parametrize("value", [None, 2.5, True, -1],
+                         ids=["none", "float", "bool", "negative"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: census(CensusQuery(GroupContext.free_abelian(2), v)),
+     "ball radius"),
+    (lambda v: distance(KleinTararinCone(1, 1), KleinTararinCone(1, -1), v),
+     "resolution"),
+    (lambda v: accumulation_scan(DehornoyCone(3), ball(_B3, 1), v),
+     "target radius"),
+    (lambda v: interval_closure(DehornoyCone(3), _B3.element("s1"), 1, v),
+     "k_max"),
+    (lambda v: order_property_scan(DehornoyCone(3), 1, v), "n_max"),
+    (lambda v: order_property_scan(DehornoyCone(3), v), "ball radius"),
+    (lambda v: soul_estimate(DehornoyCone(3), [], 1, v), "n_max"),
+    (lambda v: soul_estimate(DehornoyCone(3), [], v), "ball radius"),
+    (lambda v: dd_isolation_witnesses(3, 1, v), "max_len"),
+], ids=["census-radius", "distance-resolution", "orbit-target-radius",
+        "interval-k-max", "props-n-max", "props-radius", "soul-n-max",
+        "soul-radius", "dd-max-len"])
+def test_integer_parameters_refuse_other_types(call, name, value):
+    # Checked before any comparison, which would raise a bare TypeError.
+    with pytest.raises(UsageError, match=name):
+        call(value)
 
 
 @pytest.mark.parametrize("cone", [

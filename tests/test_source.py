@@ -1,13 +1,16 @@
 """Source hygiene of the library: no module imports a name it never uses,
 and no private module-level name is left that no module references.
-Both catch the leftovers of a deletion.  No module imports ``os`` or
-reads the environment, so the library's only inputs are arguments,
-budget scopes and CLI flags."""
+Both catch the leftovers of a deletion, and so does the check that every
+CLI flag belongs to a command.  No module imports ``os`` or reads the
+environment, so the library's only inputs are arguments, budget scopes
+and CLI flags."""
 
 import ast
 import pathlib
 
 import pytest
+
+from ordercone.cli import _COMMANDS, _COMMON, _FLAGS
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ordercone"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -108,3 +111,9 @@ def test_the_environment_check_catches_a_read():
     assert sorted(_environment_reads(tree)) == ["environ", "getenv", "os",
                                                 "os.path"]
     assert _environment_reads(ast.parse("import json\n")) == []
+
+
+def test_every_cli_flag_is_taken_by_a_command():
+    taken = set(_COMMON).union(*(required + optional for _, required, optional
+                                 in _COMMANDS.values()))
+    assert set(_FLAGS) == taken
