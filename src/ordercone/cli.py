@@ -132,7 +132,6 @@ _FLAGS = {
     "require": {"action": "append", "default": [],
                 "help": "vector that must stay positive (repeatable)"},
     "chain": {"help": "JSON list of predicate descriptors"},
-    "n_max": {"type": int, "default": 4},
     "out": {"help": "output path (default stdout)"},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "seed": {"type": int, "default": 0,
@@ -163,9 +162,8 @@ _COMMANDS = {
     "classify": ("dense/discrete verdict for a lex spec", ("spec",), ()),
     "perturb": ("dense perturbation of a lex spec", ("spec",), ("require",)),
     "soul": ("soul estimate along a convex chain",
-             ("cone", "chain", "radius"), ("n_max",)),
-    "props": ("Conradian/bi-order violation scan", ("cone", "radius"),
-              ("n_max",)),
+             ("cone", "chain", "radius"), ()),
+    "props": ("Conradian/bi-order violation scan", ("cone", "radius"), ()),
 }
 
 
@@ -291,13 +289,12 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         if not isinstance(chain, list):
             raise UsageError("--chain must hold a JSON list of predicates")
         estimate = lospace.soul_estimate(
-            cone, [predicate_from_json(d) for d in chain], args.radius,
-            args.n_max)
+            cone, [predicate_from_json(d) for d in chain], args.radius)
         return estimate.to_json(), 0
 
     if args.command == "props":
         cone = parse_cone(args.cone)
-        scan = lospace.order_property_scan(cone, args.radius, args.n_max)
+        scan = lospace.order_property_scan(cone, args.radius)
         violated = scan.conradian_violations or scan.biorder_violations
         return scan.to_json(), 1 if violated else 0
 

@@ -21,7 +21,7 @@ from . import intlinalg
 from .braids import handle_reduce, main_sign
 from .certificates import ConvexityCertificate
 from .errors import (CertificateError, ContextMismatchError, UsageError,
-                     _field, _int_field)
+                     _field, _int_at_least, _int_field)
 from .groups import GroupContext, GroupElement
 from .lattices import LexConeSpec
 
@@ -96,7 +96,7 @@ class BraidShiftPredicate(ConvexPredicate):
     r: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.r <= self.n - 2:
+        if _int_at_least(self.r, 0, "shift amount") > self.context.n - 2:
             raise UsageError(f"shift amount {self.r} out of range for B_{self.n}")
 
     @property
@@ -159,6 +159,7 @@ class LatticeSublatticePredicate(ConvexPredicate):
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _int_at_least(self.k, 1, "lattice dimension k")
         try:
             basis = tuple(tuple(b) for b in self.basis)
         except TypeError:

@@ -46,11 +46,9 @@ class GroupContext:
 
     def __post_init__(self) -> None:
         if self.family == FREE_ABELIAN:
-            if self.k < 1:
-                raise UsageError("free abelian rank must be k >= 1")
+            _int_at_least(self.k, 1, "free abelian rank k")
         elif self.family == BRAID:
-            if self.n < 2:
-                raise UsageError("braid group needs n >= 2")
+            _int_at_least(self.n, 2, "braid group n")
         elif self.family != KLEIN_BOTTLE:
             raise UsageError(f"unknown group family {self.family!r}")
         for name in {FREE_ABELIAN: "n", BRAID: "k"}.get(self.family, "kn"):
@@ -58,8 +56,8 @@ class GroupContext:
                 raise UsageError(f"{self!r} takes no parameter {name}")
 
     # Interned: cones build their context on every access.  ``typed``
-    # keeps ``braid(3.0)`` or ``free_abelian(True)`` from answering for
-    # the int parameter.
+    # keeps ``free_abelian(True)`` from answering with the cached int
+    # context, so it reaches the check and is refused.
     @classmethod
     @lru_cache(maxsize=None, typed=True)
     def free_abelian(cls, k: int) -> "GroupContext":

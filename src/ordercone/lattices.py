@@ -66,8 +66,7 @@ class LexConeSpec:
     normals: tuple[Normal, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise UsageError("lattice dimension must be k >= 1")
+        _int_at_least(self.k, 1, "lattice dimension k")
         if not self.normals:
             raise UsageError("a lex spec needs at least one normal")
         normals = tuple(tuple(e if isinstance(e, QuadScalar) else QuadScalar(e)

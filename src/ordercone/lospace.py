@@ -319,7 +319,7 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
     _int_at_least(target_radius, 0, "target radius")
     if resolution is None:
         resolution = target_radius + 1
-    if resolution <= target_radius:
+    if _int_at_least(resolution, 1, "resolution") <= target_radius:
         raise UsageError("resolution must exceed the target radius")
     base = sign_vector(cone, resolution)
     for h in conjugators:
@@ -423,8 +423,9 @@ def interval_closure(cone: ConeOracle, g: GroupElement, radius: int,
 class OrderPropertyReport:
     """Violation inventories at finite resolution.
 
-    conradian_violations  positive pairs (g, h) with g < h g^n failing
-                          for every n up to the scan bound
+    conradian_violations  positive pairs (g, h) with g^-1 h g^2 not
+                          positive: each refutes the Conradian property
+                          (Navas-Rivas), so the JSON's "n_max" is always 2
     biorder_violations    pairs (g, h) with h positive but g h g^-1 negative
     stabilizer_elements   ball elements whose conjugate cone agrees with
                           the cone on the whole ball (a finite-resolution
@@ -432,13 +433,12 @@ class OrderPropertyReport:
     """
 
     radius: int
-    n_max: int
     conradian_violations: tuple[tuple[object, object], ...]
     biorder_violations: tuple[tuple[object, object], ...]
     stabilizer_elements: tuple[object, ...]
 
     def to_json(self) -> dict:
-        return {"radius": self.radius, "n_max": self.n_max,
+        return {"radius": self.radius, "n_max": 2,
                 "conradian_violations": [list(p) for p in
                                          self.conradian_violations],
                 "biorder_violations": [list(p) for p in
@@ -468,7 +468,7 @@ def _check_certified_to(cone: ConeOracle, radius: int) -> None:
     replacement certified convex to a radius below ``radius``.
 
     Only a necessary condition: the conjugation table signs elements up
-    to three times the radius, and the Conradian powers go further."""
+    to three times the radius, and g^-1 h g^2 reaches four times it."""
     if getattr(cone, "radius", radius) < radius:
         raise CertificateError(
             f"{cone.describe()} is certified convex only to radius "
@@ -478,7 +478,7 @@ def _check_certified_to(cone: ConeOracle, radius: int) -> None:
             _check_certified_to(getattr(cone, name), radius)
 
 
-def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
+def order_property_scan(cone: ConeOracle, radius: int,
                         restrict_to: ConvexPredicate | None = None
                         ) -> OrderPropertyReport:
     """Scan a ball for Conradian failures, bi-order failures, and
@@ -488,15 +488,17 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
 
     One table answers all three: ``rows[g][h]`` is the sign of g h g^-1
     for each scanned g and each h of the whole ball.  Bi-order
-    failures are its -1 entries at positive h; the Conradian chain
-    g^-1 h g^m reads m = 1 from ``rows[g^-1][h]``.  As the subgroup is
-    closed under inverses, g stabilizes the cone on the ball exactly when
-    ``rows[g^-1]`` is the cone's sign vector.
+    failures are its -1 entries at positive h.  An order is Conradian
+    iff g^-1 h g^2 > 1 for all positive g, h (Navas-Rivas, Algebr. Geom.
+    Topol. 9, 2009), so each reported pair refutes it.  ``rows[g^-1][h]``
+    is the sign of g^-1 h g; when it is positive so is g^-1 h g^2 =
+    (g^-1 h g) g, and only the other pairs call the cone.  As the
+    subgroup is closed under inverses, g stabilizes the cone on the ball
+    exactly when ``rows[g^-1]`` is the cone's sign vector.
 
     A flip or replacement, here or inside the cone, certified convex
     below ``radius`` raises ``CertificateError``.
     """
-    _int_at_least(n_max, 1, "n_max")
     _check_certified_to(cone, _int_at_least(radius, 0, "ball radius"))
     if restrict_to is not None and restrict_to.context != cone.context:
         raise ContextMismatchError("incompatible groups")
@@ -512,21 +514,16 @@ def order_property_scan(cone: ConeOracle, radius: int, n_max: int = 4,
 
     conradian = []
     for i in positives:
-        g, g_inverse = elements[i], elements[i].inverse()
+        g = elements[i]
+        g_inverse, g_square = g.inverse(), g * g
         first = rows[inverse[i]]  # the signs of g^-1 h g
-        for j in (j for j in positives if first[j] != 1):
-            power = g_inverse * elements[j] * g
-            for _ in range(n_max - 1):
-                power = power * g
-                if cone.sign(power) == 1:
-                    break
-            else:
-                conradian.append((names[i], names[j]))
+        conradian += [(names[i], names[j]) for j in positives if first[j] != 1
+                      and cone.sign(g_inverse * elements[j] * g_square) != 1]
 
     biorder = [(names[i], names[j])
                for i in scanned for j in positives if rows[i][j] == -1]
     stabilizers = [names[i] for i in scanned if rows[inverse[i]] == signs]
-    return OrderPropertyReport(radius, n_max, tuple(conradian),
+    return OrderPropertyReport(radius, tuple(conradian),
                                tuple(biorder), tuple(stabilizers))
 
 
@@ -557,24 +554,24 @@ class SoulEstimate:
     """
 
     radius: int
-    n_max: int
     levels: tuple[SoulLevelReport, ...]
     best_conradian_level: int
     best_biorder_level: int
 
     def to_json(self) -> dict:
-        return {"radius": self.radius, "n_max": self.n_max,
+        return {"radius": self.radius, "n_max": 2,
                 "levels": [l.to_json() for l in self.levels],
                 "best_conradian_level": self.best_conradian_level,
                 "best_biorder_level": self.best_biorder_level,
                 "note": "finite-resolution estimate"}
 
 
-def soul_estimate(cone: ConeOracle, chain: list[ConvexPredicate], radius: int,
-                  n_max: int = 4) -> SoulEstimate:
-    """Scan an inclusion-ordered chain of candidate convex subgroups."""
-    # Both are checked even for an empty chain, which runs no scan.
-    _int_at_least(n_max, 1, "n_max")
+def soul_estimate(cone: ConeOracle, chain: list[ConvexPredicate], radius: int
+                  ) -> SoulEstimate:
+    """Scan an inclusion-ordered chain of candidate convex subgroups.  A
+    level is ``conradian_ok`` when ``order_property_scan`` finds no pair
+    g, h with g^-1 h g^2 not positive in the restricted order."""
+    # Checked even for an empty chain, which runs no scan.
     _int_at_least(radius, 0, "ball radius")
     levels = []
     best_conradian = -1
@@ -582,8 +579,7 @@ def soul_estimate(cone: ConeOracle, chain: list[ConvexPredicate], radius: int,
     for level, predicate in enumerate(chain):
         convex_result = convexity_check(cone, predicate, radius)
         is_convex = isinstance(convex_result, ConvexityCertificate)
-        report = order_property_scan(cone, radius, n_max,
-                                     restrict_to=predicate)
+        report = order_property_scan(cone, radius, restrict_to=predicate)
         conradian_ok = not report.conradian_violations
         biorder_ok = not report.biorder_violations
         levels.append(SoulLevelReport(predicate.to_json(),
@@ -593,6 +589,5 @@ def soul_estimate(cone: ConeOracle, chain: list[ConvexPredicate], radius: int,
             best_conradian = level
         if is_convex and biorder_ok:
             best_biorder = level
-    return SoulEstimate(radius, n_max, tuple(levels), best_conradian,
-                        best_biorder)
+    return SoulEstimate(radius, tuple(levels), best_conradian, best_biorder)
 

@@ -445,8 +445,12 @@ def convexity_triple_scan(cone, predicate, radius):
     return ConvexityCertificate(cone.to_json(), predicate.to_json(), radius)
 
 
-def order_property_scan_oracle(cone, radius, n_max=4, restrict_to=None):
-    """``order_property_scan`` as three independent loops of sign calls."""
+def order_property_scan_oracle(cone, radius, restrict_to=None, powers=2):
+    """``order_property_scan`` as three independent loops of sign calls.
+
+    A Conradian pair is one where no g^-1 h g^m with m = 1..``powers`` is
+    positive: every power is signed, with no monotonicity argument. The
+    scan itself is the loop with ``powers = 2``."""
     b = ball(cone.context, radius)
     elements = [g for g in b
                 if restrict_to is None or restrict_to.contains(g)]
@@ -456,14 +460,11 @@ def order_property_scan_oracle(cone, radius, n_max=4, restrict_to=None):
     for g in positives:
         g_inverse = g.inverse()
         for h in positives:
-            ok = False
-            power = g_inverse * h
-            for _ in range(n_max):
+            power, signs = g_inverse * h, []
+            for _ in range(powers):
                 power = power * g
-                if cone.sign(power) == 1:
-                    ok = True
-                    break
-            if not ok:
+                signs.append(cone.sign(power))
+            if 1 not in signs:
                 conradian.append((g.to_json(), h.to_json()))
 
     biorder = []
@@ -480,7 +481,7 @@ def order_property_scan_oracle(cone, radius, n_max=4, restrict_to=None):
                                        base_signs) is None:
             stabilizers.append(g.to_json())
 
-    return lospace.OrderPropertyReport(radius, n_max, tuple(conradian),
+    return lospace.OrderPropertyReport(radius, tuple(conradian),
                                        tuple(biorder), tuple(stabilizers))
 
 

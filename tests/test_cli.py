@@ -346,13 +346,15 @@ def test_scan_refuses_a_cone_certified_below_its_radius(capsys, command):
 ], ids=["props", "soul", "soul-empty-chain"])
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_n_max_below_one_is_usage_error(capsys, argv, n_max):
-    # With no power g^m to test, every positive pair would "fail".
-    for flag in (("--n-max", n_max), (f"--n-max={n_max}",)):
+    # The scans test the one power g^-1 h g^2; there is no bound to set,
+    # so --n-max is refused whatever its value, the old default 4 too.
+    for flag in (("--n-max", n_max), (f"--n-max={n_max}",),
+                 ("--n-max", "4")):
         code = main([*argv, *flag])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "n_max must be at least 1" in captured.err
+        assert "unrecognized arguments: --n-max" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -540,9 +542,9 @@ _README_REPORTS = {
     "perturb":
         (0, "2d8497a6691e03d93172d7b2638c6f51f2aaea49f1a1ccc0d500cf8c96337bab"),
     "soul":
-        (0, "e575f99b0ae066c803bda19491aaae1c687d1b877573d8add261069e462c5546"),
+        (0, "fd4cc3bc0527db943ae8b1a6f88747786f9e997b4ed30a455fea0e5d34a6fe00"),
     "props":
-        (1, "c864035f07de151de4835e486608b3a5e8a51031ed01896f141c35821cfdd35a"),
+        (1, "db50e7eb8a1268edc57b8e3399eb9b7ff13b78810906dd35f61e4336cf1f206d"),
     "ball-budget":
         (0, "b300398f6876d7d7fbd84de0b95d0f454d97d94655dfea4a6866956945ca53c4"),
 }

@@ -106,6 +106,26 @@ def test_flip_requires_certificate():
     assert FlipCone(pd, BraidShiftPredicate(3, 1), 3).radius == 3
 
 
+@pytest.mark.parametrize("value", [None, 2.5, True],
+                         ids=["none", "float", "bool"])
+@pytest.mark.parametrize("build, name", [
+    (GroupContext.braid, "braid group n"),
+    (GroupContext.free_abelian, "free abelian rank k"),
+    (lambda v: BraidShiftPredicate(3, v), "shift amount"),
+    (lambda v: BraidShiftPredicate(v, 0), "braid group n"),
+    (lambda v: CyclicBraidPredicate(v, "s1"), "braid group n"),
+    (lambda v: LexConeSpec(v, ((1,),)), "lattice dimension k"),
+    (lambda v: LatticeSublatticePredicate(v, ((1,),)), "lattice dimension k"),
+], ids=["braid", "free-abelian", "braid-shift-r", "braid-shift-n",
+        "cyclic-braid", "lex-spec", "sublattice"])
+def test_value_types_refuse_integer_parameters_of_other_types(build, name,
+                                                              value):
+    # Before, 2.5 and True were stored and serialized ("n": 2.5,
+    # "r": true), and None raised a bare TypeError.
+    with pytest.raises(UsageError, match=name):
+        build(value)
+
+
 @pytest.mark.parametrize("radius", [True, 2.5, None, -1])
 def test_flip_refuses_a_radius_that_is_not_a_nonnegative_int(radius):
     # A radius of True used to build a flip whose descriptor, with

@@ -127,10 +127,11 @@ def test_contexts_are_interned():
     for context in (GroupContext.braid(3), GroupContext.free_abelian(2),
                     GroupContext.klein_bottle()):
         assert GroupContext.from_json(context.to_json()) is context
-    # A bool parameter does not answer for the int one.
-    GroupContext.free_abelian.cache_clear()
-    GroupContext.free_abelian(True)
+    # A bool parameter does not answer for the cached int one: it reaches
+    # the check and is refused.
     assert type(GroupContext.free_abelian(1).k) is int
+    with pytest.raises(UsageError, match="free abelian rank k"):
+        GroupContext.free_abelian(True)
 
 
 def test_ball_counts():

@@ -643,7 +643,7 @@ _B3 = GroupContext.braid(3)
 ], ids=["dehornoy3", "dehornoy3-shift", "dd3", "dd3-shift", "dd4",
         "dd4-shift", "klein", "klein-y", "conjugate", "conjugate-s1"])
 def test_stabilizer_scan_matches_full_vectors(cone, restrict_to):
-    report = order_property_scan(cone, 3, n_max=1, restrict_to=restrict_to)
+    report = order_property_scan(cone, 3, restrict_to=restrict_to)
     expected = stabilizers_oracle(cone, 3, restrict_to)
     assert report.stabilizer_elements == expected
 
@@ -663,8 +663,7 @@ _REPLACE_SHIFT = _on_shift(DehornoyCone(4), BraidShiftPredicate(4, 1), 3,
                            DubrovinaDubrovinCone(3))
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 4])
-@pytest.mark.parametrize("cone, radius, restrict_to", [
+_ORACLE_CASES = pytest.mark.parametrize("cone, radius, restrict_to", [
     (DehornoyCone(3), 3, None),
     (DubrovinaDubrovinCone(3), 3, None),
     (ConjugateCone(DehornoyCone(3), _B3.element("s1 S2")), 2, None),
@@ -679,25 +678,63 @@ _REPLACE_SHIFT = _on_shift(DehornoyCone(4), BraidShiftPredicate(4, 1), 3,
 ], ids=["dehornoy3", "dd3", "conjugate-dehornoy3", "conjugate-dd4",
         "klein+-", "klein-y", "dehornoy3-shift", "dehornoy3-cyclic",
         "flip-shift", "replace-shift"])
+
+
+@pytest.mark.parametrize("powers", [1, 2, 4])
+@_ORACLE_CASES
 def test_property_scan_matches_three_loop_oracle(cone, radius, restrict_to,
-                                                 n_max):
-    report = order_property_scan(cone, radius, n_max, restrict_to)
-    expected = order_property_scan_oracle(cone, radius, n_max, restrict_to)
-    assert report == expected
-    assert report.to_json() == expected.to_json()
+                                                 powers):
+    # The scan equals the loop over m = 1, 2. Fewer powers report every
+    # pair the scan reports and maybe more; more powers report a subset.
+    report = order_property_scan(cone, radius, restrict_to)
+    expected = order_property_scan_oracle(cone, radius, restrict_to, powers)
+    if powers == 2:
+        assert report == expected
+        assert report.to_json() == expected.to_json()
+        return
+    assert (report.radius, report.biorder_violations,
+            report.stabilizer_elements) == (
+        expected.radius, expected.biorder_violations,
+        expected.stabilizer_elements)
+    fewer, more = report.conradian_violations, expected.conradian_violations
+    if powers > 2:
+        fewer, more = more, fewer
+    assert all(pair in more for pair in fewer)
 
 
 def test_property_scan_oracle_cases_hit_every_branch():
     # The oracle comparison above is only evidence if its cases contain
-    # violations of each kind, Conradian pairs decided at m >= 2, and both
-    # stabilizing and moving elements.
+    # violations of each kind, pairs that g^-1 h g rejects but g^-1 h g^2
+    # accepts, and both stabilizing and moving elements.
     pd = DehornoyCone(3)
-    for n_max in (1, 4):
-        report = order_property_scan(pd, 3, n_max)
-        assert report.conradian_violations and report.biorder_violations
-        assert 0 < len(report.stabilizer_elements) < len(ball(_B3, 3))
-    assert (len(order_property_scan(pd, 3, 1).conradian_violations)
-            > len(order_property_scan(pd, 3, 2).conradian_violations))
+    report = order_property_scan(pd, 3)
+    assert report.conradian_violations and report.biorder_violations
+    assert 0 < len(report.stabilizer_elements) < len(ball(_B3, 3))
+    positives = [g for g in ball(_B3, 3) if pd.sign(g) == 1]
+    first_power = [(g, h) for g in positives for h in positives
+                   if pd.sign(g.inverse() * h * g) != 1]
+    assert (len(first_power), len(report.conradian_violations)) == (95, 54)
+
+
+def test_conradian_scan_reports_a_pair_failing_only_at_the_second_power():
+    # g^-1 h g^m has signs -, -, +, + for m = 1..4: g^-1 h g^2 < 1 refutes
+    # the Conradian property, though higher powers turn positive.
+    pd = DehornoyCone(3)
+    g, h = _B3.element("s1 s2"), _B3.element("S2 S2 s1")
+    assert [pd.sign(g.inverse() * h * g ** m) for m in range(1, 5)] == [
+        -1, -1, 1, 1]
+    assert ("s1 s2", "S2 S2 s1") in order_property_scan(
+        pd, 3).conradian_violations
+
+
+@_ORACLE_CASES
+def test_conradian_pairs_replay(cone, radius, restrict_to):
+    # Each reported pair is a proof: g, h > 1 and g^-1 h g^2 < 1.
+    report = order_property_scan(cone, radius, restrict_to)
+    for g_json, h_json in report.conradian_violations:
+        g, h = cone.context.element(g_json), cone.context.element(h_json)
+        assert cone.sign(g) == cone.sign(h) == 1
+        assert cone.sign(g.inverse() * h * g * g) == -1
 
 
 _LOW = _on_shift(DehornoyCone(3), BraidShiftPredicate(3, 1), 2)
@@ -764,33 +801,37 @@ def test_property_scan_refuses_a_predicate_on_another_group():
             order_property_scan(DehornoyCone(3), 3, restrict_to=predicate)
 
 
-@pytest.mark.parametrize("n_max", [0, -3])
-def test_property_scans_refuse_n_max_below_one(b3, n_max):
-    with pytest.raises(UsageError, match="n_max must be at least 1"):
-        order_property_scan(DehornoyCone(3), 2, n_max)
-    with pytest.raises(UsageError, match="n_max must be at least 1"):
-        soul_estimate(DehornoyCone(3), [WholePredicate(b3)], 2, n_max)
+_NOT_INTEGERS = {"none": None, "float": 2.5, "bool": True, "negative": -1}
+_INTEGER_PARAMETERS = {
+    "census-radius": (
+        lambda v: census(CensusQuery(GroupContext.free_abelian(2), v)),
+        "ball radius"),
+    "distance-resolution": (
+        lambda v: distance(KleinTararinCone(1, 1), KleinTararinCone(1, -1), v),
+        "resolution"),
+    "orbit-target-radius": (
+        lambda v: accumulation_scan(DehornoyCone(3), ball(_B3, 1), v),
+        "target radius"),
+    "orbit-resolution": (
+        lambda v: accumulation_scan(DehornoyCone(3), ball(_B3, 1), 0, v),
+        "resolution"),
+    "interval-k-max": (
+        lambda v: interval_closure(DehornoyCone(3), _B3.element("s1"), 1, v),
+        "k_max"),
+    "props-radius": (lambda v: order_property_scan(DehornoyCone(3), v),
+                     "ball radius"),
+    "soul-radius": (lambda v: soul_estimate(DehornoyCone(3), [], v),
+                    "ball radius"),
+    "dd-max-len": (lambda v: dd_isolation_witnesses(3, 1, v), "max_len"),
+}
 
 
-@pytest.mark.parametrize("value", [None, 2.5, True, -1],
-                         ids=["none", "float", "bool", "negative"])
-@pytest.mark.parametrize("call, name", [
-    (lambda v: census(CensusQuery(GroupContext.free_abelian(2), v)),
-     "ball radius"),
-    (lambda v: distance(KleinTararinCone(1, 1), KleinTararinCone(1, -1), v),
-     "resolution"),
-    (lambda v: accumulation_scan(DehornoyCone(3), ball(_B3, 1), v),
-     "target radius"),
-    (lambda v: interval_closure(DehornoyCone(3), _B3.element("s1"), 1, v),
-     "k_max"),
-    (lambda v: order_property_scan(DehornoyCone(3), 1, v), "n_max"),
-    (lambda v: order_property_scan(DehornoyCone(3), v), "ball radius"),
-    (lambda v: soul_estimate(DehornoyCone(3), [], 1, v), "n_max"),
-    (lambda v: soul_estimate(DehornoyCone(3), [], v), "ball radius"),
-    (lambda v: dd_isolation_witnesses(3, 1, v), "max_len"),
-], ids=["census-radius", "distance-resolution", "orbit-target-radius",
-        "interval-k-max", "props-n-max", "props-radius", "soul-n-max",
-        "soul-radius", "dd-max-len"])
+# A None resolution asks for the default, so that case is left out.
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{case}-{kind}")
+    for case, (call, name) in _INTEGER_PARAMETERS.items()
+    for kind, value in _NOT_INTEGERS.items()
+    if (case, kind) != ("orbit-resolution", "none")])
 def test_integer_parameters_refuse_other_types(call, name, value):
     # Checked before any comparison, which would raise a bare TypeError.
     with pytest.raises(UsageError, match=name):
