@@ -22,8 +22,8 @@ from .lattices import (DensityReport, LexConeSpec, PerturbationResult,
                        SaturationResult, classify_density, extend_by_quotient,
                        least_positive_in_ball, perturb_dense,
                        restrict_to_sublattice, saturate)
-from .lospace import (CensusQuery, DistanceResult, OrderPropertyReport,
-                      SignVector, SoulEstimate, accumulation_scan, census,
+from .lospace import (DistanceResult, OrderPropertyReport, SignVector,
+                      SoulEstimate, accumulation_scan, census,
                       convexity_check, dd_isolation_witnesses,
                       discreteness_check, distance, interval_closure,
                       order_property_scan, sign_vector, soul_estimate)

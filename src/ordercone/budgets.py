@@ -20,6 +20,8 @@ from .errors import UsageError
 
 #: Default Cayley-ball radius limits for braid groups, keyed by strand count.
 _DEFAULT_BRAID_BALL = {2: 8, 3: 4, 4: 3}
+#: The radius limit for strand counts absent from ``braid_ball``.
+_OTHER_BRAID_BALL = 2
 
 
 @dataclass(frozen=True)
@@ -28,19 +30,16 @@ class Budget:
 
     handle_steps      max handle rewrites per reduction
     bfs_frontier      max nodes explored by semigroup breadth-first search
-    braid_ball        per-strand-count cap on braid Cayley-ball radius
-    braid_ball_default  cap for strand counts absent from ``braid_ball``
+    braid_ball        per-strand-count cap on braid Cayley-ball radius;
+                      strand counts absent from it are capped at 2
     census_braid_radius / census_other_radius  census radius caps
-    lattice_check_radius  ball radius used by lattice cross-checks
     """
 
     handle_steps: int = 1_000_000
     bfs_frontier: int = 1_000_000
     braid_ball: dict[int, int] = field(default_factory=lambda: dict(_DEFAULT_BRAID_BALL))
-    braid_ball_default: int = 2
     census_braid_radius: int = 3
     census_other_radius: int = 6
-    lattice_check_radius: int = 12
 
     def __post_init__(self) -> None:
         limits = [(f.name, getattr(self, f.name)) for f in fields(self)
@@ -52,7 +51,7 @@ class Budget:
                     f"budget field {name} must be a positive integer")
 
     def braid_ball_limit(self, n: int) -> int:
-        return self.braid_ball.get(n, self.braid_ball_default)
+        return self.braid_ball.get(n, _OTHER_BRAID_BALL)
 
     def with_overrides(self, overrides: dict) -> "Budget":
         """Return a copy with the given field overrides applied."""

@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-One experiment per invocation; composition happens in the shell.  All
-reports are canonical JSON (sorted keys, no floats, distances rendered
-as "2^-r" strings), so identical command lines produce byte-identical
-output.  CSV is available only for tabular results.
+One experiment per invocation, its report written to stdout;
+composition and redirection happen in the shell.  All reports are
+canonical JSON (sorted keys, no floats, distances rendered as "2^-r"
+strings), so identical command lines produce byte-identical output.
+CSV is available only for tabular results.
 
 Exit codes: 0 success / property holds, 1 property violation found
 (the report carries the certificate), 2 usage error, 3 budget
@@ -29,21 +30,22 @@ from .errors import (BudgetExceededError, CrossCheckError, OrderconeError,
                      PerturbationError, UsageError)
 from .groups import GroupContext, ball
 from .lattices import (LexConeSpec, classify_density, perturb_dense)
-from .lospace import CensusQuery, census, distance
+from .lospace import census, distance
 
 
 def parse_group(text: str) -> GroupContext:
+    """``z``, ``zK``, ``z^K``, ``klein`` or ``braid:N``, K and N integers."""
     text = text.strip().lower()
-    if text in ("z", "z1", "z^1"):
+    if text == "z":
         return GroupContext.free_abelian(1)
-    if text.startswith("z^"):
-        return GroupContext.free_abelian(int(text[2:]))
-    if text.startswith("z") and text[1:].isdigit():
-        return GroupContext.free_abelian(int(text[1:]))
     if text == "klein":
         return GroupContext.klein_bottle()
-    if text.startswith("braid:"):
-        return GroupContext.braid(int(text.split(":", 1)[1]))
+    for prefix, family in (("z^", GroupContext.free_abelian),
+                           ("z", GroupContext.free_abelian),
+                           ("braid:", GroupContext.braid)):
+        param = text.removeprefix(prefix)
+        if param != text and param.removeprefix("-").isdecimal():
+            return family(int(param))
     raise UsageError(f"unknown group {text!r} (try z, z2, klein, braid:3)")
 
 
@@ -80,15 +82,6 @@ def _read_json(text: str):
     return json.loads(text)
 
 
-def emit(report, fmt: str, out_path: str | None) -> None:
-    payload = report_emit(report, fmt)
-    if out_path:
-        with open(out_path, "wb") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-
-
 def report_emit(result, fmt: str) -> bytes:
     """Render a report: canonical JSON, or CSV for tabular results."""
     if fmt == "json":
@@ -112,7 +105,7 @@ def report_emit(result, fmt: str) -> bytes:
 # before it appends, so no run sees another's --pin or --require.
 _FLAGS = {
     "cone": {},
-    "word": {"aliases": ("--element",)},
+    "word": {},
     "left": {},
     "right": {},
     "group": {},
@@ -132,14 +125,13 @@ _FLAGS = {
     "require": {"action": "append", "default": [],
                 "help": "vector that must stay positive (repeatable)"},
     "chain": {"help": "JSON list of predicate descriptors"},
-    "out": {"help": "output path (default stdout)"},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "seed": {"type": int, "default": 0,
              "help": "seed recorded in the report"},
     "budget": {"help": "JSON budget overrides"},
 }
 
-_COMMON = ("out", "format", "seed", "budget")
+_COMMON = ("format", "seed", "budget")
 
 # command: (help, required flags, optional flags); every command also takes
 # the _COMMON flags.
@@ -167,8 +159,8 @@ _COMMANDS = {
 }
 
 
-def _flag_strings(name: str) -> tuple[str, ...]:
-    return ("--" + name.replace("_", "-"), *_FLAGS[name].get("aliases", ()))
+def _flag_string(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -176,7 +168,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     a value that starts with ``-`` and a digit is never an option here,
     but argparse's own test for negative numbers differs across Python
     versions and refuses ``-1,0``."""
-    flags = {s for name in _FLAGS for s in _flag_strings(name)}
+    flags = {_flag_string(name) for name in _FLAGS}
     out: list[str] = []
     for token in argv:
         if (out and out[-1] in flags and token[:1] == "-"
@@ -198,9 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, required, optional) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in required + optional + _COMMON:
-            options = dict(_FLAGS[name])
-            options.pop("aliases", None)
-            p.add_argument(*_flag_strings(name), **options,
+            p.add_argument(_flag_string(name), **_FLAGS[name],
                            required=name in required)
     return parser
 
@@ -234,10 +224,10 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
                     and int(lo) <= int(hi)):
                 raise UsageError("--radii must be a range a..b of radii "
                                  f"with a <= b, not {args.radii!r}")
-            rows = [[r, len(census(CensusQuery(context, r, pins)))]
+            rows = [[r, len(census(context, r, pins))]
                     for r in range(int(lo), int(hi) + 1)]
             return {"columns": ["radius", "count"], "rows": rows}, 0
-        vectors = census(CensusQuery(context, args.radius, pins))
+        vectors = census(context, args.radius, pins)
         return {"count": len(vectors),
                 "vectors": [v.to_json() for v in vectors]}, 0
 
@@ -247,9 +237,8 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         return distance(cone_a, cone_b, args.resolution).to_json(), 0
 
     if args.command == "orbit-scan":
-        cone = parse_cone(args.cone)
-        conjugators = ball(cone.context, args.conjugator_radius)
-        witness = lospace.accumulation_scan(cone, conjugators,
+        witness = lospace.accumulation_scan(parse_cone(args.cone),
+                                            args.conjugator_radius,
                                             args.target_radius,
                                             args.resolution)
         if witness is None:
@@ -310,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
                 json.loads(args.budget) if args.budget else {})):
             report, code = _run(args)
         report["seed"] = args.seed
-        emit(report, args.format, args.out)
+        sys.stdout.write(report_emit(report, args.format).decode("utf-8"))
         return code
     except PerturbationError as exc:  # a fixed search limit, no budget
         print(exc, file=sys.stderr)

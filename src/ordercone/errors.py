@@ -52,8 +52,10 @@ def _int_at_least(value, least: int, name: str) -> int:
     """``value`` if it is an ``int`` (not a bool) of at least ``least``,
     else UsageError, before a comparison can fail on None or a float."""
     if type(value) is not int or value < least:
-        raise UsageError(f"{name} must be a nonnegative integer" if least == 0
-                         else f"{name} must be at least {least}")
+        raise UsageError(
+            f"{name} must be a nonnegative integer" if least == 0 else
+            f"{name} must be at least {least}" if type(value) is int else
+            f"{name} must be an integer of at least {least}")
     return value
 
 

@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import lcm
 
 from . import intlinalg
-from .budgets import current_budget
 from .errors import (CrossCheckError, PerturbationError, UsageError,
                      _field, _int_at_least, _int_field)
 from .groups import iter_lattice_shell
@@ -41,6 +40,8 @@ _DELTA_FLOOR = Fraction(1, 2 ** 64)
 
 #: Difference-witness probe radius for perturbations.
 _WITNESS_RADIUS = 12
+#: Largest ball radius of the classify cross-check window.
+_CHECK_RADIUS = 12
 
 
 def _as_vector(v, k: int) -> Vector:
@@ -203,7 +204,7 @@ def classify_density(spec: LexConeSpec) -> DensityReport:
     """Exact dense/discrete verdict with the least positive element.
 
     A discrete verdict is checked against ``least_positive_in_ball`` at
-    radius min(lattice_check_radius, max(norm, 4)), norm being the least
+    radius min(12, max(norm, 4)), a fixed window, norm being the least
     element's L1 norm.  The window minimum must equal the least element
     when the window holds it, and must not lie below it by ``_sign``
     otherwise; a disagreement raises CrossCheckError."""
@@ -211,7 +212,7 @@ def classify_density(spec: LexConeSpec) -> DensityReport:
     if least is None:
         return DensityReport("dense", None, "exact-recursive")
     norm = sum(abs(c) for c in least)
-    check_radius = min(current_budget().lattice_check_radius, max(norm, 4))
+    check_radius = min(_CHECK_RADIUS, max(norm, 4))
     window_min = least_positive_in_ball(spec, check_radius)
     if norm <= check_radius:
         if window_min != least:

@@ -148,18 +148,11 @@ def distance(p: ConeOracle, q: ConeOracle, resolution: int) -> DistanceResult:
 # Census
 
 
-@dataclass(frozen=True)
-class CensusQuery:
-    """A cylinder set at finite radius: the cones with the given elements
-    positive, cut down to sign vectors on the radius ball."""
-
-    context: GroupContext
-    radius: int
-    required_positive: tuple[GroupElement, ...] = ()
-
-
-def census(query: CensusQuery) -> list[SignVector]:
-    """All consistent sign vectors on the ball matching the pins.
+def census(context: GroupContext, radius: int,
+           required_positive: Iterable[GroupElement] = ()) -> list[SignVector]:
+    """All consistent sign vectors on the radius ball with the
+    ``required_positive`` elements positive: a cylinder set at finite
+    radius.
 
     Complete and duplicate-free.  A fact ``2p + (v < 0)`` says that the
     lower position p of an inverse pair has sign v; the upper position
@@ -179,12 +172,13 @@ def census(query: CensusQuery) -> list[SignVector]:
     on the first unset position in ball order and tries + before -, so
     the sign tuples come out in decreasing lexicographic order.
     """
-    cap = query.context.census_limit()
-    if _int_at_least(query.radius, 0, "ball radius") > cap:
+    cap = context.census_limit()
+    if _int_at_least(radius, 0, "ball radius") > cap:
         raise BudgetExceededError(
-            f"census budget exceeded: radius {query.radius} > limit {cap}")
-    b = ball(query.context, query.radius)
-    for pin in query.required_positive:
+            f"census budget exceeded: radius {radius} > limit {cap}")
+    b = ball(context, radius)
+    required_positive = tuple(required_positive)
+    for pin in required_positive:
         if pin not in b:
             raise UsageError(f"pinned element {pin!r} is outside the ball")
     inverse = b.inverse_position
@@ -229,7 +223,7 @@ def census(query: CensusQuery) -> list[SignVector]:
     solutions: list[SignVector] = []
     stack: list[tuple[int, int]] = []
     feasible = all(assign(fact(b.position(pin), 1))
-                   for pin in query.required_positive)
+                   for pin in required_positive)
     while True:
         if feasible and 0 in signs:
             pos = signs.index(0)  # a lower position: pairs are set together
@@ -302,11 +296,13 @@ def dd_isolation_witnesses(n: int, radius: int,
 # Accumulation scan
 
 
-def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
-                      resolution: int | None = None
+def accumulation_scan(cone: ConeOracle, conjugator_radius: int,
+                      target_radius: int, resolution: int | None = None
                       ) -> AccumulationWitness | None:
-    """First conjugator moving the cone a positive exact distance at most
-    2^-target_radius, or None when the scanned set has no witness.
+    """First conjugator in the ``conjugator_radius`` ball moving the cone
+    a positive exact distance at most 2^-target_radius, or None when that
+    ball has no witness.  The radii and the resolution are checked before
+    any ball is built.
 
     Conjugators are tried in ball order; per conjugator the conjugate is
     evaluated outward and abandoned at the first disagreement, so cones
@@ -314,13 +310,13 @@ def accumulation_scan(cone: ConeOracle, conjugators: Ball, target_radius: int,
     the resolution are skipped as inexact rather than claimed.  A cone
     that signs a nontrivial element 0 is refused, by ``sign_vector``.
     """
-    if conjugators.context != cone.context:
-        raise ContextMismatchError("incompatible groups")
+    _int_at_least(conjugator_radius, 0, "conjugator radius")
     _int_at_least(target_radius, 0, "target radius")
     if resolution is None:
         resolution = target_radius + 1
     if _int_at_least(resolution, 1, "resolution") <= target_radius:
         raise UsageError("resolution must exceed the target radius")
+    conjugators = ball(cone.context, conjugator_radius)
     base = sign_vector(cone, resolution)
     for h in conjugators:
         i = _first_disagreement(ConjugateCone(cone, h), base.ball.elements,

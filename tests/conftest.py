@@ -599,13 +599,13 @@ def dd_witness_oracle(n: int, radius: int,
     return [(t.text(), paths[t]) for t in targets]
 
 
-def census_brute_force(query) -> list[tuple[int, ...]]:
-    """Every antisymmetric, product-closed sign tuple on the query's ball
+def census_brute_force(context, radius, pins) -> list[tuple[int, ...]]:
+    """Every antisymmetric, product-closed sign tuple on the radius ball
     with the pins positive, in decreasing lexicographic order."""
-    b = ball(query.context, query.radius)
+    b = ball(context, radius)
     inverse = b.inverse_position
     reps = [i for i in range(len(b)) if inverse[i] > i]
-    pins = [b.position(pin) for pin in query.required_positive]
+    pins = [b.position(pin) for pin in pins]
     triples = product_triples_oracle(b)
     found = []
     for bits in product((1, -1), repeat=len(reps)):
@@ -620,12 +620,12 @@ def census_brute_force(query) -> list[tuple[int, ...]]:
     return sorted(found, reverse=True)
 
 
-def census_search_oracle(query) -> list[tuple[int, ...]]:
+def census_search_oracle(context, radius, pins) -> list[tuple[int, ...]]:
     """The census sign tuples, in the order found, by a backtracking
     search over ball positions: both members of an inverse pair are set
     together, and every product triple at a newly set position is
     scanned for a forced sign."""
-    b = ball(query.context, query.radius)
+    b = ball(context, radius)
     inverse = b.inverse_position
     by_element: list[list[tuple[int, int, int]]] = [[] for _ in range(len(b))]
     for triple in product_triples_oracle(b):
@@ -657,8 +657,7 @@ def census_search_oracle(query) -> list[tuple[int, ...]]:
 
     solutions: list[tuple[int, ...]] = []
     stack: list[tuple[int, int, int]] = []
-    feasible = all(assign(b.position(pin), 1)
-                   for pin in query.required_positive)
+    feasible = all(assign(b.position(pin), 1) for pin in pins)
     while True:
         if feasible and 0 in signs:
             pos = signs.index(0)
@@ -676,8 +675,8 @@ def census_search_oracle(query) -> list[tuple[int, ...]]:
 
 def _validated(census):
     @functools.wraps(census)
-    def checked(query):
-        vectors = census(query)
+    def checked(context, radius, required_positive=()):
+        vectors = census(context, radius, required_positive)
         for vector in vectors:
             vector.validate()
         return vectors

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from ordercone import (BraidShiftPredicate, CensusQuery, ConjugateCone,
+from ordercone import (BraidShiftPredicate, ConjugateCone,
                        CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, LatticeCone, LexConeSpec, QuadScalar,
@@ -47,7 +47,7 @@ def test_criterion_01_z_census():
     with criterion(1, "LO(Z) census has exactly 2 vectors for r = 1..6", 1.0):
         z = GroupContext.free_abelian(1)
         for radius in range(1, 7):
-            assert len(census(CensusQuery(z, radius))) == 2
+            assert len(census(z, radius)) == 2
 
 
 def test_criterion_02_klein_census():
@@ -56,7 +56,7 @@ def test_criterion_02_klein_census():
         klein = GroupContext.klein_bottle()
         cones = klein_tararin_cones()
         for radius in range(2, 6):
-            vectors = census(CensusQuery(klein, radius))
+            vectors = census(klein, radius)
             assert len(vectors) == 4
             assert set(vectors) == {sign_vector(c, radius) for c in cones}
 
@@ -65,11 +65,11 @@ def test_criterion_03_z2_census_extensions():
     with criterion(3, "Z^2 census: 8 vectors at r = 2, each with >= 2 "
                       "extensions at r = 4", 30.0):
         z2 = GroupContext.free_abelian(2)
-        base = census(CensusQuery(z2, 2))
+        base = census(z2, 2)
         assert len(base) == 8
         for vector in base:
             pins = tuple(positives(vector))
-            extensions = census(CensusQuery(z2, 4, pins))
+            extensions = census(z2, 4, pins)
             assert len(extensions) >= 2
             for extension in extensions:
                 assert restrict(extension, 2) == vector.signs
@@ -130,10 +130,8 @@ def test_criterion_07_accumulation():
         cone = DehornoyCone(3)
         with budget_scope(current_budget().with_overrides(
                 {"braid_ball": {3: 6}})):
-            conjugators = ball(cone.context, 6)
             for target in (1, 2, 3):
-                witness = accumulation_scan(cone, conjugators, target,
-                                            resolution=4)
+                witness = accumulation_scan(cone, 6, target, resolution=4)
                 assert witness is not None, f"no witness at target {target}"
                 assert witness.agree_radius >= target
                 assert Fraction(1, 2 ** witness.agree_radius) <= Fraction(

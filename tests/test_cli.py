@@ -10,10 +10,10 @@ import sys
 
 import pytest
 
-from ordercone import lattices
+from ordercone import Budget, lattices
 from ordercone.braids import clear_caches
 from ordercone.cli import (_COMMANDS, build_parser, main, parse_cone,
-                           report_emit)
+                           parse_group, report_emit)
 from ordercone.cones import cone_from_json
 from ordercone.errors import UsageError
 
@@ -367,8 +367,11 @@ def test_n_max_below_one_is_usage_error(capsys, argv, n_max):
      "target radius must be a nonnegative integer"),
     (("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "1",
       "--target-radius", "-1"), "target radius must be a nonnegative integer"),
+    (("orbit-scan", "--cone", "dehornoy:3", "--conjugator-radius", "-2",
+      "--target-radius", "1"),
+     "conjugator radius must be a nonnegative integer"),
 ], ids=["max-len-0", "max-len-negative", "target-negative-resolution",
-        "target-negative"])
+        "target-negative", "conjugator-negative"])
 def test_search_bounds_below_range_are_usage_errors(capsys, argv, message):
     # These used to exit 3 ("budget exhausted") or 0 with a report.
     code = main(list(argv))
@@ -415,8 +418,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     (("compare", "--cone", "klein:++", "--right", "1,0"), "--left", "-1,0"),
     (("compare", "--cone", "klein:++", "--left", "1,0"), "--right", "-1,0"),
     (("sign", "--cone", "klein:++"), "--word", "-1,0"),
-    (("sign", "--cone", "klein:++"), "--element", "-1,1"),
-], ids=["pin", "require", "left", "right", "word", "element"])
+], ids=["pin", "require", "left", "right", "word"])
 def test_spaced_negative_values_match_the_equals_form(capsys, argv, flag,
                                                       value):
     spaced = run_cli(capsys, *argv, flag, value)
@@ -457,6 +459,43 @@ def test_config_flag_is_unrecognized(tmp_path, capsys):
     assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--out", "x"), ("--element", "s1")],
+                         ids=["out", "element"])
+def test_removed_flags_are_unrecognized(capsys, flag, value):
+    # Reports go to stdout, and the element of sign is --word.
+    argv = ["sign", "--cone", "dd:3", "--word", "S2", flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+@pytest.mark.parametrize("field", ["lattice_check_radius",
+                                   "braid_ball_default"])
+def test_removed_budget_fields_are_usage_errors(capsys, field):
+    with pytest.raises(UsageError, match=field):
+        Budget().with_overrides({field: 3})
+    assert main(["ball", "--group", "z", "--radius", "1",
+                 "--budget", json.dumps({field: 3})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and field in err
+
+
+@pytest.mark.parametrize("text, message", [
+    *((text, f"unknown group {text!r} (try z, z2, klein, braid:3)")
+      for text in ("braid:x", "braid:", "z^x", "z^2.5")),
+    ("braid:-3", "braid group n must be at least 2"),
+    ("z^0", "free abelian rank k must be at least 1"),
+], ids=["braid-x", "braid-empty", "z-x", "z-float", "braid-negative", "z-0"])
+def test_bad_group_parameter_is_usage_error(capsys, text, message):
+    # A parameter that is not an integer is an unknown group, not int()'s
+    # message; an integer out of range keeps the group's own message.
+    with pytest.raises(UsageError, match=re.escape(message)):
+        parse_group(text)
+    assert main(["ball", "--group", text, "--radius", "1"]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_cross_check_disagreement_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(lattices, "least_positive_in_ball",
                         lambda spec, radius: (5, 5))
@@ -464,14 +503,6 @@ def test_cross_check_disagreement_exits_4(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("internal error: ")
-
-
-def test_output_file(tmp_path, capsys):
-    out_path = tmp_path / "report.json"
-    code = main(["sign", "--cone", "dd:3", "--word", "S2",
-                 "--out", str(out_path)])
-    assert code == 0
-    assert json.loads(out_path.read_text())["sign"] == "+"
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -121,8 +121,10 @@ def test_flip_requires_certificate():
 def test_value_types_refuse_integer_parameters_of_other_types(build, name,
                                                               value):
     # Before, 2.5 and True were stored and serialized ("n": 2.5,
-    # "r": true), and None raised a bare TypeError.
-    with pytest.raises(UsageError, match=name):
+    # "r": true), and None raised a bare TypeError.  The message says
+    # that the value is not an integer, even for 2.5 above the bound.
+    with pytest.raises(UsageError,
+                       match=rf"{name} must be (a nonnegative|an) integer"):
         build(value)
 
 

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from ordercone import (GroupContext, LatticeCone, LexConeSpec,
                        PerturbationError, QuadScalar, UsageError, ball,
-                       budget_scope, classify_density, convexity_check,
-                       current_budget, extend_by_quotient,
-                       least_positive_in_ball, perturb_dense,
+                       classify_density, convexity_check, extend_by_quotient,
+                       lattices, least_positive_in_ball, perturb_dense,
                        restrict_to_sublattice, saturate, sign_vector)
 from ordercone.certificates import ConvexityCertificate
 from ordercone.cones import LatticeSublatticePredicate
@@ -440,11 +439,16 @@ def test_spec_json_round_trip():
         assert "." not in flat
 
 
-def test_cross_check_radius_cap():
-    # A least positive element beyond the check radius still verifies
-    # partially (no smaller positive in the window).
-    spec = spec_of(2, (0, 1), (1, 0))
-    with budget_scope(current_budget().with_overrides(
-            {"lattice_check_radius": 4})):
-        report = classify_density(spec)
-    assert report.least_positive == (1, 0)
+def test_cross_check_radius_cap(monkeypatch):
+    # The least positive element (13, -1) has norm 14, beyond the fixed
+    # window of radius 12, so only the one-sided check runs: the window's
+    # minimum, (1, 0), must not lie below it.
+    spec, radii = spec_of(2, (1, 13), (1, 0)), []
+    search = lattices.least_positive_in_ball
+    monkeypatch.setattr(lattices, "least_positive_in_ball",
+                        lambda s, radius: radii.append(radius)
+                        or search(s, radius))
+    report = classify_density(spec)
+    assert (report.verdict, report.least_positive) == ("discrete", (13, -1))
+    assert radii == [12]
+    assert search(spec, 12) == (1, 0)

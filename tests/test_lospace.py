@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercone import (BraidShiftPredicate, BudgetExceededError,
-                       CensusQuery, CertificateError, ConeOracle,
-                       ConjugateCone, ContextMismatchError,
+                       CertificateError, ConeOracle, ConjugateCone,
+                       ContextMismatchError,
                        CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
@@ -95,20 +95,19 @@ def test_ultrametric_inequality_sampled():
 
 def test_census_z():
     for radius in range(1, 7):
-        vectors = census(CensusQuery(GroupContext.free_abelian(1), radius))
+        vectors = census(GroupContext.free_abelian(1), radius)
         assert len(vectors) == 2
 
 
 def test_census_klein_matches_constructed(klein):
-    vectors = census(CensusQuery(klein, 2))
+    vectors = census(klein, 2)
     assert len(vectors) == 4
     constructed = {sign_vector(c, 2) for c in klein_tararin_cones()}
     assert set(vectors) == constructed
 
 
 def _query(context, radius, *pins):
-    return CensusQuery(context, radius,
-                       tuple(context.element(p) for p in pins))
+    return context, radius, tuple(context.element(p) for p in pins)
 
 
 _Z, _Z2, _Z3 = (GroupContext.free_abelian(k) for k in (1, 2, 3))
@@ -130,8 +129,8 @@ def test_census_z2_brute_force():
                 _query(_Z2, 3, "1,0", "0,1", "-1,-1"),
                 _query(_B3, 2, "s1", "S1")]
     for query in queries:
-        got = [v.signs for v in census(query)]
-        assert got == census_brute_force(query), query
+        got = [v.signs for v in census(*query)]
+        assert got == census_brute_force(*query), query
 
 
 _B4 = GroupContext.braid(4)
@@ -139,7 +138,7 @@ _DD3 = tuple(DubrovinaDubrovinCone(3).generators())
 _SEARCH_QUERIES = [
     _query(_Z3, 3), _query(_Z3, 4), _query(_KLEIN, 5),
     _query(_B3, 3), _query(_B3, 4), _query(_B4, 2),
-    CensusQuery(_B3, 3, _DD3), _query(_B3, 3, "s1 s2"),
+    (_B3, 3, _DD3), _query(_B3, 3, "s1 s2"),
     # Contradictory pins: (1,0) + (0,1) forces (-1,-1) negative.
     _query(_Z2, 3, "1,0", "0,1", "-1,-1"), _query(_B3, 2, "s1", "S1")]
 
@@ -151,24 +150,24 @@ def test_census_matches_search_oracle(query):
     """The literal-per-pair propagation gives the whole list, in order,
     of the position search that scans product triples."""
     with _braid_census_scope(4):
-        got = [v.signs for v in census(query)]
-    assert got == census_search_oracle(query)
+        got = [v.signs for v in census(*query)]
+    assert got == census_search_oracle(*query)
 
 
 def test_census_pins(z2):
     e1 = z2.element((1, 0))
     e2 = z2.element((0, 1))
-    pinned = census(CensusQuery(z2, 2, (e1, e2)))
+    pinned = census(z2, 2, (e1, e2))
     assert len(pinned) == 2
     for vector in pinned:
         b = vector.ball
         assert vector.signs[b.position(e1)] == vector.signs[b.position(e2)] == 1
     with pytest.raises(UsageError):
-        census(CensusQuery(z2, 2, (z2.element((5, 5)),)))
+        census(z2, 2, (z2.element((5, 5)),))
 
 
 def test_census_contains_constructed_lattice_cones(z2):
-    vectors = set(census(CensusQuery(z2, 3)))
+    vectors = set(census(z2, 3))
     for cone in (lat(2, (0, 1), (1, 0)), lat(2, ((1, 0), (0, 1))),
                  lat(2, (-1, 0), (0, 1))):
         assert sign_vector(cone, 3) in vectors
@@ -176,11 +175,11 @@ def test_census_contains_constructed_lattice_cones(z2):
 
 def test_census_budget():
     with pytest.raises(BudgetExceededError, match="census budget"):
-        census(CensusQuery(GroupContext.free_abelian(2), 7))
+        census(GroupContext.free_abelian(2), 7)
 
 
 def test_census_braid_small(b3):
-    vectors = census(CensusQuery(b3, 1))
+    vectors = census(b3, 1)
     assert len(vectors) == 4  # free choice on two generator pairs
     in_census = {v.signs for v in vectors}
     assert sign_vector(DehornoyCone(3), 1).signs in in_census
@@ -188,7 +187,7 @@ def test_census_braid_small(b3):
 
 
 def test_census_braid_radius_two_contains_constructed(b3):
-    vectors = set(census(CensusQuery(b3, 2)))
+    vectors = set(census(b3, 2))
     for cone in (DehornoyCone(3), DubrovinaDubrovinCone(3)):
         assert sign_vector(cone, 2) in vectors
 
@@ -205,8 +204,7 @@ def test_pinned_census_isolates_the_dd_cone(n, radius):
     handle-reduction DD sign and the semigroup BFS agree on it."""
     dd = DubrovinaDubrovinCone(n)
     with _braid_census_scope(radius):
-        vectors = census(CensusQuery(dd.context, radius,
-                                     tuple(dd.generators())))
+        vectors = census(dd.context, radius, tuple(dd.generators()))
     assert vectors == [sign_vector(dd, radius)]
     witnesses = dd_isolation_witnesses(n, radius, 16)
     assert ([g.text() for g in positives(vectors[0])]
@@ -221,7 +219,7 @@ def test_pinned_census_does_not_isolate_dehornoy(n, radius, count):
     context = GroupContext.braid(n)
     pins = tuple(context.element(f"s{i}") for i in range(1, n))
     with _braid_census_scope(radius):
-        vectors = census(CensusQuery(context, radius, pins))
+        vectors = census(context, radius, pins)
     assert len(vectors) == count
     assert sign_vector(DehornoyCone(n), radius) in vectors
 
@@ -234,7 +232,7 @@ def test_pinned_census_isolates_each_klein_order(klein, radius):
         pins = tuple(g for g in map(klein.element,
                                     ("1,0", "-1,0", "0,1", "0,-1"))
                      if cone.sign(g) == 1)
-        vectors = census(CensusQuery(klein, radius, pins))
+        vectors = census(klein, radius, pins)
         assert vectors == [sign_vector(cone, radius)]
 
 
@@ -330,38 +328,36 @@ def test_dd_witness_refuses_max_len_below_one(max_len):
 # -- accumulation -------------------------------------------------------------
 
 
-def test_accumulation_lattice_none(z2):
+def test_accumulation_lattice_none():
     cone = lat(2, (0, 1), (1, 0))
-    assert accumulation_scan(cone, ball(z2, 3), 1, resolution=4) is None
+    assert accumulation_scan(cone, 3, 1, resolution=4) is None
 
 
-def test_accumulation_klein_none(klein):
+def test_accumulation_klein_none():
     cone = KleinTararinCone(1, 1)
-    assert accumulation_scan(cone, ball(klein, 3), 2, resolution=4) is None
+    assert accumulation_scan(cone, 3, 2, resolution=4) is None
 
 
-def test_accumulation_braid(b3):
+def test_accumulation_braid():
     pd = DehornoyCone(3)
-    conjugators = ball(b3, 3)
-    witness = accumulation_scan(pd, conjugators, 1, resolution=3)
+    witness = accumulation_scan(pd, 3, 1, resolution=3)
     assert witness is not None
     assert witness.conjugator == "s1"
     assert witness.agree_radius == 1
     assert witness.replay()
     # Deterministic: the same scan returns the same witness.
-    again = accumulation_scan(pd, conjugators, 1, resolution=3)
+    again = accumulation_scan(pd, 3, 1, resolution=3)
     assert again == witness
 
 
 @pytest.mark.parametrize("target_radius", [-1, -3])
-def test_accumulation_refuses_a_negative_target_radius(b3, target_radius):
+def test_accumulation_refuses_a_negative_target_radius(target_radius):
     # A distance bound 2^-t above 1 bounds nothing: such a scan used to
     # report a witness with a resolution and none without.
     for resolution in (None, 2):
         with pytest.raises(UsageError,
                            match="target radius must be a nonnegative integer"):
-            accumulation_scan(DehornoyCone(3), ball(b3, 1), target_radius,
-                              resolution)
+            accumulation_scan(DehornoyCone(3), 1, target_radius, resolution)
     dehornoy = DehornoyCone(3).to_json()
     assert AccumulationWitness(dehornoy, "s1", 0, 1, 3).replay()
     assert not AccumulationWitness(dehornoy, "s1", target_radius, 1,
@@ -379,9 +375,9 @@ class ZeroOnS2(ConeOracle):
         return DehornoyCone(3).sign(g)
 
 
-def test_accumulation_refuses_a_zero_sign(b3):
+def test_accumulation_refuses_a_zero_sign():
     with pytest.raises(UsageError, match="assigned 0 to the nontrivial"):
-        accumulation_scan(ZeroOnS2(), ball(b3, 1), 1, resolution=2)
+        accumulation_scan(ZeroOnS2(), 1, 1, resolution=2)
 
 
 # -- convexity ----------------------------------------------------------------
@@ -804,16 +800,19 @@ def test_property_scan_refuses_a_predicate_on_another_group():
 _NOT_INTEGERS = {"none": None, "float": 2.5, "bool": True, "negative": -1}
 _INTEGER_PARAMETERS = {
     "census-radius": (
-        lambda v: census(CensusQuery(GroupContext.free_abelian(2), v)),
+        lambda v: census(GroupContext.free_abelian(2), v),
         "ball radius"),
     "distance-resolution": (
         lambda v: distance(KleinTararinCone(1, 1), KleinTararinCone(1, -1), v),
         "resolution"),
+    "orbit-conjugator-radius": (
+        lambda v: accumulation_scan(DehornoyCone(3), v, 0),
+        "conjugator radius"),
     "orbit-target-radius": (
-        lambda v: accumulation_scan(DehornoyCone(3), ball(_B3, 1), v),
+        lambda v: accumulation_scan(DehornoyCone(3), 1, v),
         "target radius"),
     "orbit-resolution": (
-        lambda v: accumulation_scan(DehornoyCone(3), ball(_B3, 1), 0, v),
+        lambda v: accumulation_scan(DehornoyCone(3), 1, 0, v),
         "resolution"),
     "interval-k-max": (
         lambda v: interval_closure(DehornoyCone(3), _B3.element("s1"), 1, v),
@@ -834,8 +833,19 @@ _INTEGER_PARAMETERS = {
     if (case, kind) != ("orbit-resolution", "none")])
 def test_integer_parameters_refuse_other_types(call, name, value):
     # Checked before any comparison, which would raise a bare TypeError.
-    with pytest.raises(UsageError, match=name):
+    # A value that is not an integer is called one, even 2.5 above a bound.
+    with pytest.raises(UsageError, match=name if type(value) is int else
+                       rf"{name} must be (a nonnegative|an) integer"):
         call(value)
+
+
+def test_accumulation_checks_its_parameters_before_any_ball():
+    # A conjugator ball of radius 50 is over the B_3 budget; the bad
+    # target radius is reported first.
+    with pytest.raises(UsageError, match="target radius"):
+        accumulation_scan(DehornoyCone(3), 50, -1)
+    with pytest.raises(BudgetExceededError):
+        accumulation_scan(DehornoyCone(3), 50, 1)
 
 
 @pytest.mark.parametrize("cone", [
@@ -905,7 +915,7 @@ def test_certificate_json_round_trip(b3, z2):
         (convexity_check(DehornoyCone(3), CyclicBraidPredicate(3, "s1"), 2),
          "g", "s1"),
         *((w, "witness", [*w.factors, "y1"]) for w in witnesses),
-        (accumulation_scan(DehornoyCone(3), ball(b3, 3), 1, resolution=3),
+        (accumulation_scan(DehornoyCone(3), 3, 1, resolution=3),
          "agree_radius", 2),
         (density, "smaller_positive", density.eps),
         (discreteness_check(DehornoyCone(3), b3.element("s2"), 3),

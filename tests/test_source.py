@@ -1,18 +1,20 @@
 """Source hygiene of the library: no module imports a name it never uses,
 and no private module-level name is left that no module references.
-Both catch the leftovers of a deletion, and so does the check that every
-CLI flag belongs to a command.  No module imports ``os`` or reads the
-environment, so the library's only inputs are arguments, budget scopes
-and CLI flags."""
+Both catch the leftovers of a deletion, and so do the checks that every
+CLI flag belongs to a command and that the README names exactly the CLI
+flags.  No module imports ``os`` or reads the environment, so the
+library's only inputs are arguments, budget scopes and CLI flags."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-from ordercone.cli import _COMMANDS, _COMMON, _FLAGS
+from ordercone.cli import _COMMANDS, _COMMON, _FLAGS, _flag_string
 
-SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ordercone"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "ordercone"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(SOURCE.glob("*.py"))}
 
@@ -117,3 +119,12 @@ def test_every_cli_flag_is_taken_by_a_command():
     taken = set(_COMMON).union(*(required + optional for _, required, optional
                                  in _COMMANDS.values()))
     assert set(_FLAGS) == taken
+
+
+def test_readme_names_exactly_the_cli_flags():
+    # A flag nobody documents, or a README mention of a removed flag,
+    # fails here; the pip line's flags are pip's.
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    named = {flag for line in lines if "pip install" not in line
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
+    assert named == {_flag_string(name) for name in _FLAGS}
