@@ -19,7 +19,7 @@ from .errors import (BudgetExceededError, CertificateError,
                      PerturbationError, UsageError)
 from .groups import Ball, GroupContext, GroupElement, ball, multiply
 from .lattices import (DensityReport, LexConeSpec, PerturbationResult,
-                       SaturationResult, classify_density, extend_by_quotient,
+                       classify_density, extend_by_quotient,
                        least_positive_in_ball, perturb_dense,
                        restrict_to_sublattice, saturate)
 from .lospace import (DistanceResult, OrderPropertyReport, SignVector,

@@ -30,9 +30,13 @@ class Budget:
 
     handle_steps      max handle rewrites per reduction
     bfs_frontier      max nodes explored by semigroup breadth-first search
-    braid_ball        per-strand-count cap on braid Cayley-ball radius;
-                      strand counts absent from it are capped at 2
+    braid_ball        per-strand-count cap on braid Cayley-ball radius,
+                      keyed by int strand counts; strand counts absent
+                      from it are capped at 2
     census_braid_radius / census_other_radius  census radius caps
+
+    A ``braid_ball`` given to the constructor is the whole table, without
+    the defaults; ``with_overrides`` merges into the current table.
     """
 
     handle_steps: int = 1_000_000
@@ -42,6 +46,10 @@ class Budget:
     census_other_radius: int = 6
 
     def __post_init__(self) -> None:
+        for n in self.braid_ball:
+            if type(n) is not int:
+                raise UsageError(f"budget field braid_ball has key {n!r}, "
+                                 "not an integer strand count")
         limits = [(f.name, getattr(self, f.name)) for f in fields(self)
                   if f.name != "braid_ball"]
         limits += [(f"braid_ball[{n}]", v) for n, v in self.braid_ball.items()]

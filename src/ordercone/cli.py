@@ -57,6 +57,8 @@ def parse_cone(text: str) -> ConeOracle:
     if text.startswith(("{", "@")):
         data = _read_json(text)
     elif kind in ("dehornoy", "dd"):
+        if not arg.removeprefix("-").isdecimal():
+            raise UsageError(f"{kind} cone wants an integer n")
         data = {"type": kind, "n": int(arg)}
     elif kind == "klein" and len(arg) == 2:
         data = {"type": "klein_tararin", "sx": arg[0], "sy": arg[1]}

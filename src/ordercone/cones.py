@@ -8,25 +8,27 @@ cones, the four Klein-bottle orders, and lattice lex cones; derived
 cones are conjugates, flips and replacements on certified convex
 subgroups, and lexicographic extensions over a normal convex subgroup.
 
-Oracles are immutable value objects; evaluation is pure.  Everything
-serializes to a JSON tagged union and deserializes to an oracle that
-replays identically (flip and replace certify convexity on construction).
+Oracles are immutable value objects; evaluation is pure.  Each is a
+``_Descriptor``, its tag and fields in JSON, which ``cone_from_json`` or
+``predicate_from_json`` reads back into an oracle that replays
+identically (flip and replace certify convexity on construction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import intlinalg
 from .braids import handle_reduce, main_sign
-from .certificates import ConvexityCertificate
 from .errors import (CertificateError, ContextMismatchError, UsageError,
-                     _field, _int_at_least, _int_field)
+                     _field, _int_at_least, _int_field, _typed_field)
 from .groups import GroupContext, GroupElement
 from .lattices import LexConeSpec
 
 _SIGN_TEXT = {1: "+", 0: "0", -1: "-"}
-_TEXT_SIGN = {v: k for k, v in _SIGN_TEXT.items()}
+
+#: An orientation, written "+" or "-" in JSON.
+_Sign = int
 
 
 def sign_text(s: int) -> str:
@@ -37,14 +39,63 @@ def _sign_field(data, key: str) -> int:
     text = _field(data, key)
     if text not in ("+", "-"):
         raise UsageError(f"descriptor field {key!r} must be '+' or '-'")
-    return _TEXT_SIGN[text]
+    return 1 if text == "+" else -1
+
+
+class _Descriptor:
+    """A frozen dataclass that is its own JSON descriptor.
+
+    ``to_json`` writes the ``tag`` named in the class statement, as in
+    ``class DehornoyCone(ConeOracle, tag="dehornoy")``, under ``tag_key``
+    ("type" for cones and predicates, "kind" for certificates), then every
+    dataclass field under its own name: nested values by their ``to_json``,
+    tuples as lists.  ``_read`` builds the class back from such a
+    descriptor.  A class overrides ``to_json`` only where a field has its
+    own text.  Each family base (``ConvexPredicate``, ``ConeOracle``,
+    ``certificates._Certificate``) holds a ``classes`` dict, and a class
+    statement with a tag registers the class there under it.
+    """
+
+    tag_key = "type"
+    tag: str
+    classes: dict[str, type]
+
+    def __init_subclass__(cls, tag: str = "") -> None:
+        cls.tag = tag  # empty on the family bases
+        if tag:
+            cls.classes[tag] = cls
+
+    def to_json(self) -> dict:
+        data = {self.tag_key: self.tag}
+        for f in fields(self):
+            data[f.name] = _json(getattr(self, f.name))
+        return data
+
+
+def _json(value):
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def _read(data, family: type[_Descriptor], noun: str, readers: dict):
+    """The descriptor's class, looked up by its tag in ``family.classes``,
+    built from its fields in declaration order.  Each field is read by
+    its annotation through ``readers``; any other annotation reads the
+    raw JSON value, which the class's constructor checks."""
+    tag = _field(data, family.tag_key)
+    if not isinstance(tag, str) or tag not in family.classes:
+        raise UsageError(f"unknown {noun} {tag!r}")
+    cls = family.classes[tag]
+    return cls(*(readers.get(f.type, _field)(data, f.name)
+                 for f in fields(cls)))
 
 
 # ---------------------------------------------------------------------------
 # Convex-subgroup predicates
 
 
-class ConvexPredicate:
+class ConvexPredicate(_Descriptor):
     """A subgroup used as a convexity candidate, deciding one fact:
     ``_coordinates(g)``, a member's coordinates in ``subgroup_context()``
     or None for a non-member, from which ``contains`` and ``project``
@@ -55,6 +106,7 @@ class ConvexPredicate:
     """
 
     context: GroupContext
+    classes = {}
 
     def _coordinates(self, g: GroupElement) -> GroupElement | None:
         raise NotImplementedError
@@ -79,15 +131,12 @@ class ConvexPredicate:
         raise UsageError(
             f"lex extension is not implemented over {self.describe()}")
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
     def describe(self) -> str:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class BraidShiftPredicate(ConvexPredicate):
+class BraidShiftPredicate(ConvexPredicate, tag="braid_shift"):
     """The subgroup of B_n generated by the generators above index r:
     the braids whose reduced form only uses indices > r, and whose
     Dynnikov key starts with r zero coordinate pairs."""
@@ -116,15 +165,12 @@ class BraidShiftPredicate(ConvexPredicate):
             l - self.r if l > 0 else l + self.r
             for l in handle_reduce(self.n, g.payload)))
 
-    def to_json(self) -> dict:
-        return {"type": "braid_shift", "n": self.n, "r": self.r}
-
     def describe(self) -> str:
         return f"sh^{self.r}(B_{self.n - self.r})<=B_{self.n}"
 
 
 @dataclass(frozen=True)
-class KleinYPredicate(ConvexPredicate):
+class KleinYPredicate(ConvexPredicate, tag="klein_y"):
     """The subgroup <y> of the Klein-bottle group: pairs (0, b).  The
     quotient K / <y> is infinite cyclic in the x exponent."""
 
@@ -142,15 +188,12 @@ class KleinYPredicate(ConvexPredicate):
     def quotient_image(self, g: GroupElement) -> GroupElement:
         return GroupContext.free_abelian(1).element((g.payload[0],))
 
-    def to_json(self) -> dict:
-        return {"type": "klein_y"}
-
     def describe(self) -> str:
         return "<y><=K"
 
 
 @dataclass(frozen=True)
-class LatticeSublatticePredicate(ConvexPredicate):
+class LatticeSublatticePredicate(ConvexPredicate, tag="lattice_sublattice"):
     """An explicit sublattice of Z^k given by independent basis rows B.
     Membership, coordinates and quotient images read one U B V = D taken
     at construction, whose ``divisors`` refuse dependent rows."""
@@ -211,16 +254,12 @@ class LatticeSublatticePredicate(ConvexPredicate):
         alpha = intlinalg.matvec_left(list(g.payload), self.completion()[1])
         return GroupContext.free_abelian(self.k - r).element(tuple(alpha[r:]))
 
-    def to_json(self) -> dict:
-        return {"type": "lattice_sublattice", "k": self.k,
-                "basis": [list(b) for b in self.basis]}
-
     def describe(self) -> str:
         return f"span{list(map(list, self.basis))}<=Z^{self.k}"
 
 
 @dataclass(frozen=True)
-class CyclicBraidPredicate(ConvexPredicate):
+class CyclicBraidPredicate(ConvexPredicate, tag="cyclic_braid"):
     """The cyclic subgroup of B_n generated by one braid w, parsed once.
 
     The exponent sum e of w must be nonzero: the exponent-sum
@@ -230,13 +269,13 @@ class CyclicBraidPredicate(ConvexPredicate):
     """
 
     n: int
-    word_text: str
+    word: str
 
     def __post_init__(self) -> None:
-        w = self.context.element(self.word_text)
+        w = self.context.element(self.word)
         e = sum(1 if l > 0 else -1 for l in w.payload)
         if e == 0:
-            raise UsageError(f"cyclic generator {self.word_text!r} has "
+            raise UsageError(f"cyclic generator {self.word!r} has "
                              "exponent sum 0: no exact membership rule")
         object.__setattr__(self, "_generator", w)
         object.__setattr__(self, "_exponent", e)
@@ -256,64 +295,45 @@ class CyclicBraidPredicate(ConvexPredicate):
     def subgroup_context(self) -> GroupContext:
         return GroupContext.free_abelian(1)
 
-    def to_json(self) -> dict:
-        return {"type": "cyclic_braid", "n": self.n, "word": self.word_text}
-
     def describe(self) -> str:
-        return f"<{self.word_text}><=B_{self.n}"
+        return f"<{self.word}><=B_{self.n}"
 
 
 @dataclass(frozen=True)
-class WholePredicate(ConvexPredicate):
+class WholePredicate(ConvexPredicate, tag="whole"):
     """The whole group; lets chains for the soul estimator end at G."""
 
-    context_data: GroupContext
+    group: GroupContext
 
     @property
     def context(self) -> GroupContext:
-        return self.context_data
+        return self.group
 
     def _coordinates(self, g: GroupElement) -> GroupElement:
         return g
 
     def subgroup_context(self) -> GroupContext:
-        return self.context_data
-
-    def to_json(self) -> dict:
-        return {"type": "whole", "group": self.context_data.to_json()}
+        return self.group
 
     def describe(self) -> str:
-        return f"all of {self.context_data!r}"
+        return f"all of {self.group!r}"
 
 
 def predicate_from_json(data: dict) -> ConvexPredicate:
-    kind = _field(data, "type")
-    if kind == "braid_shift":
-        return BraidShiftPredicate(_int_field(data, "n"), _int_field(data, "r"))
-    if kind == "klein_y":
-        return KleinYPredicate()
-    if kind == "lattice_sublattice":
-        basis = _field(data, "basis")
-        k = (len(basis[0]) if "k" not in data and isinstance(basis, list)
-             and basis and isinstance(basis[0], list)
-             else _int_field(data, "k"))
-        return LatticeSublatticePredicate(k, basis)
-    if kind == "cyclic_braid":
-        return CyclicBraidPredicate(_int_field(data, "n"), _field(data, "word"))
-    if kind == "whole":
-        return WholePredicate(GroupContext.from_json(_field(data, "group")))
-    raise UsageError(f"unknown predicate type {kind!r}")
+    """The predicate a ``to_json`` descriptor names, read by ``_read``."""
+    return _read(data, ConvexPredicate, "predicate type", _READERS)
 
 
 # ---------------------------------------------------------------------------
 # Cone oracles
 
 
-class ConeOracle:
+class ConeOracle(_Descriptor):
     """A total sign function satisfying the positive-cone axioms;
     ``order_property_scan`` infers most conjugate signs from them."""
 
     context: GroupContext
+    classes = {}
 
     def sign(self, g: GroupElement) -> int:
         if g.context != self.context:
@@ -323,19 +343,19 @@ class ConeOracle:
     def _sign(self, g: GroupElement) -> int:
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
     def describe(self) -> str:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class DehornoyCone(ConeOracle):
+class DehornoyCone(ConeOracle, tag="dehornoy"):
     """The Dehornoy order of B_n: positive iff the reduced form's lowest
     generator index occurs positively."""
 
     n: int
+
+    def __post_init__(self) -> None:
+        GroupContext.braid(self.n)  # refuses n below 2 and non-integers
 
     @property
     def context(self) -> GroupContext:
@@ -344,15 +364,12 @@ class DehornoyCone(ConeOracle):
     def _sign(self, g: GroupElement) -> int:
         return main_sign(self.n, g.payload).sign
 
-    def to_json(self) -> dict:
-        return {"type": "dehornoy", "n": self.n}
-
     def describe(self) -> str:
         return f"dehornoy:{self.n}"
 
 
 @dataclass(frozen=True)
-class DubrovinaDubrovinCone(ConeOracle):
+class DubrovinaDubrovinCone(ConeOracle, tag="dd"):
     """The Dubrovina-Dubrovin order of B_n.
 
     A braid with main index i and main sign s is positive iff
@@ -362,6 +379,9 @@ class DubrovinaDubrovinCone(ConeOracle):
     """
 
     n: int
+
+    def __post_init__(self) -> None:
+        GroupContext.braid(self.n)  # refuses n below 2 and non-integers
 
     @property
     def context(self) -> GroupContext:
@@ -382,20 +402,17 @@ class DubrovinaDubrovinCone(ConeOracle):
             out.append(y if i % 2 == 1 else y.inverse())
         return out
 
-    def to_json(self) -> dict:
-        return {"type": "dd", "n": self.n}
-
     def describe(self) -> str:
         return f"dd:{self.n}"
 
 
 @dataclass(frozen=True)
-class KleinTararinCone(ConeOracle):
+class KleinTararinCone(ConeOracle, tag="klein_tararin"):
     """One of the four orders of the Klein-bottle group: the sign of
     x^a y^b is sx * sgn(a) when a != 0 and sy * sgn(b) otherwise."""
 
-    sx: int
-    sy: int
+    sx: _Sign
+    sy: _Sign
 
     def __post_init__(self) -> None:
         if self.sx not in (1, -1) or self.sy not in (1, -1):
@@ -414,7 +431,7 @@ class KleinTararinCone(ConeOracle):
         return 0
 
     def to_json(self) -> dict:
-        return {"type": "klein_tararin", "sx": sign_text(self.sx),
+        return {"type": self.tag, "sx": sign_text(self.sx),
                 "sy": sign_text(self.sy)}
 
     def describe(self) -> str:
@@ -422,7 +439,7 @@ class KleinTararinCone(ConeOracle):
 
 
 @dataclass(frozen=True)
-class LatticeCone(ConeOracle):
+class LatticeCone(ConeOracle, tag="lattice"):
     """A lex cone on Z^k backed by an exact hyperplane-chain spec."""
 
     spec: LexConeSpec
@@ -435,15 +452,12 @@ class LatticeCone(ConeOracle):
         # sign() has checked the context; payloads are k-tuples of ints.
         return self.spec._sign(g.payload)
 
-    def to_json(self) -> dict:
-        return {"type": "lattice", "spec": self.spec.to_json()}
-
     def describe(self) -> str:
         return f"lattice:k={self.spec.k}"
 
 
 @dataclass(frozen=True)
-class ConjugateCone(ConeOracle):
+class ConjugateCone(ConeOracle, tag="conjugate"):
     """The image of a cone under the conjugation action: an element is
     positive here iff h^-1 g h is positive in the base cone.  h^-1 is
     taken once, at construction."""
@@ -464,7 +478,7 @@ class ConjugateCone(ConeOracle):
         return self.base.sign(self._h_inverse * g * self.h)
 
     def to_json(self) -> dict:
-        return {"type": "conjugate", "base": self.base.to_json(),
+        return {"type": self.tag, "base": self.base.to_json(),
                 "g": self.h.to_json()}
 
     def describe(self) -> str:
@@ -472,7 +486,7 @@ class ConjugateCone(ConeOracle):
 
 
 @dataclass(frozen=True)
-class FlipCone(ConeOracle):
+class FlipCone(ConeOracle, tag="flip_on_convex"):
     """The base cone with its sign negated exactly on a convex subgroup:
     the flipped restriction glued to the untouched outside.  A cone by
     convexity, which the constructor certifies up to ``radius`` only."""
@@ -492,17 +506,12 @@ class FlipCone(ConeOracle):
         s = self.base.sign(g)
         return -s if self.predicate.contains(g) else s
 
-    def to_json(self) -> dict:
-        return {"type": "flip_on_convex", "base": self.base.to_json(),
-                "predicate": self.predicate.to_json(),
-                "radius": self.radius}
-
     def describe(self) -> str:
         return f"flip[{self.predicate.describe()}]({self.base.describe()})"
 
 
 @dataclass(frozen=True)
-class ReplaceCone(ConeOracle):
+class ReplaceCone(ConeOracle, tag="replace_on_convex"):
     """The base cone with its restriction to a convex subgroup replaced
     by an arbitrary order of that subgroup.  A cone by convexity, which
     the constructor certifies up to ``radius`` only."""
@@ -526,19 +535,13 @@ class ReplaceCone(ConeOracle):
             return self.base.sign(g)
         return self.inner.sign(coordinates)
 
-    def to_json(self) -> dict:
-        return {"type": "replace_on_convex", "base": self.base.to_json(),
-                "predicate": self.predicate.to_json(),
-                "inner": self.inner.to_json(),
-                "radius": self.radius}
-
     def describe(self) -> str:
         return (f"replace[{self.predicate.describe()}<-{self.inner.describe()}]"
                 f"({self.base.describe()})")
 
 
 @dataclass(frozen=True)
-class LexExtensionCone(ConeOracle):
+class LexExtensionCone(ConeOracle, tag="lex_extension"):
     """Order a group through a normal convex subgroup: compare cosets by
     the quotient order and fall back to the inner order inside.
 
@@ -568,11 +571,6 @@ class LexExtensionCone(ConeOracle):
             return self.quotient.sign(image)
         return self.inner.sign(self.convex.project(g))
 
-    def to_json(self) -> dict:
-        return {"type": "lex_extension", "convex": self.convex.to_json(),
-                "inner": self.inner.to_json(),
-                "quotient": self.quotient.to_json()}
-
     def describe(self) -> str:
         return (f"lexext[{self.convex.describe()}: {self.inner.describe()}; "
                 f"{self.quotient.describe()}]")
@@ -587,8 +585,8 @@ def _check_inner(inner: ConeOracle, predicate: ConvexPredicate) -> None:
 def _certify(cone: FlipCone | ReplaceCone) -> None:
     """Refuse a flip or replacement failing the sorted-ball check."""
     from .lospace import convexity_check
-    if not isinstance(convexity_check(cone.base, cone.predicate, cone.radius),
-                      ConvexityCertificate):
+    verdict = convexity_check(cone.base, cone.predicate, cone.radius)
+    if verdict.tag != "convexity_pass":
         raise CertificateError(
             f"{cone.predicate.describe()} is not convex in "
             f"{cone.base.describe()} at radius {cone.radius}")
@@ -607,29 +605,28 @@ def compare(cone: ConeOracle, g: GroupElement, h: GroupElement) -> str:
 
 
 def cone_from_json(data: dict) -> ConeOracle:
-    kind = _field(data, "type")
-    if kind == "dehornoy":
-        return DehornoyCone(_int_field(data, "n"))
-    if kind == "dd":
-        return DubrovinaDubrovinCone(_int_field(data, "n"))
-    if kind == "klein_tararin":
-        return KleinTararinCone(_sign_field(data, "sx"), _sign_field(data, "sy"))
-    if kind == "lattice":
-        return LatticeCone(LexConeSpec.from_json(_field(data, "spec")))
-    if kind == "conjugate":
+    """The cone a ``to_json`` descriptor names, read by ``_read``; only a
+    conjugate's element is read here, in its base cone's group."""
+    if _field(data, "type") == "conjugate":
         base = cone_from_json(_field(data, "base"))
         return ConjugateCone(base, base.context.element(_field(data, "g")))
-    if kind == "flip_on_convex":
-        return FlipCone(cone_from_json(_field(data, "base")),
-                        predicate_from_json(_field(data, "predicate")),
-                        _int_field(data, "radius"))
-    if kind == "replace_on_convex":
-        return ReplaceCone(cone_from_json(_field(data, "base")),
-                           predicate_from_json(_field(data, "predicate")),
-                           cone_from_json(_field(data, "inner")),
-                           _int_field(data, "radius"))
-    if kind == "lex_extension":
-        return LexExtensionCone(predicate_from_json(_field(data, "convex")),
-                                cone_from_json(_field(data, "inner")),
-                                cone_from_json(_field(data, "quotient")))
-    raise UsageError(f"unknown cone type {kind!r}")
+    return _read(data, ConeOracle, "cone type", _READERS)
+
+
+def _nested(read):
+    """A field reader for a nested descriptor that ``read`` builds."""
+    return lambda data, key: read(_field(data, key))
+
+
+#: How ``_read`` reads a field, by the field's annotation.
+_READERS = {
+    "int": _int_field,
+    "bool": lambda data, key: _typed_field(data, key, bool, "true or false"),
+    "tuple[str, ...]": lambda data, key: tuple(
+        _typed_field(data, key, list, "a list")),
+    "_Sign": _sign_field,
+    "ConeOracle": _nested(cone_from_json),
+    "ConvexPredicate": _nested(predicate_from_json),
+    "GroupContext": _nested(GroupContext.from_json),
+    "LexConeSpec": _nested(LexConeSpec.from_json),
+}

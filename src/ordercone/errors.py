@@ -59,9 +59,14 @@ def _int_at_least(value, least: int, name: str) -> int:
     return value
 
 
+def _typed_field(data, key: str, kind: type, noun: str):
+    """A field whose JSON value must be exactly a ``kind``."""
+    value = _field(data, key)
+    if type(value) is not kind:
+        raise UsageError(f"descriptor field {key!r} must be {noun}")
+    return value
+
+
 def _int_field(data, key: str) -> int:
     """An integer field; floats, strings and booleans are refused."""
-    value = _field(data, key)
-    if type(value) is not int:
-        raise UsageError(f"descriptor field {key!r} must be an integer")
-    return value
+    return _typed_field(data, key, int, "an integer")

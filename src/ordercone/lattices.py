@@ -296,27 +296,15 @@ def perturb_dense(spec: LexConeSpec, required_positive) -> PerturbationResult:
         f"(k = {spec.k}; dense single-normal specs over Q(sqrt 2) need k = 2)")
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    """Basis of the isolator of the span of the input generators."""
-
-    input_generators: tuple[Vector, ...]
-    basis: tuple[Vector, ...]
-
-    def to_json(self) -> dict:
-        return {"input_generators": [list(g) for g in self.input_generators],
-                "basis": [list(b) for b in self.basis]}
-
-
-def saturate(k: int, generators) -> SaturationResult:
-    """Smallest saturated sublattice of Z^k containing the generators.
+def saturate(k: int, generators) -> tuple[Vector, ...]:
+    """Basis rows of the smallest saturated sublattice of Z^k containing
+    the generators.
 
     Computed as the double integer-orthogonal complement; the quotient
     by the result is torsion free by construction.
     """
     gens = tuple(_as_vector(g, k) for g in generators)
-    basis = intlinalg.saturation(gens, k)
-    return SaturationResult(gens, tuple(tuple(row) for row in basis))
+    return tuple(tuple(row) for row in intlinalg.saturation(gens, k))
 
 
 def extend_by_quotient(inner: LexConeSpec | None, basis,

@@ -152,7 +152,7 @@ def test_criterion_08_dd_isolation_witnesses():
             covered = {w.element for w in witnesses}
             assert covered == {g.text() for g in positives}
             for witness in witnesses:
-                assert len(witness.factors) <= max_len
+                assert len(witness.witness) <= max_len
                 assert witness.replay()
 
 

@@ -133,16 +133,22 @@ def test_short_cone_forms_are_descriptors(text, descriptor):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("dehornoy:x", "invalid literal for int()"),
+    ("dehornoy:x", "dehornoy cone wants an integer n"),
+    ("dd:2.5", "dd cone wants an integer n"),
+    ("dehornoy:", "dehornoy cone wants an integer n"),
+    ("dd:1", "braid group n must be at least 2"),
     ("klein:+", "klein cone wants two signs"),
     ("klein:+x", "must be '+' or '-'"),
     ("foo:1", "unknown cone descriptor 'foo:1'"),
-], ids=["dehornoy-x", "klein-one-sign", "klein-bad-sign", "unknown"])
+], ids=["dehornoy-x", "dd-float", "dehornoy-empty", "dd-one",
+        "klein-one-sign", "klein-bad-sign", "unknown"])
 def test_bad_short_cone_forms_are_usage_errors(capsys, text, message):
     code = main(["sign", "--cone", text, "--word", "s1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("usage error: ") and message in captured.err
+    with pytest.raises(UsageError, match=re.escape(message)):
+        parse_cone(text)
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,7 +166,8 @@ def test_bad_short_cone_forms_are_usage_errors(capsys, text, message):
     ("ball", "--group", "z", "--radius", "1", "--budget",
      '{"braid_ball": 5}'),
     ("convexity", "--cone", "dehornoy:3", "--predicate",
-     '{"type": "lattice_sublattice", "basis": 5}', "--radius", "1"),
+     '{"type": "lattice_sublattice", "k": 2, "basis": 5}', "--radius",
+     "1"),
     ("sign", "--cone", '{"type": "conjugate", "base": {"type": "dehornoy", '
      '"n": 3}, "g": 5}', "--word", "s1"),
     ("sign", "--cone", '{"type": "dehornoy", "n": 3.9}', "--word", "s1"),
@@ -175,7 +182,8 @@ def test_bad_short_cone_forms_are_usage_errors(capsys, text, message):
      '{"k": true, "normals": [[{"a": "1", "b": "0"}]]}'),
     ("classify", "--spec", '{"k": 1, "normals": [[{"a": true, "b": "0"}]]}'),
     ("convexity", "--cone", "lattice:" + _LATTICE_SPEC, "--predicate",
-     '{"type": "lattice_sublattice", "basis": [[1.9, 0]]}', "--radius", "1"),
+     '{"type": "lattice_sublattice", "k": 2, "basis": [[1.9, 0]]}',
+     "--radius", "1"),
     ("ball", "--group", "z", "--radius", "1", "--budget",
      '{"braid_ball": {"3": 6.9}}'),
     ("ball", "--group", "z", "--radius", "1", "--budget",
@@ -183,7 +191,7 @@ def test_bad_short_cone_forms_are_usage_errors(capsys, text, message):
     ("ball", "--group", "z", "--radius", "1", "--budget",
      '{"census_braid_radius": true}'),
     ("convexity", "--cone", "lattice:" + _LATTICE_SPEC, "--predicate",
-     '{"type": "lattice_sublattice", "basis": [[0, 1], [0, 2]]}',
+     '{"type": "lattice_sublattice", "k": 2, "basis": [[0, 1], [0, 2]]}',
      "--radius", "1"),
     ("sign", "--cone", json.dumps({
         "type": "replace_on_convex", "base": _LATTICE_CONE,

@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ordercone import (BraidShiftPredicate, CertificateError,
-                       ConjugateCone, ContextMismatchError,
-                       CyclicBraidPredicate, DehornoyCone,
+                       ConeOracle, ConjugateCone, ContextMismatchError,
+                       ConvexPredicate, CyclicBraidPredicate, DehornoyCone,
                        DubrovinaDubrovinCone, FlipCone, GroupContext,
                        KleinTararinCone, KleinYPredicate, LatticeCone,
                        LatticeSublatticePredicate, LexConeSpec,
@@ -116,8 +116,10 @@ def test_flip_requires_certificate():
     (lambda v: CyclicBraidPredicate(v, "s1"), "braid group n"),
     (lambda v: LexConeSpec(v, ((1,),)), "lattice dimension k"),
     (lambda v: LatticeSublatticePredicate(v, ((1,),)), "lattice dimension k"),
+    (DehornoyCone, "braid group n"),
+    (DubrovinaDubrovinCone, "braid group n"),
 ], ids=["braid", "free-abelian", "braid-shift-r", "braid-shift-n",
-        "cyclic-braid", "lex-spec", "sublattice"])
+        "cyclic-braid", "lex-spec", "sublattice", "dehornoy", "dd"])
 def test_value_types_refuse_integer_parameters_of_other_types(build, name,
                                                               value):
     # Before, 2.5 and True were stored and serialized ("n": 2.5,
@@ -126,6 +128,19 @@ def test_value_types_refuse_integer_parameters_of_other_types(build, name,
     with pytest.raises(UsageError,
                        match=rf"{name} must be (a nonnegative|an) integer"):
         build(value)
+
+
+@pytest.mark.parametrize("build", [
+    DehornoyCone, DubrovinaDubrovinCone,
+    lambda n: cone_from_json({"type": "dehornoy", "n": n}),
+    lambda n: cone_from_json({"type": "dd", "n": n})],
+    ids=["dehornoy", "dd", "dehornoy-json", "dd-json"])
+@pytest.mark.parametrize("n", [1, -3])
+def test_braid_cones_refuse_fewer_than_two_strands(build, n):
+    # Both used to build a cone with no group; DehornoyCone(2.5) wrote a
+    # descriptor that cone_from_json then refused.
+    with pytest.raises(UsageError, match="braid group n must be at least 2"):
+        build(n)
 
 
 @pytest.mark.parametrize("radius", [True, 2.5, None, -1])
@@ -335,6 +350,8 @@ def test_predicate_closure(b3, klein):
 
 
 def test_serialization_round_trip(b3, klein):
+    # One instance of every class the readers know: each reads back equal,
+    # with the same descriptor and, for cones, the same signs.
     pd = DehornoyCone(3)
     shift = BraidShiftPredicate(3, 1)
     cones = [
@@ -347,16 +364,29 @@ def test_serialization_round_trip(b3, klein):
         ReplaceCone(pd, shift, DehornoyCone(2), 3),
         LexExtensionCone(KleinYPredicate(), Z_POS, Z_NEG),
     ]
-    for cone in cones:
-        data = cone.to_json()
-        again = cone_from_json(data)
-        radius = 3 if cone.context.family == "braid" else 4
-        assert sign_vector(again, radius) == sign_vector(cone, radius)
+    predicates = [shift, KleinYPredicate(),
+                  LatticeSublatticePredicate(2, ((1, 2),)),
+                  CyclicBraidPredicate(3, "s1"), WholePredicate(klein)]
+    assert {type(c) for c in cones} == set(ConeOracle.classes.values())
+    assert ({type(p) for p in predicates}
+            == set(ConvexPredicate.classes.values()))
+    for value, read in [(c, cone_from_json) for c in cones] + [
+            (p, predicate_from_json) for p in predicates]:
+        data = value.to_json()
+        again = read(data)
+        assert again == value
         assert again.to_json() == data
-    for predicate in (shift, KleinYPredicate(),
-                      LatticeSublatticePredicate(2, ((1, 2),)),
-                      CyclicBraidPredicate(3, "s1"), WholePredicate(klein)):
-        assert predicate_from_json(predicate.to_json()) == predicate
+        if read is cone_from_json:
+            radius = 3 if value.context.family == "braid" else 4
+            assert sign_vector(again, radius) == sign_vector(value, radius)
+
+
+def test_lattice_sublattice_descriptor_needs_k():
+    # k was once inferred from the first basis row; the writer always
+    # writes it, so a descriptor without it is malformed.
+    with pytest.raises(UsageError, match="has no 'k' field"):
+        predicate_from_json({"type": "lattice_sublattice",
+                             "basis": [[1, 2]]})
 
 
 @pytest.mark.parametrize("predicate, radius", [

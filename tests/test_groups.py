@@ -263,7 +263,7 @@ def test_semigroup_bfs_matches_element_hashing_oracle():
     # The witness BFS keys each candidate from its parent's key; the
     # oracle multiplies and hashes GroupElement values.
     witnesses = dd_isolation_witnesses(4, 3, 16)
-    assert ([(w.element, w.factors) for w in witnesses]
+    assert ([(w.element, w.witness) for w in witnesses]
             == dd_witness_oracle(4, 3, 16))
 
 

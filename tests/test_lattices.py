@@ -355,11 +355,9 @@ def test_disagreement_sets_nest_as_delta_halves():
 
 
 def test_saturate_examples():
-    result = saturate(2, [(2, 0), (0, 3)])
-    assert sorted(map(tuple, result.basis)) == [(0, 1), (1, 0)]
-    result = saturate(2, [(2, 4)])
-    assert [tuple(b) for b in result.basis] in ([(1, 2)], [(-1, -2)])
-    assert saturate(2, []).basis == ()
+    assert sorted(saturate(2, [(2, 0), (0, 3)])) == [(0, 1), (1, 0)]
+    assert saturate(2, [(2, 4)]) in (((1, 2),), ((-1, -2),))
+    assert saturate(2, []) == ()
 
 
 def test_extend_by_quotient_convex_line():

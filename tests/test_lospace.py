@@ -23,6 +23,7 @@ from ordercone import (BraidShiftPredicate, BudgetExceededError,
                        discreteness_check, distance,
                        interval_closure, order_property_scan, sign_vector,
                        soul_estimate)
+from ordercone import certificates
 from ordercone.braids import clear_caches
 from ordercone.certificates import (AccumulationWitness, ConvexityCertificate,
                                     ConvexityCounterexample, DensityWitness,
@@ -245,7 +246,7 @@ def test_dd_witness_max_len_failure_lists_elements():
 
 
 def test_dd_witness_examples(b3):
-    witnesses = {w.element: w.factors
+    witnesses = {w.element: w.witness
                  for w in dd_isolation_witnesses(3, 3, 12)}
     assert witnesses["S2"] == ("y2",)
     assert witnesses["s1 s2"] == ("y1",)
@@ -914,7 +915,7 @@ def test_certificate_json_round_trip(b3, z2):
          "predicate", CyclicBraidPredicate(3, "s1").to_json()),
         (convexity_check(DehornoyCone(3), CyclicBraidPredicate(3, "s1"), 2),
          "g", "s1"),
-        *((w, "witness", [*w.factors, "y1"]) for w in witnesses),
+        *((w, "witness", [*w.witness, "y1"]) for w in witnesses),
         (accumulation_scan(DehornoyCone(3), 3, 1, resolution=3),
          "agree_radius", 2),
         (density, "smaller_positive", density.eps),
@@ -922,7 +923,10 @@ def test_certificate_json_round_trip(b3, z2):
          "eps", "s1"),
         (report, "all_stabilize", not report.all_stabilize),
     ]
-    assert {c.to_json()["kind"] for c, _, _ in cases} == {
+    assert ({type(c) for c, _, _ in cases}
+            == set(certificates._Certificate.classes.values()))
+    # The wire tags of stored certificates.
+    assert set(certificates._Certificate.classes) == {
         "convexity_pass", "convexity_counterexample", "semigroup_witness",
         "accumulation_witness", "density_witness", "discreteness_pass",
         "interval_closure"}

@@ -3,14 +3,17 @@ and no private module-level name is left that no module references.
 Both catch the leftovers of a deletion, and so do the checks that every
 CLI flag belongs to a command and that the README names exactly the CLI
 flags.  No module imports ``os`` or reads the environment, so the
-library's only inputs are arguments, budget scopes and CLI flags."""
+library's only inputs are arguments, budget scopes and CLI flags.  Every
+descriptor class and field type is wired into the one JSON reader."""
 
 import ast
+import dataclasses
 import pathlib
 import re
 
 import pytest
 
+from ordercone import certificates, cones
 from ordercone.cli import _COMMANDS, _COMMON, _FLAGS, _flag_string
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -128,3 +131,37 @@ def test_readme_names_exactly_the_cli_flags():
     named = {flag for line in lines if "pip install" not in line
              for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
     assert named == {_flag_string(name) for name in _FLAGS}
+
+
+# Field annotations ``cones._read`` passes through raw, for the class's
+# constructor to check; a conjugate's element is read by
+# ``cone_from_json`` itself, in its base cone's group.
+RAW_FIELD_TYPES = {"dict", "object", "str", "tuple[tuple[int, ...], ...]",
+                   "GroupElement"}
+
+
+def _subclasses(base: type) -> set[type]:
+    found = set()
+    for cls in base.__subclasses__():
+        found |= {cls} | _subclasses(cls)
+    return found
+
+
+@pytest.mark.parametrize("family, readers", [
+    (cones.ConeOracle, cones._READERS),
+    (cones.ConvexPredicate, cones._READERS),
+    (certificates._Certificate, certificates._READERS),
+], ids=["cones", "predicates", "certificates"])
+def test_every_descriptor_class_is_readable(family, readers):
+    # A new cone, predicate or certificate class fails here until its
+    # class statement names a tag, and a new field type until the
+    # family's reader table, or the raw list above, names it.
+    concrete = {cls for cls in _subclasses(family)
+                if dataclasses.is_dataclass(cls)
+                and cls.__module__.startswith("ordercone.")}
+    assert set(family.classes.values()) == concrete
+    unread = [(cls.__name__, f.name, f.type)
+              for cls in concrete for f in dataclasses.fields(cls)
+              if f.type not in readers and f.type not in RAW_FIELD_TYPES]
+    assert unread == []
+    assert not RAW_FIELD_TYPES & readers.keys()
